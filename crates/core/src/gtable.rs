@@ -18,6 +18,7 @@
 
 use crate::records::{GRecord, OwnershipSwap};
 use marlin_common::{GranuleId, KeyRange, Lsn, NodeId, TableId, TxnId};
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
 /// One GTable row: a granule's key range and current owner.
@@ -28,10 +29,21 @@ pub struct GranuleMeta {
     pub owner: NodeId,
 }
 
+/// A row as the partition stores it: the public [`GranuleMeta`] plus the
+/// GLog LSN at which `meta.owner` became the owner. The stamp is what lets
+/// a reader of a log suffix tell "owned since before the suffix" from
+/// "gained inside it" without a snapshot of the partition (see
+/// [`GTablePartition::apply_reporting`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Row {
+    meta: GranuleMeta,
+    owner_since: Lsn,
+}
+
 /// A materialized GTable partition (one node's view of its GLog).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct GTablePartition {
-    entries: BTreeMap<GranuleId, GranuleMeta>,
+    entries: BTreeMap<GranuleId, Row>,
     /// Swaps from `Prepared` records awaiting their decision.
     pending: BTreeMap<TxnId, Vec<OwnershipSwap>>,
     /// GLog LSN this view reflects.
@@ -56,6 +68,22 @@ impl GTablePartition {
 
     /// Apply one GLog record at `lsn` (records must arrive in order).
     pub fn apply(&mut self, lsn: Lsn, record: &GRecord) {
+        self.apply_reporting(lsn, record, &mut |_, _, _| {});
+    }
+
+    /// [`Self::apply`], reporting every row whose owner the record changed
+    /// as `ousted(granule, previous owner, LSN the previous owner took it
+    /// at)`: an `Install` over an existing row, an applied `OnePhase` swap,
+    /// a swap released by a committing `Decision`. Rows the record creates,
+    /// rows rewritten with the owner they had, `Prepared` records and
+    /// aborting `Decision`s report nothing. The work is proportional to the
+    /// record, never to the partition.
+    pub(crate) fn apply_reporting(
+        &mut self,
+        lsn: Lsn,
+        record: &GRecord,
+        ousted: &mut impl FnMut(GranuleId, NodeId, Lsn),
+    ) {
         assert!(lsn > self.applied, "GLog records must apply in order");
         match record {
             GRecord::Install {
@@ -64,18 +92,16 @@ impl GTablePartition {
                 range,
                 owner,
             } => {
-                self.entries.insert(
-                    *granule,
-                    GranuleMeta {
-                        table: *table,
-                        range: *range,
-                        owner: *owner,
-                    },
-                );
+                let meta = GranuleMeta {
+                    table: *table,
+                    range: *range,
+                    owner: *owner,
+                };
+                self.upsert(lsn, *granule, meta, ousted);
             }
             GRecord::OnePhase { swaps, .. } => {
                 for s in swaps {
-                    self.apply_swap(s);
+                    self.apply_swap(lsn, s, ousted);
                 }
             }
             GRecord::Prepared { txn, swaps, .. } => {
@@ -85,7 +111,7 @@ impl GTablePartition {
                 if let Some(swaps) = self.pending.remove(txn) {
                     if *commit {
                         for s in &swaps {
-                            self.apply_swap(s);
+                            self.apply_swap(lsn, s, ousted);
                         }
                     }
                 }
@@ -97,31 +123,60 @@ impl GTablePartition {
         self.applied = lsn;
     }
 
-    fn apply_swap(&mut self, s: &OwnershipSwap) {
+    fn apply_swap(
+        &mut self,
+        lsn: Lsn,
+        s: &OwnershipSwap,
+        ousted: &mut impl FnMut(GranuleId, NodeId, Lsn),
+    ) {
         // Swap semantics: upsert the entry with the new owner. The range
         // rides along so a destination partition can create the entry it
         // has never seen. Entries are never deleted (invariant I3).
-        self.entries.insert(
-            s.granule,
-            GranuleMeta {
-                table: s.table,
-                range: s.range,
-                owner: s.new,
-            },
-        );
+        let meta = GranuleMeta {
+            table: s.table,
+            range: s.range,
+            owner: s.new,
+        };
+        self.upsert(lsn, s.granule, meta, ousted);
+    }
+
+    fn upsert(
+        &mut self,
+        lsn: Lsn,
+        granule: GranuleId,
+        meta: GranuleMeta,
+        ousted: &mut impl FnMut(GranuleId, NodeId, Lsn),
+    ) {
+        match self.entries.entry(granule) {
+            Entry::Vacant(v) => {
+                v.insert(Row {
+                    meta,
+                    owner_since: lsn,
+                });
+            }
+            Entry::Occupied(mut o) => {
+                let row = o.get_mut();
+                // The same owner rewritten keeps the start of its tenure.
+                if row.meta.owner != meta.owner {
+                    ousted(granule, row.meta.owner, row.owner_since);
+                    row.owner_since = lsn;
+                }
+                row.meta = meta;
+            }
+        }
     }
 
     /// Owner of `granule` per this partition, if the partition has an entry
     /// (Algorithm 1 `GTable[granule].NodeID`).
     #[must_use]
     pub fn owner_of(&self, granule: GranuleId) -> Option<NodeId> {
-        self.entries.get(&granule).map(|m| m.owner)
+        self.entries.get(&granule).map(|r| r.meta.owner)
     }
 
     /// Full entry for `granule`.
     #[must_use]
     pub fn get(&self, granule: GranuleId) -> Option<&GranuleMeta> {
-        self.entries.get(&granule)
+        self.entries.get(&granule).map(|r| &r.meta)
     }
 
     /// All entries currently owned by `node` (the partition's live rows).
@@ -129,15 +184,15 @@ impl GTablePartition {
     pub fn owned_by(&self, node: NodeId) -> Vec<(GranuleId, GranuleMeta)> {
         self.entries
             .iter()
-            .filter(|(_, m)| m.owner == node)
-            .map(|(g, m)| (*g, *m))
+            .filter(|(_, r)| r.meta.owner == node)
+            .map(|(g, r)| (*g, r.meta))
             .collect()
     }
 
     /// Scan every entry (`ScanGTableTxn` merges these across nodes).
     #[must_use]
     pub fn scan(&self) -> Vec<(GranuleId, GranuleMeta)> {
-        self.entries.iter().map(|(g, m)| (*g, *m)).collect()
+        self.entries.iter().map(|(g, r)| (*g, r.meta)).collect()
     }
 
     /// The GLog LSN this view reflects.
@@ -408,6 +463,54 @@ mod tests {
         let b = materialize(records);
         assert_eq!(a, b);
         assert_eq!(a.owner_of(GranuleId(1)), Some(NodeId(2)));
+    }
+
+    /// `apply_reporting` names exactly the rows whose owner changed, with
+    /// the owner they had and the LSN it took them at.
+    #[test]
+    fn reports_ousted_owners_and_nothing_else() {
+        fn apply(p: &mut GTablePartition, lsn: u64, rec: &GRecord) -> Vec<(u64, u32, u64)> {
+            let mut seen = Vec::new();
+            p.apply_reporting(Lsn(lsn), rec, &mut |g, owner, since| {
+                seen.push((g.0, owner.0, since.0));
+            });
+            seen
+        }
+        let prepared = |txn: u64, swaps: Vec<OwnershipSwap>| GRecord::Prepared {
+            txn: TxnId(txn),
+            swaps,
+            participants: vec![],
+        };
+        let decision = |txn: u64, commit: bool| GRecord::Decision {
+            txn: TxnId(txn),
+            commit,
+        };
+        let mut p = GTablePartition::new();
+        // Created rows have no previous owner to report.
+        assert!(apply(&mut p, 1, &install(1, 0)).is_empty());
+        assert!(apply(&mut p, 2, &install(2, 0)).is_empty());
+        // The same owner rewritten: no report, and its tenure still
+        // starts at LSN 1 (the swap below says so).
+        assert!(apply(&mut p, 3, &install(1, 0)).is_empty());
+        let one_phase = GRecord::OnePhase {
+            txn: TxnId(1),
+            swaps: vec![swap(1, 0, 5), swap(9, 0, 5)],
+        };
+        assert_eq!(apply(&mut p, 4, &one_phase), vec![(1, 0, 1)]);
+        // An install over another owner's row.
+        assert_eq!(apply(&mut p, 5, &install(1, 0)), vec![(1, 5, 4)]);
+        // Prepared swaps and aborted decisions move nothing...
+        assert!(apply(&mut p, 6, &prepared(7, vec![swap(2, 0, 3)])).is_empty());
+        assert!(apply(&mut p, 7, &decision(7, false)).is_empty());
+        assert!(apply(&mut p, 8, &prepared(8, vec![swap(2, 0, 3)])).is_empty());
+        // ...a committing decision releases them, stamped at its own LSN.
+        assert_eq!(apply(&mut p, 9, &decision(8, true)), vec![(2, 0, 2)]);
+        assert!(apply(&mut p, 10, &decision(99, true)).is_empty());
+        let back = GRecord::OnePhase {
+            txn: TxnId(2),
+            swaps: vec![swap(2, 3, 0)],
+        };
+        assert_eq!(apply(&mut p, 11, &back), vec![(2, 3, 9)]);
     }
 
     #[test]

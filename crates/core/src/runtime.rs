@@ -410,11 +410,9 @@ impl LocalCluster {
             return Err(TxnError::NodeUnavailable(node));
         }
         self.ensure_gtable_fresh(node);
-        let layout = self
-            .layouts
-            .values()
-            .find(|l| l.table == table)
-            .expect("table exists");
+        // The field, not `self.layout(table)`: the node's runtime is
+        // borrowed mutably beside it.
+        let layout = &self.layouts[&table];
         let pages_per_granule = layout.pages_per_granule(self.page_bytes);
         let txn = self
             .nodes
@@ -477,7 +475,7 @@ impl LocalCluster {
         }
         let record = TxnUpdateRecord {
             txn,
-            writes: row_writes.clone(),
+            writes: row_writes,
         };
         let payload = encode_page_updates(&record.to_page_updates());
         let (mut driver, effects) = {
@@ -497,7 +495,7 @@ impl LocalCluster {
         let rt = self.node_mut(node);
         match outcome {
             CommitOutcome::Committed => {
-                for w in row_writes {
+                for w in record.writes {
                     rt.data
                         .write(w.table, w.granule, w.key, w.value)
                         .expect("owned granule");
@@ -510,18 +508,13 @@ impl LocalCluster {
                 // The CAS failure invalidated the own-partition cache (the
                 // driver emitted ClearMetaCache). Refresh and drop rows of
                 // granules that moved away (Figure 7 step 3).
-                let lost = self.refresh_own_gtable(node);
-                let rt = self.node_mut(node);
-                for g in &lost {
-                    for (t, held) in rt.data.held() {
-                        if held == *g {
-                            rt.data.remove(t, held);
-                        }
-                    }
-                }
+                self.refresh_and_evict(node);
+                // `execute_effect` observed the LSN the failed CAS
+                // returned into the tracker.
+                let log = conflict.unwrap_or(LogId::GLog(node));
                 Err(TxnError::CommitConflict {
-                    log: conflict.unwrap_or(LogId::GLog(node)),
-                    current: Lsn::ZERO,
+                    log,
+                    current: self.nodes[&node].marlin.tracker.get(log),
                 })
             }
         }
@@ -669,13 +662,18 @@ impl LocalCluster {
         if self.nodes[&id].marlin.gtable_valid() {
             return;
         }
+        self.refresh_and_evict(id);
+    }
+
+    /// Refresh `id`'s own-partition cache and drop the rows of the granules
+    /// it lost (Figure 7 step 3). The partition keeps a forwarding row for
+    /// each, which names the table the rows live under.
+    fn refresh_and_evict(&mut self, id: NodeId) {
         let lost = self.refresh_own_gtable(id);
         let rt = self.node_mut(id);
-        for g in &lost {
-            for (t, held) in rt.data.held() {
-                if held == *g {
-                    rt.data.remove(t, held);
-                }
+        for g in lost {
+            if let Some(meta) = rt.marlin.gtable().get(g) {
+                rt.data.remove(meta.table, g);
             }
         }
     }

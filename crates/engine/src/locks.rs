@@ -15,7 +15,7 @@
 use marlin_common::{GranuleId, TableId, TxnError, TxnId};
 use parking_lot::Mutex;
 use std::collections::hash_map::Entry;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// What is being locked.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -38,15 +38,69 @@ pub enum LockMode {
 #[derive(Debug)]
 struct LockEntry {
     mode: LockMode,
-    holders: HashSet<TxnId>,
+    /// Nearly every lock has one holder, kept inline; `co_holders` stays
+    /// empty, and unallocated, unless a shared lock is shared.
+    holder: TxnId,
+    co_holders: Vec<TxnId>,
+}
+
+impl LockEntry {
+    fn held_by(&self, txn: TxnId) -> bool {
+        self.holder == txn || self.co_holders.contains(&txn)
+    }
+
+    /// Drop `txn` from the holders; true when nobody holds the lock any more.
+    fn release(&mut self, txn: TxnId) -> bool {
+        if self.holder != txn {
+            self.co_holders.retain(|t| *t != txn);
+        } else if let Some(next) = self.co_holders.pop() {
+            self.holder = next;
+        } else {
+            return true;
+        }
+        false
+    }
 }
 
 #[derive(Debug, Default)]
 struct LockTableInner {
     locks: HashMap<LockTarget, LockEntry>,
-    held_by_txn: HashMap<TxnId, Vec<LockTarget>>,
+    /// The transaction that acquired most recently and the targets it
+    /// holds: a transaction takes its locks back to back, so it pays for
+    /// one lookup in `parked`, not one per acquisition, and the list's
+    /// allocation passes from each transaction to the next.
+    recent_txn: TxnId,
+    recent_held: Vec<LockTarget>,
+    /// Targets held by every other transaction (non-empty lists only).
+    parked: HashMap<TxnId, Vec<LockTarget>>,
     conflicts: u64,
     acquisitions: u64,
+}
+
+impl LockTableInner {
+    /// The list of targets `txn` holds, made the recent one.
+    fn held_by(&mut self, txn: TxnId) -> &mut Vec<LockTarget> {
+        if self.recent_txn != txn {
+            if !self.recent_held.is_empty() {
+                let held = std::mem::take(&mut self.recent_held);
+                self.parked.insert(self.recent_txn, held);
+            }
+            self.recent_txn = txn;
+            if let Some(held) = self.parked.remove(&txn) {
+                self.recent_held = held;
+            }
+        }
+        &mut self.recent_held
+    }
+
+    /// Take `txn` off `target`'s holders, dropping the entry with its last.
+    fn unlock(&mut self, txn: TxnId, target: LockTarget) {
+        if let Entry::Occupied(mut o) = self.locks.entry(target) {
+            if o.get_mut().release(txn) {
+                o.remove();
+            }
+        }
+    }
 }
 
 /// A strict-2PL, NO_WAIT lock table for one compute node.
@@ -74,15 +128,16 @@ impl LockTable {
             Entry::Vacant(v) => {
                 v.insert(LockEntry {
                     mode,
-                    holders: HashSet::from([txn]),
+                    holder: txn,
+                    co_holders: Vec::new(),
                 });
                 Ok(true)
             }
             Entry::Occupied(mut o) => {
                 let entry = o.get_mut();
-                if entry.holders.contains(&txn) {
+                if entry.held_by(txn) {
                     if entry.mode == LockMode::Shared && mode == LockMode::Exclusive {
-                        if entry.holders.len() == 1 {
+                        if entry.co_holders.is_empty() {
                             entry.mode = LockMode::Exclusive; // upgrade
                             Ok(false)
                         } else {
@@ -92,7 +147,7 @@ impl LockTable {
                         Ok(false) // already held at sufficient strength
                     }
                 } else if entry.mode == LockMode::Shared && mode == LockMode::Shared {
-                    entry.holders.insert(txn);
+                    entry.co_holders.push(txn);
                     Ok(true)
                 } else {
                     Err(conflict_of(target))
@@ -103,7 +158,7 @@ impl LockTable {
             Ok(newly_tracked) => {
                 inner.acquisitions += 1;
                 if newly_tracked {
-                    inner.held_by_txn.entry(txn).or_default().push(target);
+                    inner.held_by(txn).push(target);
                 }
                 Ok(())
             }
@@ -117,16 +172,11 @@ impl LockTable {
     /// Release every lock held by `txn` (commit or abort).
     pub fn release_all(&self, txn: TxnId) {
         let mut inner = self.inner.lock();
-        let targets = inner.held_by_txn.remove(&txn).unwrap_or_default();
-        for target in targets {
-            if let Entry::Occupied(mut o) = inner.locks.entry(target) {
-                let entry = o.get_mut();
-                entry.holders.remove(&txn);
-                if entry.holders.is_empty() {
-                    o.remove();
-                }
-            }
+        let mut held = std::mem::take(inner.held_by(txn));
+        for target in held.drain(..) {
+            inner.unlock(txn, target);
         }
+        inner.recent_held = held;
     }
 
     /// Release one specific lock early (weaker isolation levels release
@@ -134,16 +184,8 @@ impl LockTable {
     /// still be held to commit — §4.2).
     pub fn release_one(&self, txn: TxnId, target: LockTarget) {
         let mut inner = self.inner.lock();
-        if let Some(list) = inner.held_by_txn.get_mut(&txn) {
-            list.retain(|t| *t != target);
-        }
-        if let Entry::Occupied(mut o) = inner.locks.entry(target) {
-            let entry = o.get_mut();
-            entry.holders.remove(&txn);
-            if entry.holders.is_empty() {
-                o.remove();
-            }
-        }
+        inner.held_by(txn).retain(|t| *t != target);
+        inner.unlock(txn, target);
     }
 
     /// Whether `txn` currently holds `target` (at any strength).
@@ -153,7 +195,7 @@ impl LockTable {
             .lock()
             .locks
             .get(&target)
-            .is_some_and(|e| e.holders.contains(&txn))
+            .is_some_and(|e| e.held_by(txn))
     }
 
     /// Number of currently held lock targets.
@@ -187,6 +229,7 @@ fn conflict_of(target: LockTarget) -> TxnError {
 mod tests {
     use super::*;
     use marlin_common::NodeId;
+    use std::collections::HashSet;
 
     fn txn(n: u32) -> TxnId {
         TxnId::new(NodeId(0), n)
@@ -321,6 +364,167 @@ mod tests {
         assert!(lt
             .try_lock(txn(3), granule(3), LockMode::Exclusive)
             .is_err());
+    }
+
+    #[test]
+    fn co_holders_spill_and_fall_back_inline() {
+        let lt = LockTable::new();
+        let spilled = |lt: &LockTable| !lt.inner.lock().locks[&row(5)].co_holders.is_empty();
+        lt.try_lock(txn(1), row(5), LockMode::Shared).unwrap();
+        assert!(!spilled(&lt));
+        lt.try_lock(txn(2), row(5), LockMode::Shared).unwrap();
+        lt.try_lock(txn(3), row(5), LockMode::Shared).unwrap();
+        assert!(spilled(&lt));
+        // Two holders left: upgrade refused, for either of them.
+        lt.release_all(txn(2));
+        assert!(spilled(&lt));
+        assert!(lt.try_lock(txn(1), row(5), LockMode::Exclusive).is_err());
+        // One left: inline again, and the sole holder may upgrade.
+        lt.release_one(txn(1), row(5));
+        assert!(!spilled(&lt));
+        assert!(!lt.holds(txn(1), row(5)) && lt.holds(txn(3), row(5)));
+        lt.try_lock(txn(3), row(5), LockMode::Exclusive).unwrap();
+        assert!(lt.try_lock(txn(1), row(5), LockMode::Shared).is_err());
+        lt.release_all(txn(3));
+        assert_eq!(lt.active_locks(), 0);
+        assert_eq!((lt.acquisitions(), lt.conflicts()), (4, 2));
+    }
+
+    #[test]
+    fn release_one_then_release_all_then_reacquire() {
+        let lt = LockTable::new();
+        lt.try_lock(txn(1), row(1), LockMode::Exclusive).unwrap();
+        lt.try_lock(txn(1), row(2), LockMode::Shared).unwrap();
+        // Another transaction in between parks txn 1's list and back.
+        lt.try_lock(txn(2), row(3), LockMode::Exclusive).unwrap();
+        lt.release_one(txn(1), row(1));
+        lt.release_one(txn(1), row(1)); // idempotent
+        lt.try_lock(txn(2), row(1), LockMode::Exclusive).unwrap();
+        lt.release_all(txn(1));
+        assert!(!lt.holds(txn(1), row(2)));
+        assert!(lt.holds(txn(2), row(1)) && lt.holds(txn(2), row(3)));
+        lt.release_all(txn(1)); // nothing left: no-op
+        lt.release_all(txn(2));
+        assert_eq!(lt.active_locks(), 0);
+        // The same ids start over with nothing held.
+        lt.try_lock(txn(1), row(1), LockMode::Exclusive).unwrap();
+        lt.try_lock(txn(2), row(2), LockMode::Exclusive).unwrap();
+        assert!(lt.try_lock(txn(2), row(1), LockMode::Shared).is_err());
+        assert_eq!(lt.active_locks(), 2);
+    }
+
+    /// The table as it was before holders went inline — a `HashSet` of
+    /// holders per entry, one `held_by_txn` lookup per acquisition — kept
+    /// as the oracle.
+    #[derive(Default)]
+    struct Reference {
+        locks: HashMap<LockTarget, (LockMode, HashSet<TxnId>)>,
+        held_by_txn: HashMap<TxnId, Vec<LockTarget>>,
+        conflicts: u64,
+        acquisitions: u64,
+    }
+
+    impl Reference {
+        fn try_lock(&mut self, txn: TxnId, target: LockTarget, mode: LockMode) -> bool {
+            let newly_tracked = match self.locks.get_mut(&target) {
+                None => {
+                    self.locks.insert(target, (mode, HashSet::from([txn])));
+                    Some(true)
+                }
+                Some((held, holders)) if holders.contains(&txn) => {
+                    if *held == LockMode::Shared && mode == LockMode::Exclusive {
+                        (holders.len() == 1).then(|| {
+                            *held = LockMode::Exclusive;
+                            false
+                        })
+                    } else {
+                        Some(false)
+                    }
+                }
+                Some((LockMode::Shared, holders)) if mode == LockMode::Shared => {
+                    holders.insert(txn);
+                    Some(true)
+                }
+                Some(_) => None,
+            };
+            match newly_tracked {
+                Some(newly_tracked) => {
+                    self.acquisitions += 1;
+                    if newly_tracked {
+                        self.held_by_txn.entry(txn).or_default().push(target);
+                    }
+                }
+                None => self.conflicts += 1,
+            }
+            newly_tracked.is_some()
+        }
+
+        fn unlock(&mut self, txn: TxnId, target: LockTarget) {
+            if let Some((_, holders)) = self.locks.get_mut(&target) {
+                holders.remove(&txn);
+                if holders.is_empty() {
+                    self.locks.remove(&target);
+                }
+            }
+        }
+
+        fn release_all(&mut self, txn: TxnId) {
+            for target in self.held_by_txn.remove(&txn).unwrap_or_default() {
+                self.unlock(txn, target);
+            }
+        }
+
+        fn release_one(&mut self, txn: TxnId, target: LockTarget) {
+            if let Some(list) = self.held_by_txn.get_mut(&txn) {
+                list.retain(|t| *t != target);
+            }
+            self.unlock(txn, target);
+        }
+    }
+
+    proptest::proptest! {
+        /// Any script of acquisitions and releases: the same outcome per
+        /// call, the same holders and the same counters as the old table.
+        #[test]
+        fn matches_the_hashset_table_on_any_script(
+            script in proptest::collection::vec((0u8..8, 0u32..4, 0u64..5, proptest::prelude::any::<bool>()), 0..200),
+        ) {
+            let lt = LockTable::new();
+            let mut reference = Reference::default();
+            for (op, t, k, exclusive) in script {
+                let (t, target) = (txn(t), if k == 4 { granule(0) } else { row(k) });
+                match op {
+                    0 => {
+                        lt.release_all(t);
+                        reference.release_all(t);
+                    }
+                    1 => {
+                        lt.release_one(t, target);
+                        reference.release_one(t, target);
+                    }
+                    _ => {
+                        let mode = if exclusive { LockMode::Exclusive } else { LockMode::Shared };
+                        proptest::prop_assert_eq!(
+                            lt.try_lock(t, target, mode).is_ok(),
+                            reference.try_lock(t, target, mode)
+                        );
+                    }
+                }
+                proptest::prop_assert_eq!(lt.acquisitions(), reference.acquisitions);
+                proptest::prop_assert_eq!(lt.conflicts(), reference.conflicts);
+                proptest::prop_assert_eq!(lt.active_locks(), reference.locks.len());
+                for t in (0..4).map(txn) {
+                    for target in (0..4).map(row).chain([granule(0)]) {
+                        let held = reference.locks.get(&target).is_some_and(|(_, h)| h.contains(&t));
+                        proptest::prop_assert_eq!(lt.holds(t, target), held);
+                    }
+                }
+            }
+            for t in (0..4).map(txn) {
+                lt.release_all(t);
+            }
+            proptest::prop_assert_eq!(lt.active_locks(), 0);
+        }
     }
 
     /// NO_WAIT means no deadlock: crossing lock orders can abort but never

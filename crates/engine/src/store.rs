@@ -114,12 +114,6 @@ impl DataStore {
             .unwrap_or_default()
     }
 
-    /// IDs of all held granules.
-    #[must_use]
-    pub fn held(&self) -> Vec<(TableId, GranuleId)> {
-        self.granules.keys().copied().collect()
-    }
-
     /// Number of held granules.
     #[must_use]
     pub fn count(&self) -> usize {
@@ -201,13 +195,11 @@ mod tests {
     }
 
     #[test]
-    fn held_reports_identities() {
+    fn count_and_holds_report_identities() {
         let ds = setup();
         assert_eq!(ds.count(), 2);
-        assert_eq!(
-            ds.held(),
-            vec![(TableId(0), GranuleId(0)), (TableId(0), GranuleId(1))]
-        );
+        assert!(ds.holds(TableId(0), GranuleId(0)) && ds.holds(TableId(0), GranuleId(1)));
+        assert!(!ds.holds(TableId(1), GranuleId(0)));
     }
 
     #[test]

@@ -77,6 +77,9 @@ pub fn encode_page_updates(updates: &[PageUpdate]) -> Bytes {
     buf.freeze()
 }
 
+/// Encoded size of an update with an empty write: page id, kind, length.
+const MIN_UPDATE_BYTES: usize = 4 + 8 + 4 + 1 + 4;
+
 /// Decode a log payload into page updates. Returns `None` if the payload is
 /// not in the page-update format (e.g. a system-table record, which replay
 /// handles separately).
@@ -87,9 +90,15 @@ pub fn decode_page_updates(payload: &Bytes) -> Option<Vec<PageUpdate>> {
         return None;
     }
     let count = buf.get_u32_le() as usize;
+    // Replay tries every log record, coordination records included, whose
+    // first bytes read as a count in the millions: reserve only for a
+    // count the payload can hold.
+    if count > buf.remaining() / MIN_UPDATE_BYTES {
+        return None;
+    }
     let mut out = Vec::with_capacity(count);
     for _ in 0..count {
-        if buf.remaining() < 4 + 8 + 4 + 1 + 4 {
+        if buf.remaining() < MIN_UPDATE_BYTES {
             return None;
         }
         let table = TableId(buf.get_u32_le());
@@ -169,6 +178,13 @@ mod tests {
         bad.put_u32_le(5);
         bad.put_u8(1);
         assert_eq!(decode_page_updates(&bad.freeze()), None);
+        // A count no payload of this size can hold — what a coordination
+        // record's first bytes look like to replay — is refused before any
+        // reservation: u32::MAX updates would be a 200 GiB `Vec`.
+        let mut huge = BytesMut::new();
+        huge.put_u32_le(u32::MAX);
+        huge.put_slice(&[0u8; 64]);
+        assert_eq!(decode_page_updates(&huge.freeze()), None);
         // Trailing junk after valid updates.
         let mut tail = BytesMut::from(encode_page_updates(&[]).as_ref());
         tail.put_u8(0xFF);

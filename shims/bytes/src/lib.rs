@@ -19,11 +19,16 @@ use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 
 /// A cheaply cloneable, immutable, contiguous slice of memory.
+///
+/// The window is two `u32`s, which makes a handle 24 bytes, not 32: rows,
+/// log records and page delta chains hold one handle per value, so on the
+/// `LocalCluster` runtime the handles are several MiB of the resident
+/// set. No buffer here comes near 4 GiB, and `from_vec` refuses one.
 #[derive(Clone, Default)]
 pub struct Bytes {
     data: Arc<[u8]>,
-    start: usize,
-    end: usize,
+    start: u32,
+    end: u32,
 }
 
 impl Bytes {
@@ -50,7 +55,7 @@ impl Bytes {
     }
 
     fn from_vec(v: Vec<u8>) -> Self {
-        let end = v.len();
+        let end = u32::try_from(v.len()).expect("buffer under 4 GiB");
         Bytes {
             data: Arc::from(v),
             start: 0,
@@ -61,7 +66,7 @@ impl Bytes {
     /// Length of the buffer in bytes.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.end - self.start
+        (self.end - self.start) as usize
     }
 
     /// Whether the buffer is empty.
@@ -73,7 +78,7 @@ impl Bytes {
     /// The whole buffer as a slice.
     #[must_use]
     pub fn as_slice(&self) -> &[u8] {
-        &self.data[self.start..self.end]
+        &self.data[self.start as usize..self.end as usize]
     }
 
     /// A zero-copy sub-slice `[at, len)`; `self` keeps `[0, at)`.
@@ -82,9 +87,9 @@ impl Bytes {
         let head = Bytes {
             data: Arc::clone(&self.data),
             start: self.start,
-            end: self.start + at,
+            end: self.start + at as u32,
         };
-        self.start += at;
+        self.start += at as u32;
         head
     }
 
@@ -97,8 +102,8 @@ impl Bytes {
         );
         Bytes {
             data: Arc::clone(&self.data),
-            start: self.start + range.start,
-            end: self.start + range.end,
+            start: self.start + range.start as u32,
+            end: self.start + range.end as u32,
         }
     }
 }
@@ -376,13 +381,13 @@ impl Buf for Bytes {
 
     fn advance(&mut self, cnt: usize) {
         assert!(cnt <= self.len(), "advance past end");
-        self.start += cnt;
+        self.start += cnt as u32;
     }
 
     fn copy_to_bytes(&mut self, len: usize) -> Bytes {
         assert!(len <= self.len(), "copy_to_bytes past end");
         let out = self.slice(0..len);
-        self.start += len;
+        self.start += len as u32;
         out
     }
 }

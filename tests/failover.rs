@@ -7,7 +7,7 @@
 
 use bytes::Bytes;
 use marlin::common::{
-    ClusterConfig, CoordError, GranuleId, GranuleLayout, KeyRange, NodeId, TableId, TxnError,
+    ClusterConfig, CoordError, GranuleId, GranuleLayout, KeyRange, LogId, NodeId, TableId, TxnError,
 };
 use marlin::core::failure::{DetectorConfig, RingDetector};
 use marlin::core::LocalCluster;
@@ -80,6 +80,9 @@ fn figure7_failover_and_recovery_race() {
     // transaction on granule 6. Its MarlinCommit CAS on GLog(2) fails
     // because the recovery advanced the log; the txn aborts.
     cluster.revive(NodeId(2));
+    for g in &victims {
+        assert!(cluster.node(NodeId(2)).data.holds(TABLE, *g), "stale rows");
+    }
     let err = cluster
         .user_txn(
             NodeId(2),
@@ -92,6 +95,22 @@ fn figure7_failover_and_recovery_race() {
         matches!(err, TxnError::CommitConflict { .. }),
         "the stale write must abort during MarlinCommit, got {err}"
     );
+    // The error carries the LSN the failed CAS found GLog(2) at: the
+    // install batch, the first write, and the recovery's record.
+    let glog2 = LogId::GLog(NodeId(2));
+    let end = cluster.storage().end_lsn(glog2).unwrap();
+    assert_eq!(
+        err,
+        TxnError::CommitConflict {
+            log: glog2,
+            current: end
+        }
+    );
+    assert!(end > marlin::common::Lsn::ZERO);
+    // Abort path: the refresh evicted the rows of every lost granule.
+    for g in &victims {
+        assert!(!cluster.node(NodeId(2)).data.holds(TABLE, *g));
+    }
     // The abort invalidated and refreshed N2's partition cache: it now
     // knows it lost the granules, so the next request gets a redirect.
     let err = cluster.user_txn(NodeId(2), TABLE, &[660], &[]).unwrap_err();
@@ -113,6 +132,64 @@ fn figure7_failover_and_recovery_race() {
         cluster.node(NodeId(0)).marlin.mtable().scan(),
         vec![NodeId(0), NodeId(1)]
     );
+    cluster.assert_invariants();
+}
+
+/// The other entry point: a failed TryLog elsewhere (a vote request, a
+/// reconfiguration the node coordinates) only invalidates the partition
+/// cache — ClearMetaCache — and the next request refetches it
+/// (`ensure_gtable_fresh`), evicting the rows of the granules lost
+/// meanwhile, and only those.
+#[test]
+fn figure7_invalidated_cache_evicts_lost_rows_on_next_request() {
+    let mut cluster = LocalCluster::bootstrap(&config(3, 9));
+    cluster
+        .user_txn(NodeId(2), TABLE, &[], &[(650, Bytes::from_static(b"v"))])
+        .unwrap();
+    cluster.kill(NodeId(2));
+    let victims = [GranuleId(6), GranuleId(7)];
+    cluster
+        .recovery_migrate(NodeId(1), NodeId(2), victims.to_vec())
+        .unwrap();
+    cluster.revive(NodeId(2));
+    cluster
+        .node_mut(NodeId(2))
+        .marlin
+        .clear_meta_cache(LogId::GLog(NodeId(2)));
+    for g in (6..9).map(GranuleId) {
+        assert!(
+            cluster.node(NodeId(2)).data.holds(TABLE, g),
+            "not yet evicted"
+        );
+    }
+
+    // The next request, a read, refetches the partition first.
+    let err = cluster.user_txn(NodeId(2), TABLE, &[650], &[]).unwrap_err();
+    assert_eq!(
+        err,
+        TxnError::WrongNode {
+            granule: GranuleId(6),
+            owner: NodeId(1)
+        }
+    );
+    assert!(cluster.node(NodeId(2)).marlin.gtable_valid());
+    for g in victims {
+        assert!(!cluster.node(NodeId(2)).data.holds(TABLE, g));
+    }
+    assert!(cluster.node(NodeId(2)).data.holds(TABLE, GranuleId(8)));
+    assert_eq!(
+        cluster.node(NodeId(2)).marlin.owned_granules(),
+        vec![GranuleId(8)]
+    );
+    // What it kept it still serves, and can hand over with its rows.
+    cluster
+        .user_txn(NodeId(2), TABLE, &[], &[(850, Bytes::from_static(b"w"))])
+        .unwrap();
+    cluster
+        .migrate(NodeId(2), NodeId(0), TABLE, vec![GranuleId(8)])
+        .unwrap();
+    let reads = cluster.user_txn(NodeId(0), TABLE, &[850], &[]).unwrap();
+    assert_eq!(reads[0], Some(Bytes::from_static(b"w")));
     cluster.assert_invariants();
 }
 
@@ -204,7 +281,7 @@ fn termination_protocol_resolves_in_doubt_txns() {
     // source right after its vote. We emulate the partial failure by
     // appending the prepared record directly (the runtime's synchronous
     // pump otherwise always completes).
-    use marlin::common::{LogId, TxnId};
+    use marlin::common::TxnId;
     use marlin::core::records::{GRecord, OwnershipSwap};
     let txn = TxnId::new(NodeId(1), 4242);
     let swap = OwnershipSwap {

@@ -1,18 +1,22 @@
 //! Criterion microbenchmarks of the core protocol primitives: the
 //! conditional-append CAS, MarlinCommit driver stepping, the NO_WAIT lock
-//! table, the clock cache, and GTable materialization — plus the
-//! telemetry overhead guard: disabled instrumentation must cost <2% of a
-//! run and leave decision logs bit-identical.
+//! table, the clock cache, and GTable materialization — plus two
+//! measured (not criterion-sampled) sections of the bench JSON: the
+//! per-request station under the deep calendars the simulator really
+//! builds, and the telemetry overhead guard (disabled instrumentation
+//! must cost <2% of a run and leave decision logs bit-identical).
 
 use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use marlin_cluster::harness::{run, RunReport, Scenario, SimRunner};
 use marlin_cluster::params::CoordKind;
+use marlin_cluster::PerRequestStation;
 use marlin_common::{GranuleId, KeyRange, LogId, Lsn, NodeId, PageId, TableId, TxnId};
 use marlin_core::drivers::{CommitDriver, Input, Participant, Updates};
 use marlin_core::records::{GRecord, OwnershipSwap};
 use marlin_core::{GTablePartition, LsnTracker};
 use marlin_engine::{ClockCache, LockMode, LockTable, LockTarget};
+use marlin_sim::{DetRng, Nanos};
 use marlin_storage::SharedLog;
 use marlin_telemetry::{BenchReport, BenchSection, Profiler, Tracer, DEFAULT_TRACE_CAPACITY};
 use std::time::Instant;
@@ -205,7 +209,7 @@ fn timed_run(enable_telemetry: bool) -> (u64, RunReport) {
 /// instruments, scales it by the run's dispatched-event count, and pins
 /// the total under 2% of the run's wall time — the "disabled telemetry
 /// is free" contract, measured rather than asserted by construction.
-fn telemetry_overhead(_c: &mut Criterion) {
+fn telemetry_overhead() -> BenchSection {
     // Decision-log parity: two telemetry-off runs and one telemetry-on
     // run must produce byte-identical deterministic surfaces.
     let (_, off_a) = timed_run(false);
@@ -255,8 +259,7 @@ fn telemetry_overhead(_c: &mut Criterion) {
          (measured {overhead_pct:.4}%)"
     );
 
-    let mut bench = BenchReport::new("micro_primitives", marlin_bench::scale());
-    bench.sections.push(BenchSection {
+    BenchSection {
         name: "telemetry_overhead_guard".into(),
         wall_nanos: t_off,
         virtual_nanos: guard_scenario().horizon,
@@ -267,7 +270,81 @@ fn telemetry_overhead(_c: &mut Criterion) {
             ("events".into(), events as f64),
             ("ns_per_disabled_point".into(), per_point),
         ],
-    });
+    }
+}
+
+/// `PerRequestStation::charge` under the traffic `sim_geo_perrequest`
+/// puts on it (measured by instrumenting the station there: 8.7 M
+/// charges per run against ~294 live bookings on 4 workers). A
+/// transaction prices its whole timeline in one event, so every event
+/// clock tick brings 16 offers at increasing future times, and a
+/// station holds the bookings of every transaction still in flight —
+/// a few hundred, not the < 10 a back-to-back probe builds. That depth
+/// is what `charge` has to be cheap at.
+fn station_deep_calendar() -> BenchSection {
+    const OFFERS: u64 = 16;
+    // 16 x 10 us of demand per 50 us tick on 4 workers: 80% load.
+    const TICK: Nanos = 50_000;
+    const SERVICE: Nanos = 10_000;
+    // Round trip between a transaction's requests. With a sojourn of
+    // ~20 us that puts them ~110 us apart, a booking stays live for 8.5
+    // of those gaps on average, and 16 x 8.5 x 110 / 50 ~ 300 are live.
+    const STEP: Nanos = 90_000;
+    let mut station = PerRequestStation::new(4);
+    let mut rng = DetRng::seed(14);
+    let mut now: Nanos = 0;
+    let mut transaction = |station: &mut PerRequestStation| {
+        now += TICK;
+        let mut at = now;
+        for _ in 0..OFFERS {
+            at += STEP;
+            at += station.charge(now, at, rng.range(SERVICE / 2, SERVICE * 3 / 2));
+        }
+        at
+    };
+    for _ in 0..2_000 {
+        transaction(&mut station);
+    }
+    let ticks: u64 = 200_000;
+    let (mut depth, mut sink) = (0u64, 0u64);
+    let timer = Instant::now();
+    for _ in 0..ticks {
+        sink = sink.wrapping_add(std::hint::black_box(transaction(&mut station)));
+        depth += station.bookings() as u64;
+    }
+    let wall_nanos = timer.elapsed().as_nanos() as u64;
+    assert!(sink > 0, "keep the charge loop observable");
+    let charges = ticks * OFFERS;
+    let ns_per_charge = wall_nanos as f64 / charges as f64;
+    let mean_depth = depth as f64 / ticks as f64;
+    println!(
+        "station, deep calendar: {ns_per_charge:.1} ns/charge at {mean_depth:.0} live bookings \
+         ({charges} charges)"
+    );
+    assert!(
+        mean_depth >= 200.0,
+        "the case must hold the deep calendars it is named for (held {mean_depth:.0})"
+    );
+    BenchSection {
+        name: "station_deep_calendar".into(),
+        wall_nanos,
+        virtual_nanos: ticks * TICK,
+        wall_bounded: false,
+        profile: None,
+        values: vec![
+            ("ns_per_charge".into(), ns_per_charge),
+            ("live_bookings_mean".into(), mean_depth),
+            ("charges".into(), charges as f64),
+        ],
+    }
+}
+
+/// The measured sections: they assert and report instead of sampling,
+/// and land in `BENCH_micro_primitives.json`.
+fn measured_sections(_c: &mut Criterion) {
+    let mut bench = BenchReport::new("micro_primitives", marlin_bench::scale());
+    bench.sections.push(station_deep_calendar());
+    bench.sections.push(telemetry_overhead());
     bench.maybe_write();
 }
 
@@ -278,6 +355,6 @@ criterion_group!(
     bench_lock_table,
     bench_clock_cache,
     bench_gtable_apply,
-    telemetry_overhead
+    measured_sections
 );
 criterion_main!(benches);

@@ -3,11 +3,15 @@
 //! The simulator combines **real coordination state** with **modeled
 //! time**:
 //!
-//! - Every node owns a real `SharedLog` (its GLog, which doubles as its
-//!   data WAL) and a real `LsnTracker`; Marlin's metadata commits and the
-//!   membership stress test perform actual conditional appends, so CAS
-//!   conflicts, retries, and the Figure 15 contention collapse *emerge*
-//!   from the protocol rather than being scripted.
+//! - Every node owns the CAS state of its GLog (which doubles as its
+//!   data WAL) — the log's LSN, compared and advanced exactly as
+//!   `SharedLog::conditional_append` does — and a real `LsnTracker`;
+//!   Marlin's metadata commits and the membership stress test perform
+//!   actual conditional appends against it, so CAS conflicts, retries,
+//!   and the Figure 15 contention collapse *emerge* from the protocol
+//!   rather than being scripted. What is not kept is the records:
+//!   payloads are not modeled and nothing reads a simulated log back,
+//!   so a log is its LSN and memory does not grow with a run's commits.
 //! - Network hops, CPU service, storage appends, page reads, and the
 //!   baseline coordination services are priced through latency models and
 //!   queueing stations ([`marlin_sim`]).
@@ -30,13 +34,11 @@
 use crate::cost::CostModel;
 use crate::metrics::{Blame, RunMetrics, TailExemplar, TailExemplars};
 use crate::params::{ClientEngine, CoordKind, CpuModel, SimParams};
-use bytes::Bytes;
 use marlin_autoscaler::{GranuleLoad, NodeLoad, Observation, ScaleAction};
 use marlin_baselines::{CoordReply, CoordRequest, CoordinationService, FdbService, ZkService};
-use marlin_common::{GranuleId, LogId, NodeId, RegionId, StorageError};
+use marlin_common::{GranuleId, LogId, Lsn, NodeId, RegionId};
 use marlin_core::LsnTracker;
 use marlin_sim::{ActorId, DetRng, EventQueue, HeatTracker, Nanos, TimeSeries, SECOND};
-use marlin_storage::SharedLog;
 use marlin_telemetry::{CoordBreakdown, CoordOps, LatencyHist, ProfileSummary, Profiler, Tracer};
 use marlin_workload::{
     interleaved_share, TpccConfig, TpccGenerator, TxnTemplate, YcsbConfig, YcsbGenerator,
@@ -180,11 +182,22 @@ struct Booking {
 /// for tests and debugging (a single-sample probe is too noisy to
 /// drive threshold policies).
 ///
-/// Bookings wholly in the past of the event clock are pruned on every
-/// charge, so memory tracks the in-flight transaction window, not the
-/// run length.
+/// Bookings wholly in the past of the event clock are pruned when a
+/// charge finds the clock advanced, so memory tracks the in-flight
+/// transaction window, not the run length.
+///
+/// **Invariant and cost.** A worker's slots never overlap (a zero-length
+/// slot never lies strictly inside another), and each new slot is
+/// inserted where its scan stopped, so every calendar is sorted by slot
+/// start *and* by slot end. That makes the dead bookings a front prefix
+/// and lets a charge binary-search the first booking still busy at the
+/// arrival: per worker it costs O(log n) plus the contiguous busy run it
+/// has to step over, whatever the backlog `n` — measured on
+/// `sim_geo_perrequest`, 6.6 scan steps per charge against calendars
+/// holding 294 bookings, where a scan from the front took 209.
 pub struct PerRequestStation {
-    /// Per-worker reservation calendars, each sorted by slot start.
+    /// Per-worker reservation calendars, each sorted by slot start and
+    /// by slot end.
     workers: Vec<Vec<Booking>>,
     /// Offered-work integral per [`BUCKET`] of virtual time (each
     /// request's service demand deposited at its arrival), ring-indexed
@@ -194,7 +207,7 @@ pub struct PerRequestStation {
     wait_ring: Vec<(u64, u64)>,
     /// Event clock of the last calendar pruning — nothing new can die
     /// until the clock advances, so same-event charges (a transaction's
-    /// whole timeline prices in one event) skip the retain pass.
+    /// whole timeline prices in one event) skip the pruning pass.
     pruned_at: Nanos,
 }
 
@@ -281,32 +294,38 @@ impl PerRequestStation {
     pub fn charge(&mut self, now: Nanos, at: Nanos, service: Nanos) -> Nanos {
         debug_assert!(at >= now, "arrivals cannot precede the event clock");
         if now > self.pruned_at {
+            // Ends are sorted, so the dead bookings are a front prefix.
             for calendar in &mut self.workers {
-                calendar.retain(|b| b.end > now);
+                let dead = calendar.partition_point(|b| b.end <= now);
+                calendar.drain(..dead);
             }
             self.pruned_at = now;
         }
-        // Earliest feasible start per worker: scan the sorted calendar,
-        // pushing the candidate past every overlapping booking until a
+        // Earliest feasible start per worker. Bookings ending at or
+        // before `at` cannot move the candidate, and ends are sorted, so
+        // the scan starts at the first booking still busy at `at` and
+        // pushes the candidate past every overlapping booking until a
         // gap of `service` length opens (or the calendar ends).
-        let mut best: Option<(Nanos, usize)> = None;
-        for (w, calendar) in self.workers.iter().enumerate() {
+        let (mut start, mut w, mut pos) = (Nanos::MAX, 0, 0);
+        for (i, calendar) in self.workers.iter().enumerate() {
             let mut candidate = at;
-            for b in calendar {
+            let mut k = calendar.partition_point(|b| b.end <= at);
+            while let Some(b) = calendar.get(k) {
                 if b.start >= candidate.saturating_add(service) {
                     break; // the gap before `b` fits the whole slot
                 }
-                if b.end > candidate {
-                    candidate = b.end;
-                }
+                candidate = candidate.max(b.end);
+                k += 1;
             }
             // Strict `<` keeps the lowest worker index on ties, which
             // makes slot assignment deterministic.
-            if best.is_none_or(|(s, _)| candidate < s) {
-                best = Some((candidate, w));
+            if i == 0 || candidate < start {
+                (start, w, pos) = (candidate, i, k);
+                if start == at {
+                    break; // no later worker can start strictly earlier
+                }
             }
         }
-        let (start, w) = best.expect("at least one worker");
         let end = start + service;
         debug_assert!(
             end.saturating_sub(now) <= MAX_LOOKAHEAD,
@@ -319,8 +338,12 @@ impl PerRequestStation {
         // in the arrival's bucket (uniform within it, as far as a
         // prorated read can tell).
         *ring_slot(&mut self.offered_ring, at / BUCKET) += service;
+        // Everything the scan passed ends at or before `start` and
+        // everything from `pos` on starts at or after `end`, so the slot
+        // goes exactly where the scan stopped and both orders hold.
         let calendar = &mut self.workers[w];
-        let pos = calendar.partition_point(|b| b.start < start);
+        debug_assert!(pos == 0 || calendar[pos - 1].end <= start);
+        debug_assert!(calendar.get(pos).is_none_or(|b| b.start >= end));
         calendar.insert(
             pos,
             Booking {
@@ -339,6 +362,13 @@ impl PerRequestStation {
     /// sojourn congestion in cohort runs is sampled rather than exact.
     pub fn offer(&mut self, at: Nanos, service: Nanos) {
         *ring_slot(&mut self.offered_ring, at / BUCKET) += service;
+    }
+
+    /// Bookings the calendars hold: every slot ending after the event
+    /// clock of the last charge — in service, waiting, or reserved ahead.
+    #[must_use]
+    pub fn bookings(&self) -> usize {
+        self.workers.iter().map(Vec::len).sum()
     }
 
     /// Requests in the system at `at`: arrived (admitted at or before
@@ -461,6 +491,33 @@ impl NodeCpu {
     }
 }
 
+/// A shared log as the simulator keeps it: the LSN, which is all of a
+/// log's state that `Append@LSN` compares against and all the simulator
+/// ever reads back. Payloads are not modeled, so no record is retained
+/// and memory does not grow with the commits of a run.
+#[derive(Default)]
+struct SimLog(Lsn);
+
+impl SimLog {
+    /// Unconditional append of one record; returns the new LSN.
+    fn append(&mut self) -> Lsn {
+        self.0 = Lsn(self.0 .0 + 1);
+        self.0
+    }
+
+    /// `Append@LSN`: appends one record iff the log is at `expected`,
+    /// otherwise fails with the log's current LSN (what
+    /// `StorageError::LsnMismatch` carries) so the caller can refresh
+    /// its tracker.
+    fn conditional_append(&mut self, expected: Lsn) -> Result<Lsn, Lsn> {
+        if self.0 == expected {
+            Ok(self.append())
+        } else {
+            Err(self.0)
+        }
+    }
+}
+
 /// One simulated compute node.
 struct NodeSim {
     /// Region the node runs in.
@@ -468,8 +525,8 @@ struct NodeSim {
     /// CPU congestion station (4 vCPU), in whichever [`CpuModel`] the
     /// run's [`SimParams`] selected.
     cpu: NodeCpu,
-    /// The node's GLog (metadata + data WAL): real CAS state.
-    glog: SharedLog,
+    /// The node's GLog (metadata + data WAL): real CAS state, no payloads.
+    glog: SimLog,
     /// The node's H-LSN tracker.
     tracker: LsnTracker,
     /// Storage-side append station for this log. Always analytic: append
@@ -478,6 +535,19 @@ struct NodeSim {
     append_station: CpuStation,
     /// Whether the node is a live member.
     alive: bool,
+}
+
+impl NodeSim {
+    /// `Append@LSN` on this node's GLog (node index `id`) at the LSN its
+    /// tracker last saw. Either way the tracker learns where the log is:
+    /// the new LSN, or on a lost CAS the current one.
+    fn append_at_tracked_lsn(&mut self, id: usize) -> Result<Lsn, Lsn> {
+        let log = LogId::GLog(NodeId(id as u32));
+        let outcome = self.glog.conditional_append(self.tracker.get(log));
+        let (Ok(lsn) | Err(lsn)) = outcome;
+        self.tracker.observe(log, lsn);
+        outcome
+    }
 }
 
 /// One granule's dynamic state.
@@ -844,7 +914,7 @@ pub struct ClusterSim {
     active_clients: u32,
     backend: CoordBackend,
     /// The global SysLog (membership; real CAS state).
-    syslog: SharedLog,
+    syslog: SimLog,
     syslog_station: CpuStation,
     /// Per-virtual-member SysLog trackers (membership stress test).
     member_trackers: Vec<LsnTracker>,
@@ -1007,7 +1077,7 @@ impl ClusterSim {
             .map(|i| NodeSim {
                 region: RegionId(i as u16 % regions),
                 cpu: NodeCpu::new(params.cpu_model, params.cpu_workers),
-                glog: SharedLog::new(),
+                glog: SimLog::default(),
                 tracker: LsnTracker::new(),
                 append_station: CpuStation::new(1),
                 alive: true,
@@ -1151,7 +1221,7 @@ impl ClusterSim {
             clients: client_sims,
             active_clients: clients,
             backend,
-            syslog: SharedLog::new(),
+            syslog: SimLog::default(),
             syslog_station: CpuStation::new(1),
             member_trackers: Vec::new(),
             membership_latency_sum: 0,
@@ -1873,7 +1943,7 @@ impl ClusterSim {
             self.nodes.push(NodeSim {
                 region: target_region.unwrap_or(RegionId(idx as u16 % regions)),
                 cpu: NodeCpu::new(self.params.cpu_model, self.params.cpu_workers),
-                glog: SharedLog::new(),
+                glog: SimLog::default(),
                 tracker: LsnTracker::new(),
                 append_station: CpuStation::new(1),
                 alive: false, // activates when the plan starts
@@ -2332,30 +2402,8 @@ impl ClusterSim {
             .iter()
             .any(|p| matches!(p, PendingPlan::ScaleOut { .. }));
         let template = self.clients[c].gen.next_txn();
-        let (mut anchor_granule, mut touched) = self.granules_of(&template);
-        // Geo deployment: clients only touch data homed in their own
-        // region (§6.5). Remap each granule into the region's set; the
-        // same mapping applies to per-op granules during execution. A
-        // region with no initial nodes owns no granules — its clients
-        // fall back to the global granule space rather than remapping
-        // into an empty set (found by fuzzing: `g % 0` panicked).
-        let remap = (self.region_granules.len() > 1
-            && !self.region_granules[self.clients[c].region.0 as usize].is_empty())
-        .then(|| {
-            let local = &self.region_granules[self.clients[c].region.0 as usize];
-            // marlin-lint: allow(no-hash-collections, lookup-only: built per txn, indexed by granule id, never iterated)
-            let map: std::collections::HashMap<u64, u64> = touched
-                .iter()
-                .map(|&g| (g, local[(g % local.len() as u64) as usize]))
-                .collect();
-            anchor_granule = map[&anchor_granule];
-            for g in &mut touched {
-                *g = map[g];
-            }
-            touched.sort_unstable();
-            touched.dedup();
-            map
-        });
+        let client_region = self.clients[c].region;
+        let (anchor_granule, touched) = self.granules_of(&template, client_region);
         let ag = anchor_granule as usize;
 
         // Routing (stale cache + redirect, §4.2).
@@ -2413,16 +2461,11 @@ impl ClusterSim {
         }
 
         // Execute the interactive request loop.
-        let client_region = self.clients[c].region;
         let home = owner as usize;
         let home_region = self.nodes[home].region;
         let mut t = now;
         for op in &template.ops {
-            let mut g = self.granule_of_key(&template, op.key);
-            if let Some(map) = &remap {
-                g = map[&g];
-            }
-            let g = g as usize;
+            let g = self.granule_of_key(&template, op.key, client_region) as usize;
             let serve_node = self.granules[g].owner as usize;
             t += self.hop(client_region, home_region, &mut blame);
             if serve_node != home {
@@ -2483,25 +2526,10 @@ impl ClusterSim {
         let mut append_split: Option<(Nanos, Nanos)> = None;
         let mut cas_failed = false;
         for &p in &participants {
-            let expected = self.nodes[p].tracker.get(LogId::GLog(NodeId(p as u32)));
             self.metrics.coord.commit_cas_attempts += 1;
-            match self.nodes[p]
-                .glog
-                .conditional_append(vec![Bytes::new()], expected)
-            {
-                Ok(out) => {
-                    self.nodes[p]
-                        .tracker
-                        .observe(LogId::GLog(NodeId(p as u32)), out.new_lsn);
-                }
-                Err(StorageError::LsnMismatch { current, .. }) => {
-                    self.nodes[p]
-                        .tracker
-                        .observe(LogId::GLog(NodeId(p as u32)), current);
-                    self.metrics.coord.commit_cas_retries += 1;
-                    cas_failed = true;
-                }
-                Err(_) => cas_failed = true,
+            if self.nodes[p].append_at_tracked_lsn(p).is_err() {
+                self.metrics.coord.commit_cas_retries += 1;
+                cas_failed = true;
             }
             let (done, service, sojourn) = self.storage_append_done(p, t);
             if done > commit_done {
@@ -2730,26 +2758,7 @@ impl ClusterSim {
     /// backoff uses the first-strike floor.
     fn cohort_walk(&mut self, now: Nanos, cohort: usize, region: RegionId) -> CohortWalk {
         let template = self.cohorts[cohort].gen.next_txn();
-        let (mut anchor_granule, mut touched) = self.granules_of(&template);
-        // Geo deployment: same remap as the exact engine (see
-        // `handle_client_txn`).
-        let remap = (self.region_granules.len() > 1
-            && !self.region_granules[region.0 as usize].is_empty())
-        .then(|| {
-            let local = &self.region_granules[region.0 as usize];
-            // marlin-lint: allow(no-hash-collections, lookup-only: built per walk, indexed by granule id, never iterated)
-            let map: std::collections::HashMap<u64, u64> = touched
-                .iter()
-                .map(|&g| (g, local[(g % local.len() as u64) as usize]))
-                .collect();
-            anchor_granule = map[&anchor_granule];
-            for g in &mut touched {
-                *g = map[g];
-            }
-            touched.sort_unstable();
-            touched.dedup();
-            map
-        });
+        let (anchor_granule, touched) = self.granules_of(&template, region);
         let ag = anchor_granule as usize;
 
         let route = self.routes[ag];
@@ -2790,11 +2799,7 @@ impl ClusterSim {
             .iter()
             .any(|p| matches!(p, PendingPlan::ScaleOut { .. }));
         for op in &template.ops {
-            let mut g = self.granule_of_key(&template, op.key);
-            if let Some(map) = &remap {
-                g = map[&g];
-            }
-            let g = g as usize;
+            let g = self.granule_of_key(&template, op.key, region) as usize;
             let serve_node = self.granules[g].owner as usize;
             t += self.hop(region, home_region, &mut blame);
             if serve_node != home {
@@ -2847,24 +2852,7 @@ impl ClusterSim {
         let mut append_split: Option<(Nanos, Nanos)> = None;
         let mut cas_failed = false;
         for &p in &participants {
-            let expected = self.nodes[p].tracker.get(LogId::GLog(NodeId(p as u32)));
-            match self.nodes[p]
-                .glog
-                .conditional_append(vec![Bytes::new()], expected)
-            {
-                Ok(out) => {
-                    self.nodes[p]
-                        .tracker
-                        .observe(LogId::GLog(NodeId(p as u32)), out.new_lsn);
-                }
-                Err(StorageError::LsnMismatch { current, .. }) => {
-                    self.nodes[p]
-                        .tracker
-                        .observe(LogId::GLog(NodeId(p as u32)), current);
-                    cas_failed = true;
-                }
-                Err(_) => cas_failed = true,
-            }
+            cas_failed |= self.nodes[p].append_at_tracked_lsn(p).is_err();
             let (done, service, sojourn) = self.storage_append_done(p, t);
             if done > commit_done {
                 commit_done = done;
@@ -2908,12 +2896,14 @@ impl ClusterSim {
         }
     }
 
-    fn granules_of(&self, template: &TxnTemplate) -> (u64, Vec<u64>) {
-        let anchor = self.granule_of_key(template, template.anchor);
+    /// The anchor granule and the sorted, distinct granules `template`
+    /// touches when issued from `region`.
+    fn granules_of(&self, template: &TxnTemplate, region: RegionId) -> (u64, Vec<u64>) {
+        let anchor = self.granule_of_key(template, template.anchor, region);
         let mut touched: Vec<u64> = template
             .ops
             .iter()
-            .map(|op| self.granule_of_key(template, op.key))
+            .map(|op| self.granule_of_key(template, op.key, region))
             .collect();
         touched.push(anchor);
         touched.sort_unstable();
@@ -2921,13 +2911,27 @@ impl ClusterSim {
         (anchor, touched)
     }
 
-    fn granule_of_key(&self, template: &TxnTemplate, key: u64) -> u64 {
-        if template.kind == 0 {
+    /// The granule holding `key` for a client in `region`.
+    ///
+    /// Geo deployment: clients only touch data homed in their own region
+    /// (§6.5), so the key's granule is folded into the region's set. A
+    /// region with no initial nodes owns no granules — its clients fall
+    /// back to the global granule space rather than folding into an
+    /// empty set (found by fuzzing: `g % 0` panicked).
+    fn granule_of_key(&self, template: &TxnTemplate, key: u64, region: RegionId) -> u64 {
+        let g = if template.kind == 0 {
             // YCSB: 64 keys per granule (64 KB granules of 1 KB tuples).
             (key / 64).min(self.granules.len() as u64 - 1)
         } else {
             // TPC-C: warehouse-major composite keys.
             TpccConfig::warehouse_of(key).min(self.granules.len() as u64 - 1)
+        };
+        if self.region_granules.len() <= 1 {
+            return g;
+        }
+        match self.region_granules[region.0 as usize].as_slice() {
+            [] => g,
+            local => local[(g % local.len() as u64) as usize],
         }
     }
 
@@ -2990,41 +2994,29 @@ impl ClusterSim {
                 // parallel (the vote request to src rides the RPC already
                 // made); decisions are asynchronous (off the latency path).
                 let d_src = {
-                    let expected = self.nodes[src].tracker.get(LogId::GLog(NodeId(src as u32)));
-                    let out = self.nodes[src]
-                        .glog
-                        .conditional_append(vec![Bytes::new()], expected)
-                        .expect("src GLog CAS: src is the sole writer under its lock");
                     self.nodes[src]
-                        .tracker
-                        .observe(LogId::GLog(NodeId(src as u32)), out.new_lsn);
+                        .append_at_tracked_lsn(src)
+                        .expect("src GLog CAS: src is the sole writer under its lock");
                     // The VOTE-REQ/response legs to the source ride the
                     // network (Algorithm 2 line 10).
                     let vote_rtt = 2 * self.one_way(dst_region, src_region);
                     self.storage_append_done(src, t + vote_rtt / 2).0 + vote_rtt / 2
                 };
                 let d_dst = {
-                    let expected = self.nodes[dst].tracker.get(LogId::GLog(NodeId(dst as u32)));
-                    let out = self.nodes[dst]
-                        .glog
-                        .conditional_append(vec![Bytes::new()], expected)
-                        .expect("dst GLog CAS: dst is the sole writer");
                     self.nodes[dst]
-                        .tracker
-                        .observe(LogId::GLog(NodeId(dst as u32)), out.new_lsn);
+                        .append_at_tracked_lsn(dst)
+                        .expect("dst GLog CAS: dst is the sole writer");
                     self.storage_append_done(dst, t).0
                 };
                 // Async decisions still consume storage bandwidth.
                 let decide_at = d_src.max(d_dst);
-                self.nodes[src].glog.append(vec![Bytes::new()]);
-                self.nodes[dst].glog.append(vec![Bytes::new()]);
+                let n_src = self.nodes[src].glog.append();
+                let n_dst = self.nodes[dst].glog.append();
                 let _ = self.storage_append_done(src, decide_at);
                 let _ = self.storage_append_done(dst, decide_at);
-                let n_src = self.nodes[src].glog.end_lsn();
                 self.nodes[src]
                     .tracker
                     .observe(LogId::GLog(NodeId(src as u32)), n_src);
-                let n_dst = self.nodes[dst].glog.end_lsn();
                 self.nodes[dst]
                     .tracker
                     .observe(LogId::GLog(NodeId(dst as u32)), n_dst);
@@ -3133,15 +3125,15 @@ impl ClusterSim {
             CoordBackend::Marlin => {
                 let expected = self.member_trackers[m].get(LogId::SysLog);
                 self.metrics.coord.membership_cas_attempts += 1;
-                match self.syslog.conditional_append(vec![Bytes::new()], expected) {
-                    Ok(out) => {
-                        self.member_trackers[m].observe(LogId::SysLog, out.new_lsn);
+                match self.syslog.conditional_append(expected) {
+                    Ok(new_lsn) => {
+                        self.member_trackers[m].observe(LogId::SysLog, new_lsn);
                         let svc = self.jittered(self.params.append_service);
                         let arrive = now + self.params.storage_rtt / 2;
                         let station_done = arrive + self.syslog_station.charge(arrive, svc);
                         Some(station_done + self.params.storage_rtt / 2)
                     }
-                    Err(StorageError::LsnMismatch { current, .. }) => {
+                    Err(current) => {
                         // TryLog failure: refresh the MTable cache and
                         // retry after backoff (the OCC contention path of
                         // Figure 15).
@@ -3155,7 +3147,6 @@ impl ClusterSim {
                             .schedule(retry, ActorId(0), Event::MembershipTick { member });
                         None
                     }
-                    Err(_) => None,
                 }
             }
             CoordBackend::Zk(svc) => {
@@ -3354,8 +3345,156 @@ mod tests {
         // the live one is kept and still visible to queries.
         s.charge(150, 150, 10);
         assert_eq!(s.in_system_at(250), 1);
-        let total: usize = s.workers.iter().map(Vec::len).sum();
-        assert_eq!(total, 2, "dead booking pruned, live ones kept");
+        assert_eq!(s.bookings(), 2, "dead booking pruned, live ones kept");
+        // A booking ending exactly at the clock is dead too; the prefix
+        // stops at the first one still running.
+        s.charge(160, 400, 10);
+        assert_eq!(s.bookings(), 2, "[150,160) pruned, [200,300) kept");
+        assert_eq!(s.workers[0][0].end, 300);
+    }
+
+    /// Reference implementation: the historical `charge` — `retain` over
+    /// every calendar, a scan from each calendar's front, insertion by
+    /// start alone. It drives a second station through the same fields
+    /// and also reports the worker and start it chose.
+    fn reference_charge(
+        s: &mut PerRequestStation,
+        now: Nanos,
+        at: Nanos,
+        service: Nanos,
+    ) -> (Nanos, usize, Nanos) {
+        if now > s.pruned_at {
+            for calendar in &mut s.workers {
+                calendar.retain(|b| b.end > now);
+            }
+            s.pruned_at = now;
+        }
+        let mut best: Option<(Nanos, usize)> = None;
+        for (w, calendar) in s.workers.iter().enumerate() {
+            let mut candidate = at;
+            for b in calendar {
+                if b.start >= candidate.saturating_add(service) {
+                    break;
+                }
+                if b.end > candidate {
+                    candidate = b.end;
+                }
+            }
+            if best.is_none_or(|(s, _)| candidate < s) {
+                best = Some((candidate, w));
+            }
+        }
+        let (start, w) = best.unwrap();
+        let end = start + service;
+        deposit(&mut s.wait_ring, at, start);
+        *ring_slot(&mut s.offered_ring, at / BUCKET) += service;
+        let calendar = &mut s.workers[w];
+        let pos = calendar.partition_point(|b| b.start < start);
+        calendar.insert(
+            pos,
+            Booking {
+                arrival: at,
+                start,
+                end,
+            },
+        );
+        (end - at, w, start)
+    }
+
+    /// Each worker's slots as `(start, end, arrival)`, sorted: the two
+    /// implementations may order equal-start slots differently.
+    fn slots(s: &PerRequestStation) -> Vec<Vec<(Nanos, Nanos, Nanos)>> {
+        s.workers
+            .iter()
+            .map(|calendar| {
+                let mut v: Vec<_> = calendar
+                    .iter()
+                    .map(|b| (b.start, b.end, b.arrival))
+                    .collect();
+                v.sort_unstable();
+                v
+            })
+            .collect()
+    }
+
+    #[test]
+    fn zero_length_slot_sharing_a_start_keeps_both_orders() {
+        // `[5,5)` first, then `[5,9)` on the same worker: inserting by
+        // start alone would put the longer slot in front and break the
+        // end order the binary search relies on.
+        let mut s = PerRequestStation::new(1);
+        assert_eq!(s.charge(0, 5, 0), 0);
+        assert_eq!(s.charge(0, 5, 4), 4);
+        let ends: Vec<Nanos> = s.workers[0].iter().map(|b| b.end).collect();
+        assert_eq!(ends, vec![5, 9]);
+        // An arrival inside `[5,9)` must see it.
+        assert_eq!(s.charge(0, 6, 1), 4);
+        // A zero-length slot is an obstacle to what arrives before it,
+        // not to what arrives at it.
+        let mut s = PerRequestStation::new(1);
+        s.charge(0, 6, 0);
+        assert_eq!(s.charge(0, 4, 4), 6, "waits until 6, runs [6,10)");
+        assert_eq!(s.charge(0, 10, 0), 0);
+        assert_eq!(s.charge(0, 10, 3), 3);
+    }
+
+    #[test]
+    fn indexed_charge_matches_the_linear_scan_reference() {
+        // Random out-of-order offers on quantized times, so equal starts
+        // and ends are common, one service in ten is zero-length, and
+        // the event clock sometimes stands still. Load is ~80% of
+        // capacity with arrivals spread 500 ms ahead of the clock, which
+        // holds several hundred live bookings.
+        const Q: Nanos = 100_000;
+        for seed in 0..16u64 {
+            let workers = 1 + (seed % 8) as usize;
+            let mut rng = DetRng::seed(seed);
+            let mut indexed = PerRequestStation::new(workers);
+            let mut reference = PerRequestStation::new(workers);
+            let (mut now, mut deepest) = (0, 0);
+            for _ in 0..1_500 {
+                now += rng.range(0, 101) * Q;
+                for _ in 0..rng.range(1, 16) {
+                    let at = now + rng.range(0, 5_000) * Q;
+                    let service = if rng.chance(0.1) {
+                        0
+                    } else {
+                        rng.range(1, 10 * workers as u64) * Q
+                    };
+                    let sojourn = indexed.charge(now, at, service);
+                    let (ref_sojourn, w, start) =
+                        reference_charge(&mut reference, now, at, service);
+                    assert_eq!(
+                        sojourn, ref_sojourn,
+                        "seed {seed}: at {at}, service {service}"
+                    );
+                    assert!(
+                        indexed.workers[w]
+                            .iter()
+                            .any(|b| (b.arrival, b.start, b.end) == (at, start, start + service)),
+                        "seed {seed}: slot [{start}, +{service}) not on worker {w}"
+                    );
+                }
+                assert_eq!(slots(&indexed), slots(&reference), "seed {seed} at {now}");
+                for calendar in &indexed.workers {
+                    assert!(calendar
+                        .windows(2)
+                        .all(|p| p[0].start <= p[1].start && p[0].end <= p[1].end));
+                }
+                for window in [BUCKET, SECOND, 4 * SECOND] {
+                    assert_eq!(
+                        indexed.rho_windowed(now, window).to_bits(),
+                        reference.rho_windowed(now, window).to_bits()
+                    );
+                    assert_eq!(
+                        indexed.queue_windowed(now, window).to_bits(),
+                        reference.queue_windowed(now, window).to_bits()
+                    );
+                }
+                deepest = deepest.max(indexed.bookings());
+            }
+            assert!(deepest >= 300, "seed {seed}: calendars only {deepest} deep");
+        }
     }
 
     #[test]
@@ -3413,5 +3552,62 @@ mod tests {
         }
         assert!(last_analytic <= 50 * svc, "analytic is clamped");
         assert_eq!(last_exact, 200 * svc, "exact sojourn tracks the queue");
+    }
+
+    // -- ClusterSim: memory follows the in-flight window, not the run ------
+
+    #[test]
+    fn simulator_state_does_not_grow_with_the_commits_of_a_run() {
+        // All a simulated log can hold is its LSN.
+        assert_eq!(size_of::<SimLog>(), size_of::<Lsn>());
+        let run = |horizon: Nanos| {
+            let params = SimParams {
+                cpu_model: CpuModel::PerRequest,
+                ..SimParams::default()
+            };
+            let mut sim = ClusterSim::new(
+                params,
+                CoordKind::Marlin,
+                &Workload::ycsb(64),
+                2,
+                16,
+                horizon,
+            );
+            sim.run();
+            let mut appended = 0;
+            let mut booked = 0;
+            for node in &sim.nodes {
+                appended += node.glog.0 .0;
+                let NodeCpu::PerRequest(station) = &node.cpu else {
+                    panic!("the run asked for per-request stations");
+                };
+                // Pruning kept up with the event clock on a node that is
+                // charged by every transaction it homes...
+                assert!(horizon - station.pruned_at < SECOND / 10);
+                // ...and left nothing that ended at or before it.
+                assert!(station
+                    .workers
+                    .iter()
+                    .flatten()
+                    .all(|b| b.end > station.pruned_at));
+                booked += station.bookings();
+            }
+            let coord = &sim.metrics.coord;
+            assert_eq!(
+                appended,
+                coord.commit_cas_attempts - coord.commit_cas_retries,
+                "one record per commit CAS won"
+            );
+            (appended, booked)
+        };
+        let (short_appended, short_booked) = run(SECOND);
+        let (long_appended, long_booked) = run(4 * SECOND);
+        assert!(
+            long_appended > 3 * short_appended,
+            "4x the run, ~4x the commits"
+        );
+        // 16 closed-loop clients with 16 requests each bound what can be
+        // in flight, however long the run has been going.
+        assert!(short_booked <= 16 * 16 && long_booked <= 16 * 16);
     }
 }

@@ -1,14 +1,15 @@
 //! Criterion microbenchmarks of the core protocol primitives: the
 //! conditional-append CAS, MarlinCommit driver stepping, the NO_WAIT lock
-//! table, the clock cache, and GTable materialization — plus two
+//! table, the clock cache, and GTable materialization — plus three
 //! measured (not criterion-sampled) sections of the bench JSON: the
 //! per-request station under the deep calendars the simulator really
-//! builds, and the telemetry overhead guard (disabled instrumentation
-//! must cost <2% of a run and leave decision logs bit-identical).
+//! builds, one control tick's `observe()` on a 200 k-granule cluster,
+//! and the telemetry overhead guard (disabled instrumentation must cost
+//! <2% of a run and leave decision logs bit-identical).
 
 use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use marlin_cluster::harness::{run, RunReport, Scenario, SimRunner};
+use marlin_cluster::harness::{run, RunReport, Runner, Scenario, SimRunner};
 use marlin_cluster::params::CoordKind;
 use marlin_cluster::PerRequestStation;
 use marlin_common::{GranuleId, KeyRange, LogId, Lsn, NodeId, PageId, TableId, TxnId};
@@ -16,7 +17,7 @@ use marlin_core::drivers::{CommitDriver, Input, Participant, Updates};
 use marlin_core::records::{GRecord, OwnershipSwap};
 use marlin_core::{GTablePartition, LsnTracker};
 use marlin_engine::{ClockCache, LockMode, LockTable, LockTarget};
-use marlin_sim::{DetRng, Nanos};
+use marlin_sim::{DetRng, Nanos, SECOND};
 use marlin_storage::SharedLog;
 use marlin_telemetry::{BenchReport, BenchSection, Profiler, Tracer, DEFAULT_TRACE_CAPACITY};
 use std::time::Instant;
@@ -339,11 +340,91 @@ fn station_deep_calendar() -> BenchSection {
     }
 }
 
+/// One control tick's `ClusterSim::observe` at the size the simulator
+/// workloads of `e2e` run it at — 200 k granules on 16 nodes — with one
+/// control interval of real traffic between calls, on both
+/// configurations: the exact engine (800 clients, uniform YCSB, exact
+/// heat vector and tuple window: ~11.5 k commits a tick, each touching
+/// one granule, a 2 s window) and the scale engine (1 M cohort clients,
+/// Zipfian, heat sketch and latency histogram). Only `observe` is
+/// timed. What it must not cost is a pass over the granules: the counts
+/// it reports are maintained, and ranking and clearing the heat window
+/// touch only what the window touched.
+fn observe_tick() -> BenchSection {
+    const GRANULES: u64 = 200_000;
+    const NODES: usize = 16;
+    const TICKS: u64 = 20;
+    // Per timed tick: (wall ns of `observe`, keys the heat ranking looked
+    // at, commits in the observation window).
+    let measure = |scenario: &Scenario, touched_at_least: usize| {
+        let (interval, window) = (scenario.control_interval, scenario.observe_window);
+        assert!((TICKS + 2) * interval <= scenario.horizon);
+        let mut runner = SimRunner::new(scenario);
+        let (mut wall, mut touched, mut sink) = (0u64, 0usize, 0.0f64);
+        // Two untimed ticks fill the latency window.
+        for tick in 0..TICKS + 2 {
+            runner.advance(interval);
+            let keys = runner.sim().heat_touched();
+            let timer = Instant::now();
+            let obs = std::hint::black_box(runner.observe(window));
+            let spent = timer.elapsed().as_nanos() as u64;
+            assert_eq!(obs.node_loads.len(), NODES);
+            let owned: u64 = obs.node_loads.iter().map(|n| n.owned_granules).sum();
+            assert_eq!(
+                owned, GRANULES,
+                "the case must hold the granules it is named for"
+            );
+            assert_eq!(obs.granule_loads.len(), 64);
+            assert!(
+                keys >= touched_at_least,
+                "a tick must touch the keys it is sized for ({keys} < {touched_at_least})"
+            );
+            assert_eq!(runner.sim().heat_touched(), 0, "observe clears the window");
+            if tick >= 2 {
+                wall += spent;
+                touched += keys;
+                sink += obs.throughput_tps;
+            }
+        }
+        assert!(sink > 0.0, "the timed windows must hold commits");
+        (
+            wall as f64 / TICKS as f64,
+            touched as f64 / TICKS as f64,
+            sink / TICKS as f64 * window as f64 / 1e9,
+        )
+    };
+    // Driven tick by tick, so the preset's scripted scale-out never runs.
+    let exact = Scenario::ycsb_scale_out(CoordKind::Marlin, 1).initial_nodes(NODES as u32);
+    let (exact_ns, exact_touched, exact_commits) = measure(&exact, 8_000);
+    let cohort = Scenario::million_clients(1).duration(200 * SECOND);
+    let (cohort_ns, cohort_touched, _) = measure(&cohort, 64);
+    println!(
+        "observe, one tick at {GRANULES} granules: exact {exact_ns:.0} ns \
+         ({exact_touched:.0} touched keys, {exact_commits:.0} window commits), \
+         cohort/sketch/hist {cohort_ns:.0} ns ({cohort_touched:.0} candidates)"
+    );
+    BenchSection {
+        name: "observe_tick".into(),
+        wall_nanos: ((exact_ns + cohort_ns) * TICKS as f64) as u64,
+        virtual_nanos: TICKS * (exact.control_interval + cohort.control_interval),
+        wall_bounded: false,
+        profile: None,
+        values: vec![
+            ("ns_per_observe_exact".into(), exact_ns),
+            ("ns_per_observe_cohort".into(), cohort_ns),
+            ("touched_keys_exact".into(), exact_touched),
+            ("window_commits_exact".into(), exact_commits),
+            ("granules".into(), GRANULES as f64),
+        ],
+    }
+}
+
 /// The measured sections: they assert and report instead of sampling,
 /// and land in `BENCH_micro_primitives.json`.
 fn measured_sections(_c: &mut Criterion) {
     let mut bench = BenchReport::new("micro_primitives", marlin_bench::scale());
     bench.sections.push(station_deep_calendar());
+    bench.sections.push(observe_tick());
     bench.sections.push(telemetry_overhead());
     bench.maybe_write();
 }

@@ -670,25 +670,23 @@ impl CohortWalk {
     }
 }
 
-/// Weighted p99 over `(latency, weight)` samples. With unit weights
-/// this reduces exactly to the historical `sorted[(len - 1) * 99 / 100]`
-/// index rule: the first sample whose cumulative weight exceeds
-/// `(total - 1) * 99 / 100` is the one at that index.
-fn weighted_p99(lat: &mut [(Nanos, u64)]) -> Nanos {
-    if lat.is_empty() {
-        return 0;
-    }
-    lat.sort_unstable();
-    let total: u64 = lat.iter().map(|&(_, w)| w).sum();
+/// `(total weight, weighted p99)` of one region's samples (all samples
+/// for `None`) in `(latency, weight, region)` entries sorted by latency
+/// (ties in any order). With unit weights this is exactly the historical
+/// `sorted[(len - 1) * 99 / 100]` index rule: the first sample whose
+/// cumulative weight exceeds `(total - 1) * 99 / 100` is at that index.
+fn sorted_window_stats(sorted: &[(Nanos, u32, u16)], region: Option<u16>) -> (u64, Nanos) {
+    let mine = || sorted.iter().filter(|e| region.is_none_or(|r| e.2 == r));
+    let total: u64 = mine().map(|e| u64::from(e.1)).sum();
     let target = total.saturating_sub(1) * 99 / 100;
-    let mut cum = 0u64;
-    for &(l, w) in lat.iter() {
-        cum += w;
+    let (mut cum, mut p99) = (0u64, 0);
+    for &(l, w, _) in mine() {
+        (cum, p99) = (cum + u64::from(w), l);
         if cum > target {
-            return l;
+            break;
         }
     }
-    lat.last().map_or(0, |&(l, _)| l)
+    (total, p99)
 }
 
 /// Windowed per-region commit-latency histograms — the `latency_hist`
@@ -907,6 +905,9 @@ pub struct ClusterSim {
     rng: DetRng,
     nodes: Vec<NodeSim>,
     granules: Vec<GranuleSim>,
+    /// Granules owned per node slot: set from the block bounds in `new`,
+    /// moved at the ownership flip in `handle_mig_worker`, never recounted.
+    owned: Vec<u64>,
     /// Routing-tier cache granule → node index (stale entries fixed by
     /// redirects, as in §4.2).
     routes: Vec<u32>,
@@ -1103,6 +1104,9 @@ impl ClusterSim {
             let r = nodes[gran.owner as usize].region.0 as usize;
             region_granules[r].push(g as u64);
         }
+        // Blocks are contiguous: a node owns from its block's start to the next one's.
+        let start = |n: usize| granules.partition_point(|g| (g.owner as usize) < n) as u64;
+        let owned = (0..nodes.len()).map(|n| start(n + 1) - start(n)).collect();
 
         // Engine selection happens once, here: a `Cohort` run below the
         // activation threshold takes the exact per-client path and is
@@ -1217,6 +1221,7 @@ impl ClusterSim {
             rng,
             nodes,
             granules,
+            owned,
             routes,
             clients: client_sims,
             active_clients: clients,
@@ -1304,6 +1309,12 @@ impl ClusterSim {
     #[must_use]
     pub fn heat_sketched(&self) -> bool {
         self.heat.is_sketched()
+    }
+
+    /// Granules the next observation's heat ranking will look at.
+    #[must_use]
+    pub fn heat_touched(&self) -> usize {
+        self.heat.touched()
     }
 
     /// Whether windowed p99 latency is derived from the log-bucketed
@@ -1513,6 +1524,15 @@ impl ClusterSim {
         self.profiler.summary()
     }
 
+    /// What `owned` must equal: the full recount, the debug oracle.
+    fn recount_owned(&self) -> Vec<u64> {
+        let mut owned = vec![0u64; self.nodes.len()];
+        for g in &self.granules {
+            owned[g.owner as usize] += 1;
+        }
+        owned
+    }
+
     /// Bring the per-region node-time accrual current. Must run *before*
     /// any `alive` flag flips, mirroring `CostModel::advance`.
     fn accrue_region_time(&mut self, now: Nanos) {
@@ -1566,32 +1586,29 @@ impl ClusterSim {
             "observation window exceeds the retained commit history"
         );
         let prof = self.profiler.start();
+        let mut lap = prof;
         let cutoff = now.saturating_sub(window);
         let window_s = (window as f64 / SECOND as f64).max(1e-9);
+        // The exact window, sorted once, every `(weight, p99)` a walk over
+        // it, and freed before the observation's own vectors are allocated.
+        let mut region_stats: Vec<(u64, Nanos)> = Vec::new();
         let (total_weight, p99_latency) = if self.hist_active {
             let h = self.lat_window.merged(cutoff, None);
             (h.total_weight(), h.p99())
         } else {
             self.recent_commits.retain(|&(t, _, _, _)| t >= cutoff);
-            let total_weight: u64 = self
-                .recent_commits
-                .iter()
-                .map(|&(_, _, _, w)| u64::from(w))
-                .sum();
-            let mut lat: Vec<(Nanos, u64)> = self
-                .recent_commits
-                .iter()
-                .map(|&(_, l, _, w)| (l, u64::from(w)))
-                .collect();
-            (total_weight, weighted_p99(&mut lat))
+            let entries = self.recent_commits.iter().map(|&(_, l, r, w)| (l, w, r));
+            let mut lat: Vec<(Nanos, u32, u16)> = entries.collect();
+            lat.sort_unstable_by_key(|&(l, _, _)| l);
+            let regions = self.params.regions.regions() as u16;
+            region_stats.extend((0..regions).map(|r| sorted_window_stats(&lat, Some(r))));
+            sorted_window_stats(&lat, None)
         };
         let throughput_tps = total_weight as f64 / window_s;
+        self.profiler.lap("observe:latency", &mut lap);
 
         // Per-node load and placement.
-        let mut owned = vec![0u64; self.nodes.len()];
-        for g in &self.granules {
-            owned[g.owner as usize] += 1;
-        }
+        debug_assert_eq!(self.owned, self.recount_owned(), "owned counts drifted");
         // Slots promised to a scheduled-but-unstarted scale-out plan:
         // capacity ordered whose provisioning lead is still running.
         // Policies read these as `pending` so they don't re-buy the same
@@ -1613,7 +1630,7 @@ impl ClusterSim {
                 alive: n.alive,
                 pending: pending.contains(&(i as u32)),
                 utilization: n.cpu.observed_rho(now, window),
-                owned_granules: owned[i],
+                owned_granules: self.owned[i],
             })
             .collect();
         let live: Vec<&NodeLoad> = node_loads.iter().filter(|n| n.alive).collect();
@@ -1643,6 +1660,8 @@ impl ClusterSim {
             measured_queues.iter().map(|&(_, q)| q).sum::<f64>() / measured_queues.len() as f64
         };
 
+        self.profiler.lap("observe:placement", &mut lap);
+
         // Hottest granules since the last observation; counters reset so
         // each observation sees one window's heat. The tracker's exact
         // mode reproduces the historical scan (same sort, same ties);
@@ -1658,6 +1677,7 @@ impl ClusterSim {
             })
             .collect();
         self.heat.reset();
+        self.profiler.lap("observe:heat", &mut lap);
 
         let mut obs = Observation {
             at: now,
@@ -1685,14 +1705,9 @@ impl ClusterSim {
                 r.throughput_tps = h.total_weight() as f64 / window_s;
                 r.p99_latency = h.p99();
             } else {
-                let mut lat: Vec<(Nanos, u64)> = self
-                    .recent_commits
-                    .iter()
-                    .filter(|&&(_, _, creg, _)| creg == r.region.0)
-                    .map(|&(_, l, _, w)| (l, u64::from(w)))
-                    .collect();
-                r.throughput_tps = lat.iter().map(|&(_, w)| w).sum::<u64>() as f64 / window_s;
-                r.p99_latency = weighted_p99(&mut lat);
+                let (weight, p99) = region_stats[r.region.0 as usize];
+                r.throughput_tps = weight as f64 / window_s;
+                r.p99_latency = p99;
             }
             r.dollars_per_hour = f64::from(r.live_nodes) * self.params.node_hourly
                 + if r.region.0 == 0 { meta_hourly } else { 0.0 };
@@ -1705,6 +1720,7 @@ impl ClusterSim {
                 r.queue_depth = region_queues.iter().sum::<f64>() / region_queues.len() as f64;
             }
         }
+        self.profiler.lap("observe:regions", &mut lap);
         if self.tracer.is_enabled() {
             self.tracer.instant_args(
                 "control",
@@ -1948,6 +1964,7 @@ impl ClusterSim {
                 append_station: CpuStation::new(1),
                 alive: false, // activates when the plan starts
             });
+            self.owned.push(0);
             slots.push(idx);
         }
         slots
@@ -1984,11 +2001,7 @@ impl ClusterSim {
         let mut tasks: Vec<MigrationTask> = Vec::new();
         let pool_granules = match target_region {
             None => self.granules.len() as u64,
-            Some(_) => self
-                .granules
-                .iter()
-                .filter(|g| live.contains(&g.owner))
-                .count() as u64,
+            Some(_) => live.iter().map(|&i| self.owned[i as usize]).sum(),
         };
         let per_node_target = pool_granules / total.max(1);
         let mut surplus: std::collections::BTreeMap<u32, Vec<u64>> =
@@ -3059,6 +3072,8 @@ impl ClusterSim {
         // the Squall-style warm-up finishes (same strategy for all
         // systems, §6.1.2).
         self.granules[g].owner = task.dst;
+        self.owned[src] -= 1;
+        self.owned[dst] += 1;
         self.granules[g].migrating = false;
         self.granules[g].cold_left = self.params.cold_misses_per_granule;
         self.queue.schedule_at(
@@ -3099,8 +3114,7 @@ impl ClusterSim {
         let draining = std::mem::take(&mut self.draining);
         let mut still = Vec::new();
         for v in draining {
-            let owns_any = self.granules.iter().any(|g| g.owner == v);
-            if owns_any {
+            if self.owned[v as usize] > 0 {
                 still.push(v);
             } else if self.nodes[v as usize].alive {
                 self.nodes[v as usize].alive = false;
@@ -3552,6 +3566,200 @@ mod tests {
         }
         assert!(last_analytic <= 50 * svc, "analytic is clamped");
         assert_eq!(last_exact, 200 * svc, "exact sojourn tracks the queue");
+    }
+
+    // -- observe(): maintained state against what it replaced --------------
+
+    /// Reference implementation: the historical weighted p99, which
+    /// collected and sorted its own `(latency, weight)` window — once for
+    /// the whole cluster and once more per region.
+    fn weighted_p99(lat: &mut [(Nanos, u64)]) -> Nanos {
+        if lat.is_empty() {
+            return 0;
+        }
+        lat.sort_unstable();
+        let total: u64 = lat.iter().map(|&(_, w)| w).sum();
+        let target = total.saturating_sub(1) * 99 / 100;
+        let mut cum = 0u64;
+        for &(l, w) in lat.iter() {
+            cum += w;
+            if cum > target {
+                return l;
+            }
+        }
+        lat.last().map_or(0, |&(l, _)| l)
+    }
+
+    #[test]
+    fn once_sorted_window_matches_the_per_region_sort_reference() {
+        assert_eq!(size_of::<(Nanos, u32, u16)>(), 16);
+        assert_eq!(sorted_window_stats(&[], None), (0, 0));
+        let mut past_u32 = 0;
+        for seed in 0..64u64 {
+            let mut rng = DetRng::seed(seed);
+            let regions = 1 + (seed % 4) as u16;
+            // Few distinct latencies, so equal latencies with unequal
+            // weights are the rule; a region in two gets no sample; and
+            // every third window has weights that sum past `u32::MAX`.
+            let silent = (seed % 2 == 1).then_some(regions - 1);
+            let heavy = seed % 3 == 0;
+            let window: Vec<(Nanos, u32, u16)> = (0..rng.range(0, 400))
+                .map(|_| {
+                    let region = rng.range(0, u64::from(regions)) as u16;
+                    let weight = match rng.range(0, 8) {
+                        0 => 0,
+                        1 if heavy => u32::MAX - rng.range(0, 3) as u32,
+                        _ => rng.range(1, 50) as u32,
+                    };
+                    (rng.range(1, 12) * 1_000, weight, region)
+                })
+                .filter(|e| Some(e.2) != silent)
+                .collect();
+            let mut sorted = window.clone();
+            sorted.sort_unstable_by_key(|&(l, _, _)| l);
+            for region in std::iter::once(None).chain((0..regions).map(Some)) {
+                let mut lat: Vec<(Nanos, u64)> = window
+                    .iter()
+                    .filter(|e| region.is_none_or(|r| e.2 == r))
+                    .map(|&(l, w, _)| (l, u64::from(w)))
+                    .collect();
+                let total: u64 = lat.iter().map(|&(_, w)| w).sum();
+                assert_eq!(
+                    sorted_window_stats(&sorted, region),
+                    (total, weighted_p99(&mut lat)),
+                    "seed {seed}, region {region:?}"
+                );
+                past_u32 += u32::from(total > u64::from(u32::MAX));
+            }
+        }
+        assert!(past_u32 >= 20, "only {past_u32} sums passed u32::MAX");
+    }
+
+    #[test]
+    fn owned_counts_follow_every_ownership_flip_and_release() {
+        use crate::harness::{Fault, Runner, Scenario, SimRunner};
+        use marlin_autoscaler::GranuleMove;
+        use marlin_workload::LoadTrace;
+
+        const STEP: Nanos = SECOND / 20;
+        let scenario = Scenario::new("owned-counts")
+            .params(SimParams::geo())
+            .workload(Workload::ycsb(2_000))
+            .initial_nodes(8)
+            .trace(LoadTrace::constant(16))
+            .threads_per_node(2)
+            .duration(60 * SECOND);
+        let mut runner = SimRunner::new(&scenario);
+        let idle = |runner: &SimRunner| runner.sim().workers.iter().all(|(q, at)| *at == q.len());
+        // Step the run until its migration workers are done (or `steps`
+        // ran out), comparing the maintained counts with the recount
+        // (`observe` asserts the same in debug builds) and checking that
+        // a release attempt drops exactly the victims left empty.
+        let settle = |runner: &mut SimRunner, steps: u32, victims: &[u32]| {
+            for step in 0..steps {
+                runner.advance(STEP);
+                let now = runner.now();
+                runner.observe(SECOND);
+                let sim = runner.sim_mut();
+                sim.release_drained(now);
+                let recount = sim.recount_owned();
+                assert_eq!(sim.owned, recount, "at {now}");
+                assert_eq!(sim.owned.len(), sim.nodes.len());
+                assert_eq!(sim.owned.iter().sum::<u64>(), 2_000);
+                for &v in victims {
+                    assert_eq!(sim.nodes[v as usize].alive, recount[v as usize] > 0);
+                    assert_eq!(sim.draining.contains(&v), recount[v as usize] > 0);
+                }
+                if step > 0 && idle(runner) {
+                    return;
+                }
+            }
+        };
+        settle(&mut runner, 4, &[]);
+
+        // Scale-out: slots 8..12 are pushed by `allocate_join_slots`.
+        runner.actuate(&ScaleAction::add(4));
+        assert_eq!(runner.sim().owned.len(), 12);
+        settle(&mut runner, 10, &[]);
+        // While its plan still runs, the same rebalance plan twice: each
+        // granule moves once, the other plan's task for it is stale.
+        assert!(!idle(&runner));
+        let moves: Vec<GranuleMove> = (0..2_000u64)
+            .filter(|&g| runner.sim().granules[g as usize].owner == 0)
+            .take(40)
+            .map(|g| GranuleMove {
+                granule: GranuleId(g),
+                src: NodeId(0),
+                dst: NodeId(4),
+            })
+            .collect();
+        assert_eq!(moves.len(), 40);
+        runner.actuate(&ScaleAction::Rebalance {
+            moves: moves.clone(),
+        });
+        runner.actuate(&ScaleAction::Rebalance { moves });
+        settle(&mut runner, 400, &[]);
+        assert!(idle(&runner));
+        let tasks: usize = runner.sim().workers.iter().map(|(q, _)| q.len()).sum();
+        let migrated = runner.sim().metrics.migrations.total();
+        assert!(migrated + 40 <= tasks as u64, "stale tasks skipped");
+        assert!(runner.sim().owned[8..].iter().all(|&n| n > 0));
+
+        // Scale-in, region-local: nodes 1 and 9 (one initial, one joined)
+        // drain onto node 5, the survivor in their region.
+        let before = runner.sim().owned.clone();
+        runner.actuate(&ScaleAction::RemoveNodes {
+            victims: vec![NodeId(1), NodeId(9)],
+        });
+        settle(&mut runner, 400, &[1, 9]);
+        let sim = runner.sim();
+        assert!(!sim.nodes[1].alive && !sim.nodes[9].alive && sim.draining.is_empty());
+        assert_eq!(sim.owned[5], before[1] + before[5] + before[9]);
+
+        // Scale-out again: the two released slots are reused, one pushed.
+        runner.actuate(&ScaleAction::add(3));
+        assert_eq!(runner.sim().owned.len(), 13);
+        settle(&mut runner, 400, &[]);
+        assert!(idle(&runner));
+        let sim = runner.sim();
+        assert!(sim.nodes.iter().all(|n| n.alive));
+        assert!(sim.owned[1] > 0 && sim.owned[9] > 0 && sim.owned[12] > 0);
+
+        // A crash is modeled as an immediate drain of the victim.
+        runner.inject(&Fault::Crash(NodeId(12)));
+        settle(&mut runner, 400, &[12]);
+        assert_eq!(runner.sim().live_nodes(), 12);
+        assert_eq!(runner.sim().owned[12], 0);
+    }
+
+    #[test]
+    fn observe_sub_phases_sum_to_at_most_observe() {
+        let mut sim = ClusterSim::new(
+            SimParams::geo(),
+            CoordKind::Marlin,
+            &Workload::ycsb(2_000),
+            8,
+            64,
+            4 * SECOND,
+        );
+        sim.enable_profiling();
+        for tick in 1..=4 {
+            sim.run_until(tick * SECOND);
+            sim.observe(tick * SECOND, SECOND);
+        }
+        let profile = sim.profile_summary();
+        let observe = profile.phase("observe").expect("observe ran");
+        let mut children = 0;
+        for name in ["latency", "placement", "heat", "regions"] {
+            let phase = profile
+                .phase(&format!("observe:{name}"))
+                .unwrap_or_else(|| panic!("observe:{name} missing"));
+            assert_eq!(phase.calls, observe.calls);
+            children += phase.wall_nanos;
+        }
+        assert_eq!(observe.calls, 4);
+        assert!(children <= observe.wall_nanos, "{children} > {observe:?}");
+        assert!(children > 0);
     }
 
     // -- ClusterSim: memory follows the in-flight window, not the run ------

@@ -5,14 +5,15 @@
 //! drive the autoscaler's hot-granule rebalance planner. At paper scale
 //! (a few hundred thousand granules) an exact `Vec<u32>` is cheap; at
 //! `million_clients` scale the observation path wants sublinear space
-//! and a heavy-hitter shortlist instead of an O(granules) scan per
-//! observation window. [`HeatTracker`] picks the representation once at
-//! construction:
+//! and a bounded heavy-hitter shortlist. Either way a window costs what
+//! it touched, never a scan of every granule. [`HeatTracker`] picks the
+//! representation once at construction:
 //!
 //! - **Exact** — a plain per-granule vector, bit-identical to the
-//!   historical `granule_hits` accounting. Used whenever the sketch is
-//!   disabled *or* the granule count is below the configured threshold
-//!   (where sketch overhead would exceed the vector it replaces).
+//!   historical `granule_hits` accounting, plus the list of keys touched
+//!   this window (ranking and clearing are O(touched)). Used when the
+//!   sketch is disabled *or* the granule count is below the configured
+//!   threshold (where the sketch would cost more than the vector).
 //! - **Sketched** — a [`CountMinSketch`] plus a bounded heavy-hitter
 //!   candidate list. Estimates never undercount; the expected
 //!   overcount per row is `total / width`, and the documented test
@@ -142,7 +143,12 @@ impl CountMinSketch {
 #[derive(Clone, Debug)]
 enum Heat {
     /// Exact per-key counter vector (historical behavior).
-    Exact(Vec<u32>),
+    Exact {
+        /// One counter per key.
+        counts: Vec<u32>,
+        /// Keys whose counter left 0 this window, each once.
+        touched: Vec<usize>,
+    },
     /// Count-min sketch plus a bounded heavy-hitter candidate list of
     /// `(key, estimate)` pairs.
     Sketched {
@@ -186,7 +192,10 @@ impl HeatTracker {
                 candidates: Vec::with_capacity(CANDIDATES),
             }
         } else {
-            Heat::Exact(vec![0; keys])
+            Heat::Exact {
+                counts: vec![0; keys],
+                touched: Vec::new(),
+            }
         };
         HeatTracker { keys, heat }
     }
@@ -200,7 +209,12 @@ impl HeatTracker {
     /// Add `weight` touches to `key`.
     pub fn record(&mut self, key: usize, weight: u32) {
         match &mut self.heat {
-            Heat::Exact(v) => v[key] = v[key].saturating_add(weight),
+            Heat::Exact { counts, touched } => {
+                if counts[key] == 0 && weight > 0 {
+                    touched.push(key);
+                }
+                counts[key] = counts[key].saturating_add(weight);
+            }
             Heat::Sketched { sketch, candidates } => {
                 let k = key as u64;
                 sketch.record(k, weight);
@@ -230,38 +244,47 @@ impl HeatTracker {
     #[must_use]
     pub fn estimate(&self, key: usize) -> u32 {
         match &self.heat {
-            Heat::Exact(v) => v[key],
+            Heat::Exact { counts, .. } => counts[key],
             Heat::Sketched { sketch, .. } => sketch.estimate(key as u64),
         }
     }
 
     /// The hottest `k` keys, sorted by `(count, key)` descending — the
     /// exact order the historical `granule_hits` scan produced. Keys
-    /// with zero heat never appear.
+    /// with zero heat never appear. Only the keys touched this window
+    /// (exact) or the candidates (sketched) are ranked; selecting the top
+    /// `k` before sorting them is exact because the order is total.
     #[must_use]
     pub fn hottest(&self, k: usize) -> Vec<(usize, u32)> {
         let mut hot: Vec<(u32, usize)> = match &self.heat {
-            Heat::Exact(v) => v
-                .iter()
-                .enumerate()
-                .filter(|(_, h)| **h > 0)
-                .map(|(g, h)| (*h, g))
-                .collect(),
+            Heat::Exact { counts, touched } => touched.iter().map(|&g| (counts[g], g)).collect(),
             Heat::Sketched { candidates, .. } => candidates
                 .iter()
                 .filter(|(_, e)| *e > 0)
                 .map(|(ck, e)| (*e, *ck as usize))
                 .collect(),
         };
+        if k < hot.len() {
+            hot.select_nth_unstable_by(k, |a, b| b.cmp(a));
+            hot.truncate(k);
+        }
         hot.sort_unstable_by(|a, b| b.cmp(a));
-        hot.truncate(k);
         hot.into_iter().map(|(h, g)| (g, h)).collect()
     }
 
-    /// Clear the window: zero all counters and drop sketch candidates.
+    /// Keys `hottest` would rank now: touched this window, or candidates.
+    #[must_use]
+    pub fn touched(&self) -> usize {
+        match &self.heat {
+            Heat::Exact { touched, .. } => touched.len(),
+            Heat::Sketched { candidates, .. } => candidates.len(),
+        }
+    }
+
+    /// Clear the window: zero the touched counters, drop sketch candidates.
     pub fn reset(&mut self) {
         match &mut self.heat {
-            Heat::Exact(v) => v.fill(0),
+            Heat::Exact { counts, touched } => touched.drain(..).for_each(|g| counts[g] = 0),
             Heat::Sketched { sketch, candidates } => {
                 sketch.reset();
                 candidates.clear();
@@ -279,6 +302,7 @@ impl HeatTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn rng() -> DetRng {
         DetRng::seed(0xC0FFEE)
@@ -331,6 +355,123 @@ mod tests {
         let hot = t.hottest(1);
         assert_eq!(hot[0].0, 42_424);
         assert!(hot[0].1 >= 10_000);
+    }
+
+    /// Reference implementation: the historical exact tracker, which
+    /// ranked by scanning and fully sorting every counter and cleared a
+    /// window with `fill(0)`.
+    struct RefHeat(Vec<u32>);
+
+    impl RefHeat {
+        fn record(&mut self, key: usize, weight: u32) {
+            self.0[key] = self.0[key].saturating_add(weight);
+        }
+        fn hottest(&self, k: usize) -> Vec<(usize, u32)> {
+            let mut hot: Vec<(u32, usize)> = self
+                .0
+                .iter()
+                .enumerate()
+                .filter(|(_, h)| **h > 0)
+                .map(|(g, h)| (*h, g))
+                .collect();
+            hot.sort_unstable_by(|a, b| b.cmp(a));
+            hot.truncate(k);
+            hot.into_iter().map(|(h, g)| (g, h)).collect()
+        }
+        fn reset(&mut self) {
+            self.0.fill(0);
+        }
+    }
+
+    /// The touched list of an exact tracker.
+    fn touched(t: &HeatTracker) -> &[usize] {
+        match &t.heat {
+            Heat::Exact { touched, .. } => touched,
+            Heat::Sketched { .. } => panic!("exact tracker expected"),
+        }
+    }
+
+    #[test]
+    fn touched_list_holds_each_nonzero_key_once_and_empties_on_reset() {
+        let mut t = HeatTracker::new(8, false, 0, &mut rng());
+        t.record(3, 0);
+        assert!(touched(&t).is_empty(), "weight 0 touches nothing");
+        assert_eq!(t.hottest(8), vec![]);
+        t.record(3, u32::MAX - 1);
+        t.record(3, 5);
+        t.record(5, 1);
+        t.record(5, 0);
+        assert_eq!(touched(&t), [3, 5]);
+        assert_eq!(t.hottest(8), vec![(3, u32::MAX), (5, 1)], "saturates");
+        t.reset();
+        assert!(touched(&t).is_empty());
+        assert_eq!((t.estimate(3), t.estimate(5)), (0, 0));
+        t.record(5, 2);
+        assert_eq!(touched(&t), [5], "re-touched after the reset");
+        assert_eq!(t.hottest(1), vec![(5, 2)]);
+    }
+
+    proptest! {
+        /// The touched-list tracker returns what the full scan returned,
+        /// for every `k`, under scripts of `record` / `hottest` / `reset`
+        /// over few keys (ties on count are common) with weights that
+        /// include 0 and values that saturate the counter.
+        #[test]
+        fn exact_tracker_matches_the_full_scan_reference(
+            ops in proptest::collection::vec((0u8..16, 0usize..24, 0u8..8), 1..300),
+        ) {
+            const KEYS: usize = 24;
+            let mut t = HeatTracker::new(KEYS, true, KEYS + 1, &mut rng());
+            let mut r = RefHeat(vec![0; KEYS]);
+            prop_assert!(!t.is_sketched());
+            for (kind, key, w) in ops {
+                match kind {
+                    0 => {
+                        t.reset();
+                        r.reset();
+                    }
+                    1..=3 => {
+                        for k in [0, 1, 64, KEYS + 5, key] {
+                            prop_assert_eq!(t.hottest(k), r.hottest(k), "k = {}", k);
+                        }
+                    }
+                    _ => {
+                        let weight = match w {
+                            0 => 0,
+                            1 => u32::MAX,
+                            2 => u32::MAX / 2,
+                            _ => u32::from(w) - 2,
+                        };
+                        t.record(key, weight);
+                        r.record(key, weight);
+                    }
+                }
+                let mut listed = touched(&t).to_vec();
+                listed.sort_unstable();
+                let nonzero: Vec<usize> = (0..KEYS).filter(|&g| r.0[g] > 0).collect();
+                prop_assert_eq!(listed, nonzero);
+                for g in 0..KEYS {
+                    prop_assert_eq!(t.estimate(g), r.0[g]);
+                }
+            }
+        }
+
+        /// Selecting the top `k` candidates before sorting them returns
+        /// what sorting the whole candidate list returned.
+        #[test]
+        fn sketched_hottest_is_a_prefix_of_the_full_ranking(
+            ops in proptest::collection::vec((0usize..2_000, 1u32..50), 1..600),
+        ) {
+            let mut t = HeatTracker::new(100_000, true, 4_096, &mut rng());
+            for (key, weight) in ops {
+                t.record(key, weight);
+            }
+            let all = t.hottest(CANDIDATES);
+            prop_assert!(all.windows(2).all(|p| (p[0].1, p[0].0) > (p[1].1, p[1].0)));
+            for k in [0, 1, 64, CANDIDATES - 1] {
+                prop_assert_eq!(&t.hottest(k)[..], &all[..k.min(all.len())]);
+            }
+        }
     }
 
     #[test]

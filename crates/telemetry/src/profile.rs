@@ -112,7 +112,11 @@ impl Profiler {
     #[inline]
     pub fn record(&mut self, name: &'static str, started: Option<Instant>) {
         let Some(t0) = started else { return };
-        let dt = t0.elapsed().as_nanos() as u64;
+        self.book(name, t0.elapsed().as_nanos() as u64);
+    }
+
+    /// Add one call of `dt` nanoseconds to phase `name`.
+    fn book(&mut self, name: &'static str, dt: u64) {
         match self.names.iter().position(|&n| n == name) {
             Some(i) => {
                 self.phases[i].0 += dt;
@@ -123,6 +127,18 @@ impl Profiler {
                 self.phases.push((dt, 1));
             }
         }
+    }
+
+    /// Book the time since `*lap` under `name` and restart `*lap` at the
+    /// same instant, so consecutive laps split an enclosing section
+    /// without gaps or overlap and sum to at most its own reading. No-op
+    /// when `*lap` is `None`.
+    #[inline]
+    pub fn lap(&mut self, name: &'static str, lap: &mut Option<Instant>) {
+        let Some(t0) = *lap else { return };
+        let now = Instant::now();
+        self.book(name, now.duration_since(t0).as_nanos() as u64);
+        *lap = Some(now);
     }
 
     /// Book the elapsed time since `started` into the top-level total
@@ -190,6 +206,9 @@ mod tests {
         let mut p = Profiler::disabled();
         assert!(p.start().is_none());
         p.record("x", p.start());
+        let mut lap = p.start();
+        p.lap("y", &mut lap);
+        assert!(lap.is_none());
         p.sample_depth(10);
         let s = p.summary();
         assert!(s.phases.is_empty());
@@ -224,5 +243,22 @@ mod tests {
         assert_eq!(s.queue_depth_max, 8);
         assert_eq!(s.phase("b_phase").map(|p| p.calls), Some(3));
         assert!(s.phase("missing").is_none());
+    }
+
+    #[test]
+    fn laps_split_a_section_without_overlap() {
+        let mut p = Profiler::enabled();
+        let outer = p.start();
+        let mut lap = outer;
+        for name in ["first", "second", "first"] {
+            std::hint::black_box((0..1_000u64).sum::<u64>());
+            p.lap(name, &mut lap);
+        }
+        p.record("outer", outer);
+        let s = p.summary();
+        let wall = |name| s.phase(name).map_or(0, |p| p.wall_nanos);
+        assert_eq!(s.phase("first").map(|p| p.calls), Some(2));
+        assert!(wall("first") + wall("second") <= wall("outer"));
+        assert!(lap > outer, "each lap restarts the clock");
     }
 }

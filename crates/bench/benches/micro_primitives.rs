@@ -1,6 +1,6 @@
 //! Criterion microbenchmarks of the core protocol primitives: the
 //! conditional-append CAS, MarlinCommit driver stepping, the NO_WAIT lock
-//! table, the clock cache, and GTable materialization — plus three
+//! table, and GTable materialization — plus three
 //! measured (not criterion-sampled) sections of the bench JSON: the
 //! per-request station under the deep calendars the simulator really
 //! builds, one control tick's `observe()` on a 200 k-granule cluster,
@@ -12,11 +12,11 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use marlin_cluster::harness::{run, RunReport, Runner, Scenario, SimRunner};
 use marlin_cluster::params::CoordKind;
 use marlin_cluster::PerRequestStation;
-use marlin_common::{GranuleId, KeyRange, LogId, Lsn, NodeId, PageId, TableId, TxnId};
+use marlin_common::{GranuleId, KeyRange, LogId, Lsn, NodeId, TableId, TxnId};
 use marlin_core::drivers::{CommitDriver, Input, Participant, Updates};
 use marlin_core::records::{GRecord, OwnershipSwap};
 use marlin_core::{GTablePartition, LsnTracker};
-use marlin_engine::{ClockCache, LockMode, LockTable, LockTarget};
+use marlin_engine::{LockMode, LockTable, LockTarget};
 use marlin_sim::{DetRng, Nanos, SECOND};
 use marlin_storage::SharedLog;
 use marlin_telemetry::{BenchReport, BenchSection, Profiler, Tracer, DEFAULT_TRACE_CAPACITY};
@@ -121,31 +121,6 @@ fn bench_lock_table(c: &mut Criterion) {
                 .unwrap();
             }
             lt.release_all(txn);
-        });
-    });
-}
-
-fn bench_clock_cache(c: &mut Criterion) {
-    c.bench_function("clock_cache_access_hit", |b| {
-        let mut cache = ClockCache::new(1024);
-        for i in 0..1024u32 {
-            cache.insert(
-                PageId {
-                    table: TableId(0),
-                    granule: GranuleId(0),
-                    index: i,
-                },
-                None,
-            );
-        }
-        let mut i = 0u32;
-        b.iter(|| {
-            i = (i + 1) % 1024;
-            cache.access(PageId {
-                table: TableId(0),
-                granule: GranuleId(0),
-                index: i,
-            })
         });
     });
 }
@@ -434,7 +409,6 @@ criterion_group!(
     bench_conditional_append,
     bench_commit_driver,
     bench_lock_table,
-    bench_clock_cache,
     bench_gtable_apply,
     measured_sections
 );

@@ -15,10 +15,15 @@
 //!   hardware (D4s/D8s v3, 2/4 Gbps, Azure storage).
 //! - [`metrics`] — per-run measurement state feeding the figures.
 //! - [`cost`] — the §6.1.5 cost model (DB Cost + Meta Cost).
-//! - [`sim`] — the cluster simulator: closed-loop interactive clients,
-//!   per-node CPU queueing, group commit, granule warmth (cold-cache
-//!   effects), NO_WAIT conflict handling, migration threads, and the
-//!   coordination backends (Marlin's log CAS vs ZooKeeper/FDB services).
+//! - [`sim`] — the cluster simulator, one `ClusterSim` over the layers
+//!   it contains: `sim/mod.rs` (state, construction, event dispatch),
+//!   `sim/station.rs` (per-node CPU queueing), `sim/walk.rs` (the one
+//!   transaction timeline — routing, NO_WAIT, hops, cold-cache fetches,
+//!   group commit, log CAS — its booking, and the closed-loop exact
+//!   clients), `sim/cohort.rs` (cohort clients over the same walk),
+//!   `sim/migration.rs` (actuation, plans, migration threads; Marlin's
+//!   log CAS vs the ZooKeeper/FDB service), `sim/membership.rs` (the
+//!   Figure 15 stress), `sim/observe.rs` (what the autoscaler sees).
 //! - [`harness`] — the unified experiment API: declarative
 //!   [`Scenario`]s (every §6 figure is a preset), the [`Runner`] trait
 //!   implemented by both the simulator and the synchronous

@@ -8,7 +8,7 @@
 //! scaling trends, crossover points); EXPERIMENTS.md records the measured
 //! ratios next to the paper's.
 
-use marlin_baselines::{FdbProfile, ZkProfile};
+use marlin_baselines::{CoordinationService, FdbProfile, FdbService, ZkProfile, ZkService};
 use marlin_sim::{Nanos, RegionMatrix, MICROSECOND, MILLISECOND};
 
 /// Which coordination mechanism the cluster uses.
@@ -53,20 +53,16 @@ impl CoordKind {
         [CoordKind::Marlin, CoordKind::ZkSmall, CoordKind::ZkLarge]
     }
 
-    /// The baseline profile behind this kind, if external.
-    #[must_use]
-    pub fn zk_profile(self) -> Option<ZkProfile> {
+    /// A fresh instance of the external coordination service behind this
+    /// kind, on the paper's hardware profile; `None` for Marlin, which
+    /// coordinates through the database's own logs.
+    pub(crate) fn service(self) -> Option<Box<dyn CoordinationService>> {
         match self {
-            CoordKind::ZkSmall => Some(ZkProfile::small()),
-            CoordKind::ZkLarge => Some(ZkProfile::large()),
-            _ => None,
+            CoordKind::Marlin => None,
+            CoordKind::ZkSmall => Some(Box::new(ZkService::new(ZkProfile::small()))),
+            CoordKind::ZkLarge => Some(Box::new(ZkService::new(ZkProfile::large()))),
+            CoordKind::Fdb => Some(Box::new(FdbService::new(FdbProfile::paper_default()))),
         }
-    }
-
-    /// FDB profile, if this kind is FDB.
-    #[must_use]
-    pub fn fdb_profile(self) -> Option<FdbProfile> {
-        matches!(self, CoordKind::Fdb).then(FdbProfile::paper_default)
     }
 }
 
@@ -352,12 +348,11 @@ mod tests {
 
     #[test]
     fn profiles_exist_only_for_matching_kinds() {
-        assert!(CoordKind::Marlin.zk_profile().is_none());
-        assert!(CoordKind::ZkSmall.zk_profile().is_some());
-        assert!(CoordKind::ZkLarge.zk_profile().is_some());
-        assert!(CoordKind::Fdb.zk_profile().is_none());
-        assert!(CoordKind::Fdb.fdb_profile().is_some());
-        assert!(CoordKind::ZkSmall.fdb_profile().is_none());
+        assert!(CoordKind::Marlin.service().is_none());
+        for kind in [CoordKind::ZkSmall, CoordKind::ZkLarge, CoordKind::Fdb] {
+            let svc = kind.service().expect("an external service");
+            assert_eq!(svc.name(), kind.name());
+        }
     }
 
     #[test]

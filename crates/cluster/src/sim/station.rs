@@ -1,0 +1,443 @@
+//! The node CPU stations: the analytic EMA model, the per-request
+//! reservation calendar, and [`NodeCpu`], the one call surface a node
+//! holds whichever [`CpuModel`] its run selected.
+
+use super::*;
+
+/// Analytic (EMA) CPU congestion station — [`CpuModel::Analytic`].
+///
+/// Transactions compute their full timeline in a single event, which means
+/// CPU demands arrive out of chronological order — a naive FIFO queue
+/// station would serialize unrelated transactions behind far-future
+/// bookings. This station instead tracks an exponentially-averaged
+/// utilization (offered work per unit time over a 0.5 s EMA constant) and charges
+/// each request its service time plus an M/M/c-style congestion delay
+/// `service * rho / (1 - rho)` with `rho` clamped at 0.98. The closed-loop
+/// clients then settle into the classic equilibrium: an overloaded 8-node
+/// cluster saturates near its capacity, and the scale-out to 16 relieves
+/// it (the Figure 9 shape).
+///
+/// The clamp is also the model's known blind spot: under sustained
+/// overload per-request delay caps at `49 × service`, so tail latency
+/// flattens where a real queue keeps growing. [`PerRequestStation`]
+/// removes that approximation at a higher bookkeeping cost.
+pub struct CpuStation {
+    workers: f64,
+    /// EMA load estimator: expected value = arrival_rate x mean_service.
+    load: f64,
+    last: Nanos,
+}
+
+/// EMA time constant for the analytic CPU load estimator (0.5 s).
+pub(super) const CPU_TAU: f64 = 0.5e9;
+
+impl CpuStation {
+    /// An idle station with `workers` service threads.
+    #[must_use]
+    pub fn new(workers: usize) -> Self {
+        CpuStation {
+            workers: workers as f64,
+            load: 0.0,
+            last: 0,
+        }
+    }
+
+    /// Charge `service` work arriving at `at`; returns service + modeled
+    /// queueing delay.
+    pub fn charge(&mut self, at: Nanos, service: Nanos) -> Nanos {
+        if at > self.last {
+            let dt = (at - self.last) as f64;
+            self.load *= (-dt / CPU_TAU).exp();
+            self.last = at;
+        }
+        self.load += service as f64 / CPU_TAU;
+        let rho = (self.load / self.workers).min(0.98);
+        let delay = service as f64 * rho / (1.0 - rho);
+        service + delay as Nanos
+    }
+
+    /// Deposit `service` offered work at `at` without pricing a sojourn —
+    /// the cohort engine's bulk path for the unmaterialized copies of a
+    /// sampled walk. The load EMA is linear in offered work, so this has
+    /// exactly the effect of charging each copy individually at `at`;
+    /// only the per-copy congestion delay (which no materialized request
+    /// is waiting on) is skipped.
+    pub fn offer(&mut self, at: Nanos, service: Nanos) {
+        if at > self.last {
+            let dt = (at - self.last) as f64;
+            self.load *= (-dt / CPU_TAU).exp();
+            self.last = at;
+        }
+        self.load += service as f64 / CPU_TAU;
+    }
+
+    /// Read-only utilization estimate at `at` (load decayed to the
+    /// observation instant, *not* clamped to the service ceiling — values
+    /// above 1 expose queue build-up to the autoscaler).
+    #[must_use]
+    pub fn rho_at(&self, at: Nanos) -> f64 {
+        let load = if at > self.last {
+            self.load * (-((at - self.last) as f64) / CPU_TAU).exp()
+        } else {
+            self.load
+        };
+        load / self.workers
+    }
+}
+
+/// One reserved service slot on a [`PerRequestStation`] worker.
+#[derive(Clone, Copy, Debug)]
+pub(super) struct Booking {
+    /// When the request reached the station.
+    pub(super) arrival: Nanos,
+    /// When its service begins (≥ `arrival`; the gap is real queueing).
+    pub(super) start: Nanos,
+    /// When its service completes (`start + service`).
+    pub(super) end: Nanos,
+}
+
+/// Per-request queueing CPU station — [`CpuModel::PerRequest`].
+///
+/// Every request books a concrete, contiguous service slot on a concrete
+/// worker and its reported latency is the *exact sojourn time*: waiting
+/// plus service, with no analytic smoothing or saturation clamp. Because
+/// the simulator offers CPU demands out of chronological order (a
+/// transaction's whole timeline is computed in one event), the station is
+/// a reservation calendar rather than a running queue: each worker keeps
+/// its booked intervals sorted by start time, and a new request takes the
+/// earliest-completing feasible slot across workers — gaps left in front
+/// of far-future bookings are filled, which keeps the station
+/// work-conserving across interleaved offers (an early arrival is never
+/// serialized behind an unrelated transaction's future booking).
+///
+/// Observability is exact too, and *windowed* like every other
+/// observation field. The station accumulates two integrals into 100 ms
+/// buckets as slots are booked:
+///
+/// - **offered work** (service demand, keyed by arrival time) —
+///   [`PerRequestStation::rho_windowed`] reads it as offered load per
+///   worker-capacity over a trailing window. This is the *same
+///   quantity* the analytic station's EMA estimates, measured exactly,
+///   so the reactive watermarks calibrated against offered load keep
+///   their meaning in both modes (a busy+waiting occupancy reading
+///   would run structurally hotter and sit on the 80% watermark at
+///   healthy load);
+/// - **waiting time** (the queue-length integral) —
+///   [`PerRequestStation::queue_windowed`] reads it as the real queue
+///   length per worker, time-averaged over the window. This is what
+///   `Observation::queue_depth` reports in per-request mode, measured
+///   directly instead of derived from a utilization excess.
+///
+/// [`PerRequestStation::queue_len_at`] and
+/// [`PerRequestStation::in_system_at`] expose the instantaneous view
+/// for tests and debugging (a single-sample probe is too noisy to
+/// drive threshold policies).
+///
+/// Bookings wholly in the past of the event clock are pruned when a
+/// charge finds the clock advanced, so memory tracks the in-flight
+/// transaction window, not the run length.
+///
+/// **Invariant and cost.** A worker's slots never overlap (a zero-length
+/// slot never lies strictly inside another), and each new slot is
+/// inserted where its scan stopped, so every calendar is sorted by slot
+/// start *and* by slot end. That makes the dead bookings a front prefix
+/// and lets a charge binary-search the first booking still busy at the
+/// arrival: per worker it costs O(log n) plus the contiguous busy run it
+/// has to step over, whatever the backlog `n` — measured on
+/// `sim_geo_perrequest`, 6.6 scan steps per charge against calendars
+/// holding 294 bookings, where a scan from the front took 209.
+pub struct PerRequestStation {
+    /// Per-worker reservation calendars, each sorted by slot start and
+    /// by slot end.
+    pub(super) workers: Vec<Vec<Booking>>,
+    /// Offered-work integral per [`BUCKET`] of virtual time (each
+    /// request's service demand deposited at its arrival), ring-indexed
+    /// as `(bucket id, nanoseconds offered in it)`.
+    pub(super) offered_ring: Vec<(u64, u64)>,
+    /// Waiting-time integral (queue length × time) per bucket.
+    pub(super) wait_ring: Vec<(u64, u64)>,
+    /// Event clock of the last calendar pruning — nothing new can die
+    /// until the clock advances, so same-event charges (a transaction's
+    /// whole timeline prices in one event) skip the pruning pass.
+    pub(super) pruned_at: Nanos,
+}
+
+/// Bucket width of the windowed-occupancy rings (100 ms).
+pub(super) const BUCKET: Nanos = 100 * 1_000_000;
+
+/// Ring length in buckets: covers the 60 s maximum observation window
+/// plus 70 s of booking lookahead under deep backlog. A booking whose
+/// lookahead exceeded that budget would recycle a slot still inside a
+/// live trailing window and silently under-report occupancy;
+/// [`PerRequestStation::charge`] debug-asserts the invariant instead
+/// (paper-scale backlogs book a few seconds ahead at most).
+const RING: u64 = 1_300;
+
+/// The lookahead budget the ring affords: bookings may end at most this
+/// far past the event clock without endangering reads over the maximum
+/// observation window. One extra bucket is reserved because a windowed
+/// read spans `window/BUCKET + 1` buckets (the window-edge bucket is
+/// included whole).
+const MAX_LOOKAHEAD: Nanos = RING * BUCKET - ClusterSim::MAX_OBSERVE_WINDOW - BUCKET;
+
+/// The ring slot for `bucket`, recycled (tag rewritten, value zeroed)
+/// if it still holds an older bucket's total.
+pub(super) fn ring_slot(ring: &mut [(u64, u64)], bucket: u64) -> &mut u64 {
+    let slot = &mut ring[(bucket % RING) as usize];
+    if slot.0 != bucket {
+        *slot = (bucket, 0);
+    }
+    &mut slot.1
+}
+
+/// Distribute the interval `[from, to)` into the ring's buckets.
+pub(super) fn deposit(ring: &mut [(u64, u64)], from: Nanos, to: Nanos) {
+    let mut t = from;
+    while t < to {
+        let bucket = t / BUCKET;
+        let edge = ((bucket + 1) * BUCKET).min(to);
+        *ring_slot(ring, bucket) += edge - t;
+        t = edge;
+    }
+}
+
+/// Integrate the ring over `[cutoff, at]`, prorating the partially
+/// covered edge buckets by their overlap (a whole-bucket sum would
+/// systematically under-report short windows) and skipping recycled
+/// slots.
+fn ring_integral(ring: &[(u64, u64)], cutoff: Nanos, at: Nanos) -> f64 {
+    let mut sum = 0.0;
+    for bucket in (cutoff / BUCKET)..=(at / BUCKET) {
+        let slot = ring[(bucket % RING) as usize];
+        if slot.0 != bucket {
+            continue;
+        }
+        let b_start = bucket * BUCKET;
+        let overlap = (b_start + BUCKET)
+            .min(at)
+            .saturating_sub(b_start.max(cutoff));
+        sum += slot.1 as f64 * overlap as f64 / BUCKET as f64;
+    }
+    sum
+}
+
+impl PerRequestStation {
+    /// An idle station with `workers` service threads.
+    #[must_use]
+    pub fn new(workers: usize) -> Self {
+        assert!(workers >= 1, "a station needs at least one worker");
+        PerRequestStation {
+            workers: vec![Vec::new(); workers],
+            offered_ring: vec![(u64::MAX, 0); RING as usize],
+            wait_ring: vec![(u64::MAX, 0); RING as usize],
+            pruned_at: 0,
+        }
+    }
+
+    /// Admit a request arriving at `at` with `service` demand; returns its
+    /// exact sojourn time (waiting + service).
+    ///
+    /// `now` is the dispatching event's timestamp. Events pop in
+    /// non-decreasing time order and every charge or observation happens
+    /// at or after its event's `now`, so bookings that end at or before
+    /// `now` can never be looked at again — they are pruned here, which
+    /// bounds the calendars to the in-flight window.
+    pub fn charge(&mut self, now: Nanos, at: Nanos, service: Nanos) -> Nanos {
+        debug_assert!(at >= now, "arrivals cannot precede the event clock");
+        if now > self.pruned_at {
+            // Ends are sorted, so the dead bookings are a front prefix.
+            for calendar in &mut self.workers {
+                let dead = calendar.partition_point(|b| b.end <= now);
+                calendar.drain(..dead);
+            }
+            self.pruned_at = now;
+        }
+        // Earliest feasible start per worker. Bookings ending at or
+        // before `at` cannot move the candidate, and ends are sorted, so
+        // the scan starts at the first booking still busy at `at` and
+        // pushes the candidate past every overlapping booking until a
+        // gap of `service` length opens (or the calendar ends).
+        let (mut start, mut w, mut pos) = (Nanos::MAX, 0, 0);
+        for (i, calendar) in self.workers.iter().enumerate() {
+            let mut candidate = at;
+            let mut k = calendar.partition_point(|b| b.end <= at);
+            while let Some(b) = calendar.get(k) {
+                if b.start >= candidate.saturating_add(service) {
+                    break; // the gap before `b` fits the whole slot
+                }
+                candidate = candidate.max(b.end);
+                k += 1;
+            }
+            // Strict `<` keeps the lowest worker index on ties, which
+            // makes slot assignment deterministic.
+            if i == 0 || candidate < start {
+                (start, w, pos) = (candidate, i, k);
+                if start == at {
+                    break; // no later worker can start strictly earlier
+                }
+            }
+        }
+        let end = start + service;
+        debug_assert!(
+            end.saturating_sub(now) <= MAX_LOOKAHEAD,
+            "booking lookahead {} ns overflows the occupancy ring's {} ns budget",
+            end.saturating_sub(now),
+            MAX_LOOKAHEAD,
+        );
+        deposit(&mut self.wait_ring, at, start);
+        // Offered work is a point event: the whole service demand lands
+        // in the arrival's bucket (uniform within it, as far as a
+        // prorated read can tell).
+        *ring_slot(&mut self.offered_ring, at / BUCKET) += service;
+        // Everything the scan passed ends at or before `start` and
+        // everything from `pos` on starts at or after `end`, so the slot
+        // goes exactly where the scan stopped and both orders hold.
+        let calendar = &mut self.workers[w];
+        debug_assert!(pos == 0 || calendar[pos - 1].end <= start);
+        debug_assert!(calendar.get(pos).is_none_or(|b| b.start >= end));
+        calendar.insert(
+            pos,
+            Booking {
+                arrival: at,
+                start,
+                end,
+            },
+        );
+        end - at
+    }
+
+    /// Deposit `service` offered work at `at` without booking a slot —
+    /// the cohort engine's bulk path. The windowed offered-load
+    /// observable (what the autoscaler watches) sees the full aggregate
+    /// demand; the reservation calendars see only the sampled walks, so
+    /// sojourn congestion in cohort runs is sampled rather than exact.
+    pub fn offer(&mut self, at: Nanos, service: Nanos) {
+        *ring_slot(&mut self.offered_ring, at / BUCKET) += service;
+    }
+
+    /// Bookings the calendars hold: every slot ending after the event
+    /// clock of the last charge — in service, waiting, or reserved ahead.
+    #[must_use]
+    pub fn bookings(&self) -> usize {
+        self.workers.iter().map(Vec::len).sum()
+    }
+
+    /// Requests in the system at `at`: arrived (admitted at or before
+    /// `at`) and not yet departed.
+    #[must_use]
+    pub fn in_system_at(&self, at: Nanos) -> usize {
+        self.workers
+            .iter()
+            .flatten()
+            .filter(|b| b.arrival <= at && b.end > at)
+            .count()
+    }
+
+    /// Real queue length at `at`: requests that have arrived but whose
+    /// service has not yet started.
+    #[must_use]
+    pub fn queue_len_at(&self, at: Nanos) -> usize {
+        self.workers
+            .iter()
+            .flatten()
+            .filter(|b| b.arrival <= at && b.start > at)
+            .count()
+    }
+
+    /// Instantaneous in-system occupancy at `at` in worker units:
+    /// `in_system / workers`. A single-sample probe — noisy by nature;
+    /// observations use [`PerRequestStation::rho_windowed`] instead.
+    #[must_use]
+    pub fn rho_at(&self, at: Nanos) -> f64 {
+        self.in_system_at(at) as f64 / self.workers.len() as f64
+    }
+
+    /// Measured offered load over the trailing `window` ending at `at`,
+    /// in worker units: service demand that arrived in the window
+    /// divided by the capacity the window held (`workers × window`).
+    ///
+    /// This is the exact-measurement counterpart of
+    /// [`CpuStation::rho_at`] — the same offered-load quantity the EMA
+    /// estimates, so policy watermarks keep one meaning across both
+    /// models. Values above 1 mean demand arrived faster than the
+    /// station could serve (backlog grew); under sustained closed-loop
+    /// saturation completions gate arrivals, so the value hovers near 1
+    /// while the backlog itself shows up in
+    /// [`PerRequestStation::queue_windowed`] and in the sojourn times.
+    /// Edge buckets are prorated by overlap (100 ms quantization).
+    #[must_use]
+    pub fn rho_windowed(&self, at: Nanos, window: Nanos) -> f64 {
+        let cutoff = at.saturating_sub(window.max(BUCKET));
+        let span = (at - cutoff).max(1);
+        let offered = ring_integral(&self.offered_ring, cutoff, at);
+        offered / (span as f64 * self.workers.len() as f64)
+    }
+
+    /// Real queue length per worker, time-averaged over the trailing
+    /// `window` ending at `at`: the waiting-time integral (queue length
+    /// × time, from each booking's arrival→start gap) divided by
+    /// `workers × window`. Measured directly — not derived from a
+    /// utilization excess. Edge buckets are prorated by overlap.
+    #[must_use]
+    pub fn queue_windowed(&self, at: Nanos, window: Nanos) -> f64 {
+        let cutoff = at.saturating_sub(window.max(BUCKET));
+        let span = (at - cutoff).max(1);
+        let wait = ring_integral(&self.wait_ring, cutoff, at);
+        wait / (span as f64 * self.workers.len() as f64)
+    }
+}
+
+/// A node's CPU station: one of the two [`CpuModel`]s, behind one call
+/// surface. The analytic arm ignores the event clock (`now`); the
+/// per-request arm uses it to prune dead bookings.
+pub(super) enum NodeCpu {
+    Analytic(CpuStation),
+    PerRequest(PerRequestStation),
+}
+
+impl NodeCpu {
+    pub(super) fn new(model: CpuModel, workers: usize) -> Self {
+        match model {
+            CpuModel::Analytic => NodeCpu::Analytic(CpuStation::new(workers)),
+            CpuModel::PerRequest => NodeCpu::PerRequest(PerRequestStation::new(workers)),
+        }
+    }
+
+    pub(super) fn charge(&mut self, now: Nanos, at: Nanos, service: Nanos) -> Nanos {
+        match self {
+            NodeCpu::Analytic(s) => s.charge(at, service),
+            NodeCpu::PerRequest(s) => s.charge(now, at, service),
+        }
+    }
+
+    /// The utilization an observation reports: offered load, as the EMA
+    /// estimate decayed to `at` (analytic) or measured exactly over the
+    /// trailing `window` (per-request).
+    pub(super) fn observed_rho(&self, at: Nanos, window: Nanos) -> f64 {
+        match self {
+            NodeCpu::Analytic(s) => s.rho_at(at),
+            NodeCpu::PerRequest(s) => s.rho_windowed(at, window),
+        }
+    }
+
+    /// Bulk-deposit offered work without pricing a sojourn (cohort
+    /// engine): the EMA estimator (analytic) or the offered-load ring
+    /// (per-request) absorbs the aggregate demand of a sampled walk's
+    /// unmaterialized copies.
+    pub(super) fn offer(&mut self, at: Nanos, service: Nanos) {
+        match self {
+            NodeCpu::Analytic(s) => s.offer(at, service),
+            NodeCpu::PerRequest(s) => s.offer(at, service),
+        }
+    }
+
+    /// The measured queue length per worker over the window, when the
+    /// model can measure one (`None` tells the observation to fall back
+    /// to the modeled utilization excess).
+    pub(super) fn observed_queue(&self, at: Nanos, window: Nanos) -> Option<f64> {
+        match self {
+            NodeCpu::Analytic(_) => None,
+            NodeCpu::PerRequest(s) => Some(s.queue_windowed(at, window)),
+        }
+    }
+}

@@ -1,17 +1,10 @@
 //! Per-node OLTP engine (the paper's Sundial-derived testbed, §5).
 //!
-//! Each compute node of the testbed contains a transaction manager and a
-//! cache manager:
-//!
-//! - **Transaction manager** — two-phase locking for concurrency control
-//!   with the deadlock-free `NO_WAIT` policy (lock conflict ⇒ immediate
-//!   abort), two-phase commit for distributed atomicity (driven by
-//!   `marlin-core`'s commit driver), and group commit batching log records
-//!   from many transactions into a single log operation.
-//! - **Cache manager** — a clock-replacement buffer cache over pages.
-//!   Following the log-as-the-database paradigm, dirty pages are simply
-//!   dropped on eviction (never written back); on a miss the page is
-//!   fetched from the disaggregated page store via `GetPage@LSN`.
+//! Each compute node of the testbed contains a transaction manager:
+//! two-phase locking for concurrency control with the deadlock-free
+//! `NO_WAIT` policy (lock conflict ⇒ immediate abort), and two-phase
+//! commit for distributed atomicity (driven by `marlin-core`'s commit
+//! driver), over a WAL codec whose records the commit path appends.
 //!
 //! The engine offers two data paths: a fully materialized row store
 //! ([`store::DataStore`]) used by functional tests, examples, and
@@ -19,16 +12,12 @@
 //! simulated experiments where tuple *values* are irrelevant to the
 //! coordination behavior being measured (see DESIGN.md).
 
-pub mod cache;
-pub mod group_commit;
 pub mod locks;
 pub mod recovery;
 pub mod store;
 pub mod txn;
 pub mod wal;
 
-pub use cache::{CacheStats, ClockCache};
-pub use group_commit::GroupCommitBuffer;
 pub use locks::{LockMode, LockTable, LockTarget};
 pub use store::{DataStore, Granule};
 pub use txn::{TxnCtx, TxnState};

@@ -1079,7 +1079,7 @@ impl ClusterSim {
 #[cfg(test)]
 mod tests {
     use super::observe::sorted_window_stats;
-    use super::station::{deposit, ring_slot, Booking, BUCKET, CPU_TAU};
+    use super::station::{deposit, ring_slot, Slot, BUCKET, CPU_TAU};
     use super::*;
 
     // -- CpuStation (analytic EMA) boundary behavior ------------------------
@@ -1150,11 +1150,40 @@ mod tests {
 
     // -- PerRequestStation: exact sojourn times -----------------------------
 
+    /// One charge as `(arrival, service, sojourn)`. The request departs
+    /// at `arrival + sojourn` and its service starts `service` earlier.
+    fn charged(
+        s: &mut PerRequestStation,
+        now: Nanos,
+        at: Nanos,
+        service: Nanos,
+    ) -> (Nanos, Nanos, Nanos) {
+        (at, service, s.charge(now, at, service))
+    }
+
+    /// Requests in the system at `t`: arrived, not yet departed.
+    fn in_system(charges: &[(Nanos, Nanos, Nanos)], t: Nanos) -> usize {
+        charges
+            .iter()
+            .filter(|&&(at, _, sojourn)| at <= t && t < at + sojourn)
+            .count()
+    }
+
+    /// Requests queued at `t`: arrived, service not yet started.
+    fn waiting(charges: &[(Nanos, Nanos, Nanos)], t: Nanos) -> usize {
+        charges
+            .iter()
+            .filter(|&&(at, service, sojourn)| at <= t && t < at + sojourn - service)
+            .count()
+    }
+
     #[test]
     fn idle_station_serves_at_the_bare_service_time() {
         let mut s = PerRequestStation::new(2);
-        assert_eq!(s.charge(0, 0, 100), 100);
-        assert_eq!(s.queue_len_at(0), 0);
+        let c = [charged(&mut s, 0, 0, 100)];
+        assert_eq!(c[0].2, 100);
+        assert_eq!(waiting(&c, 0), 0);
+        assert_eq!(slots(&s), vec![vec![(0, 100)], vec![]]);
     }
 
     #[test]
@@ -1164,27 +1193,31 @@ mod tests {
         // "strictly latency-ordered" property the analytic clamp cannot
         // produce.
         let mut s = PerRequestStation::new(1);
-        let sojourns: Vec<Nanos> = (0..3).map(|_| s.charge(0, 0, 100)).collect();
-        assert_eq!(sojourns, vec![100, 200, 300]);
+        let c: Vec<_> = (0..3).map(|_| charged(&mut s, 0, 0, 100)).collect();
+        assert_eq!(c.iter().map(|c| c.2).collect::<Vec<_>>(), [100, 200, 300]);
+        assert_eq!(slots(&s), vec![vec![(0, 100), (100, 200), (200, 300)]]);
         // All three are in the system at t=0; two of them queue.
-        assert_eq!(s.in_system_at(0), 3);
-        assert_eq!(s.queue_len_at(0), 2);
-        assert!((s.rho_at(0) - 3.0).abs() < 1e-12);
+        assert_eq!(in_system(&c, 0), 3);
+        assert_eq!(waiting(&c, 0), 2);
         // Queue drains as slots complete.
-        assert_eq!(s.queue_len_at(150), 1);
-        assert_eq!(s.in_system_at(250), 1);
-        assert_eq!(s.in_system_at(300), 0);
+        assert_eq!(waiting(&c, 150), 1);
+        assert_eq!(in_system(&c, 250), 1);
+        assert_eq!(in_system(&c, 300), 0);
     }
 
     #[test]
     fn multi_worker_station_runs_requests_in_parallel() {
         let mut s = PerRequestStation::new(4);
-        let sojourns: Vec<Nanos> = (0..4).map(|_| s.charge(0, 0, 100)).collect();
-        assert_eq!(sojourns, vec![100; 4], "4 workers absorb 4 requests");
-        assert_eq!(s.queue_len_at(0), 0);
-        // The fifth waits for the first free worker.
-        assert_eq!(s.charge(0, 0, 100), 200);
-        assert_eq!(s.queue_len_at(50), 1);
+        let mut c: Vec<_> = (0..4).map(|_| charged(&mut s, 0, 0, 100)).collect();
+        assert!(c.iter().all(|c| c.2 == 100), "4 workers absorb 4 requests");
+        assert_eq!(slots(&s), vec![vec![(0, 100)]; 4]);
+        assert_eq!(waiting(&c, 0), 0);
+        // The fifth waits for the first free worker, the lowest index on
+        // a tie.
+        c.push(charged(&mut s, 0, 0, 100));
+        assert_eq!(c[4].2, 200);
+        assert_eq!(slots(&s)[0], vec![(0, 100), (100, 200)]);
+        assert_eq!(waiting(&c, 50), 1);
     }
 
     #[test]
@@ -1210,13 +1243,13 @@ mod tests {
         // Advance the event clock past the first booking: it is pruned,
         // the live one is kept and still visible to queries.
         s.charge(150, 150, 10);
-        assert_eq!(s.in_system_at(250), 1);
+        assert_eq!(slots(&s), vec![vec![(150, 160), (200, 300)]]);
         assert_eq!(s.bookings(), 2, "dead booking pruned, live ones kept");
         // A booking ending exactly at the clock is dead too; the prefix
         // stops at the first one still running.
         s.charge(160, 400, 10);
         assert_eq!(s.bookings(), 2, "[150,160) pruned, [200,300) kept");
-        assert_eq!(s.workers[0][0].end, 300);
+        assert_eq!(s.workers[0].slots[0].end, 300);
     }
 
     /// Reference implementation: the historical `charge` — `retain` over
@@ -1231,14 +1264,14 @@ mod tests {
     ) -> (Nanos, usize, Nanos) {
         if now > s.pruned_at {
             for calendar in &mut s.workers {
-                calendar.retain(|b| b.end > now);
+                calendar.slots.retain(|b| b.end > now);
             }
             s.pruned_at = now;
         }
         let mut best: Option<(Nanos, usize)> = None;
         for (w, calendar) in s.workers.iter().enumerate() {
             let mut candidate = at;
-            for b in calendar {
+            for b in &calendar.slots {
                 if b.start >= candidate.saturating_add(service) {
                     break;
                 }
@@ -1254,29 +1287,19 @@ mod tests {
         let end = start + service;
         deposit(&mut s.wait_ring, at, start);
         *ring_slot(&mut s.offered_ring, at / BUCKET) += service;
-        let calendar = &mut s.workers[w];
-        let pos = calendar.partition_point(|b| b.start < start);
-        calendar.insert(
-            pos,
-            Booking {
-                arrival: at,
-                start,
-                end,
-            },
-        );
+        let slots = &mut s.workers[w].slots;
+        let pos = slots.partition_point(|b| b.start < start);
+        slots.insert(pos, Slot { start, end });
         (end - at, w, start)
     }
 
-    /// Each worker's slots as `(start, end, arrival)`, sorted: the two
+    /// Each worker's slots as `(start, end)`, sorted: the two
     /// implementations may order equal-start slots differently.
-    fn slots(s: &PerRequestStation) -> Vec<Vec<(Nanos, Nanos, Nanos)>> {
+    fn slots(s: &PerRequestStation) -> Vec<Vec<(Nanos, Nanos)>> {
         s.workers
             .iter()
             .map(|calendar| {
-                let mut v: Vec<_> = calendar
-                    .iter()
-                    .map(|b| (b.start, b.end, b.arrival))
-                    .collect();
+                let mut v: Vec<_> = calendar.slots.iter().map(|b| (b.start, b.end)).collect();
                 v.sort_unstable();
                 v
             })
@@ -1291,7 +1314,7 @@ mod tests {
         let mut s = PerRequestStation::new(1);
         assert_eq!(s.charge(0, 5, 0), 0);
         assert_eq!(s.charge(0, 5, 4), 4);
-        let ends: Vec<Nanos> = s.workers[0].iter().map(|b| b.end).collect();
+        let ends: Vec<Nanos> = s.workers[0].slots.iter().map(|b| b.end).collect();
         assert_eq!(ends, vec![5, 9]);
         // An arrival inside `[5,9)` must see it.
         assert_eq!(s.charge(0, 6, 1), 4);
@@ -1302,6 +1325,49 @@ mod tests {
         assert_eq!(s.charge(0, 4, 4), 6, "waits until 6, runs [6,10)");
         assert_eq!(s.charge(0, 10, 0), 0);
         assert_eq!(s.charge(0, 10, 3), 3);
+    }
+
+    /// Charge `indexed` and `reference` alike and check that they
+    /// agree on the sojourn and on the worker and start of the slot.
+    /// Returns `(worker, start)`.
+    fn charge_both(
+        indexed: &mut PerRequestStation,
+        reference: &mut PerRequestStation,
+        (now, at, service): (Nanos, Nanos, Nanos),
+    ) -> (Nanos, usize, Nanos) {
+        let sojourn = indexed.charge(now, at, service);
+        let (ref_sojourn, w, start) = reference_charge(reference, now, at, service);
+        assert_eq!(sojourn, ref_sojourn, "at {at}, service {service}");
+        assert!(
+            indexed.workers[w]
+                .slots
+                .iter()
+                .any(|b| (b.start, b.end) == (start, start + service)),
+            "slot [{start}, +{service}) not on worker {w}"
+        );
+        (sojourn, w, start)
+    }
+
+    /// The two stations hold the same slots, `indexed` in both orders,
+    /// and read bit-equal windowed observables at `now`.
+    fn assert_same_state(indexed: &PerRequestStation, reference: &PerRequestStation, now: Nanos) {
+        assert_eq!(slots(indexed), slots(reference), "at {now}");
+        for calendar in &indexed.workers {
+            assert!(calendar
+                .slots
+                .windows(2)
+                .all(|p| p[0].start <= p[1].start && p[0].end <= p[1].end));
+        }
+        for window in [BUCKET, SECOND, 4 * SECOND] {
+            assert_eq!(
+                indexed.rho_windowed(now, window).to_bits(),
+                reference.rho_windowed(now, window).to_bits()
+            );
+            assert_eq!(
+                indexed.queue_windowed(now, window).to_bits(),
+                reference.queue_windowed(now, window).to_bits()
+            );
+        }
     }
 
     #[test]
@@ -1327,36 +1393,9 @@ mod tests {
                     } else {
                         rng.range(1, 10 * workers as u64) * Q
                     };
-                    let sojourn = indexed.charge(now, at, service);
-                    let (ref_sojourn, w, start) =
-                        reference_charge(&mut reference, now, at, service);
-                    assert_eq!(
-                        sojourn, ref_sojourn,
-                        "seed {seed}: at {at}, service {service}"
-                    );
-                    assert!(
-                        indexed.workers[w]
-                            .iter()
-                            .any(|b| (b.arrival, b.start, b.end) == (at, start, start + service)),
-                        "seed {seed}: slot [{start}, +{service}) not on worker {w}"
-                    );
+                    charge_both(&mut indexed, &mut reference, (now, at, service));
                 }
-                assert_eq!(slots(&indexed), slots(&reference), "seed {seed} at {now}");
-                for calendar in &indexed.workers {
-                    assert!(calendar
-                        .windows(2)
-                        .all(|p| p[0].start <= p[1].start && p[0].end <= p[1].end));
-                }
-                for window in [BUCKET, SECOND, 4 * SECOND] {
-                    assert_eq!(
-                        indexed.rho_windowed(now, window).to_bits(),
-                        reference.rho_windowed(now, window).to_bits()
-                    );
-                    assert_eq!(
-                        indexed.queue_windowed(now, window).to_bits(),
-                        reference.queue_windowed(now, window).to_bits()
-                    );
-                }
+                assert_same_state(&indexed, &reference, now);
                 deepest = deepest.max(indexed.bookings());
             }
             assert!(deepest >= 300, "seed {seed}: calendars only {deepest} deep");
@@ -1364,12 +1403,66 @@ mod tests {
     }
 
     #[test]
+    fn hinted_charge_matches_the_reference_on_walk_shaped_traffic() {
+        // The simulator's traffic: on each clock tick, 1-8 transactions
+        // each walk 16 requests forward from the tick, one hop plus the
+        // previous request's sojourn apart, so arrivals rise within a
+        // walk and fall back at the next one. Load is ~90% of capacity,
+        // one service in ten is zero-length, and one tick in five leaves
+        // the clock where it was.
+        const Q: Nanos = 10_000;
+        let (mut off_worker_0, mut pass_2, mut resets) = (0, 0, 0);
+        for seed in 0..16u64 {
+            let workers = 1 + (seed % 6) as usize;
+            let mut rng = DetRng::seed(seed);
+            let mut indexed = PerRequestStation::new(workers);
+            let mut reference = PerRequestStation::new(workers);
+            let (mut now, mut last) = (0, (0, 0));
+            for _ in 0..200 {
+                if !rng.chance(0.2) {
+                    now += rng.range(1, 200) * Q;
+                }
+                for _ in 0..rng.range(1, 9) {
+                    let mut at = now;
+                    for _ in 0..16 {
+                        at += rng.range(1, 8) * Q;
+                        let service = if rng.chance(0.1) {
+                            0
+                        } else {
+                            rng.range(1, 2 * workers as u64) * Q
+                        };
+                        resets += u32::from(last.0 == now && at < last.1);
+                        last = (now, at);
+                        let (sojourn, w, start) =
+                            charge_both(&mut indexed, &mut reference, (now, at, service));
+                        off_worker_0 += u32::from(start == at && w > 0);
+                        pass_2 += u32::from(start > at);
+                        at += sojourn;
+                    }
+                }
+                assert_same_state(&indexed, &reference, now);
+            }
+        }
+        assert!(off_worker_0 > 0, "no pass-1 win on a worker past the first");
+        assert!(pass_2 > 0, "no charge found every worker busy");
+        assert!(resets > 0, "no arrival moved back without the clock moving");
+    }
+
+    #[test]
     fn future_bookings_are_invisible_to_observations() {
+        // Three requests booked now to arrive 250 ms ahead on two
+        // workers: one of them will wait.
         let mut s = PerRequestStation::new(2);
-        s.charge(0, 5_000, 100);
-        assert_eq!(s.in_system_at(0), 0, "not yet arrived");
-        assert_eq!(s.rho_at(0), 0.0);
-        assert_eq!(s.in_system_at(5_000), 1);
+        let at = 2 * BUCKET + BUCKET / 2;
+        let c: Vec<_> = (0..3).map(|_| charged(&mut s, 0, at, 100)).collect();
+        assert_eq!(in_system(&c, 0), 0, "not yet arrived");
+        assert_eq!((in_system(&c, at), waiting(&c, at)), (3, 1));
+        // Neither windowed signal sees them before they arrive...
+        assert_eq!(s.rho_windowed(2 * BUCKET, 2 * BUCKET), 0.0);
+        assert_eq!(s.queue_windowed(2 * BUCKET, 2 * BUCKET), 0.0);
+        // ...and both do once the window covers the arrival.
+        assert!(s.rho_windowed(3 * BUCKET, BUCKET) > 0.0);
+        assert!(s.queue_windowed(3 * BUCKET, BUCKET) > 0.0);
     }
 
     #[test]
@@ -1685,7 +1778,7 @@ mod tests {
                 assert!(station
                     .workers
                     .iter()
-                    .flatten()
+                    .flat_map(|c| &c.slots)
                     .all(|b| b.end > station.pruned_at));
                 booked += station.bookings();
             }

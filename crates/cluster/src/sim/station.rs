@@ -85,15 +85,41 @@ impl CpuStation {
     }
 }
 
-/// One reserved service slot on a [`PerRequestStation`] worker.
+/// One reserved service slot `[start, end)` on a [`PerRequestStation`]
+/// worker. The arrival it was booked for is not kept: the charge that
+/// booked it returned the sojourn, and the waiting it implies is already
+/// in the station's waiting-time integral.
 #[derive(Clone, Copy, Debug)]
-pub(super) struct Booking {
-    /// When the request reached the station.
-    pub(super) arrival: Nanos,
-    /// When its service begins (≥ `arrival`; the gap is real queueing).
+pub(super) struct Slot {
     pub(super) start: Nanos,
-    /// When its service completes (`start + service`).
     pub(super) end: Nanos,
+}
+
+/// One worker of a [`PerRequestStation`]: its reserved slots, sorted by
+/// start and by end, and a search hint into them.
+#[derive(Clone, Default)]
+pub(super) struct Calendar {
+    pub(super) slots: Vec<Slot>,
+    /// Every slot below this index ends at or before the station's last
+    /// arrival. Reset to 0 when the clock advances (the dead prefix is
+    /// drained, which shifts the indices) and when an arrival moves back.
+    hint: usize,
+}
+
+impl Calendar {
+    /// Index of the first slot ending after `at`, galloping forward from
+    /// the hint. Requires `at` at or after the arrival the hint was set for.
+    fn first_ending_after(&self, at: Nanos) -> usize {
+        let rest = &self.slots[self.hint..];
+        // `rest[..lo]` all end at or before `at`; the boundary is below `hi`.
+        let (mut lo, mut hi) = (0, 1);
+        while hi <= rest.len() && rest[hi - 1].end <= at {
+            lo = hi;
+            hi *= 2;
+        }
+        let hi = hi.min(rest.len());
+        self.hint + lo + rest[lo..hi].partition_point(|s| s.end <= at)
+    }
 }
 
 /// Per-request queueing CPU station — [`CpuModel::PerRequest`].
@@ -128,11 +154,6 @@ pub(super) struct Booking {
 ///   `Observation::queue_depth` reports in per-request mode, measured
 ///   directly instead of derived from a utilization excess.
 ///
-/// [`PerRequestStation::queue_len_at`] and
-/// [`PerRequestStation::in_system_at`] expose the instantaneous view
-/// for tests and debugging (a single-sample probe is too noisy to
-/// drive threshold policies).
-///
 /// Bookings wholly in the past of the event clock are pruned when a
 /// charge finds the clock advanced, so memory tracks the in-flight
 /// transaction window, not the run length.
@@ -140,16 +161,28 @@ pub(super) struct Booking {
 /// **Invariant and cost.** A worker's slots never overlap (a zero-length
 /// slot never lies strictly inside another), and each new slot is
 /// inserted where its scan stopped, so every calendar is sorted by slot
-/// start *and* by slot end. That makes the dead bookings a front prefix
-/// and lets a charge binary-search the first booking still busy at the
-/// arrival: per worker it costs O(log n) plus the contiguous busy run it
-/// has to step over, whatever the backlog `n` — measured on
-/// `sim_geo_perrequest`, 6.6 scan steps per charge against calendars
-/// holding 294 bookings, where a scan from the front took 209.
+/// start *and* by slot end. The dead bookings are therefore a front
+/// prefix, and the first slot still busy at an arrival is a search on
+/// slot end. A charge runs in two passes. Pass 1 visits the workers in
+/// index order and stops at the first one whose first busy slot starts
+/// only after the request would be done (or that has none): that worker
+/// starts the request on arrival, the earliest start there is, and the
+/// lowest index is the tie-break the choice has always used. Pass 2 runs
+/// only when every worker is busy at the arrival: the first-gap scan per
+/// worker, from the slot pass 1 found. The search gallops forward from a
+/// per-worker *hint*, an index below which every slot ends at or before
+/// the previous arrival; arrivals of one walk increase, so the hint skips
+/// what the walk's earlier requests already searched past. It resets
+/// when the clock advances and when an arrival moves back (a new walk).
+/// Measured on `sim_geo_perrequest` (8.7 M charges per run, ~72 live
+/// slots per worker), 85 % of charges find a worker free on arrival;
+/// the single pass this replaced binary-searched 2.28 workers and
+/// stepped over 3.55 busy slots per charge, mostly on workers that
+/// could not win. That workload now costs 1.4 µs per simulated event,
+/// against 2.0 µs with the single pass.
 pub struct PerRequestStation {
-    /// Per-worker reservation calendars, each sorted by slot start and
-    /// by slot end.
-    pub(super) workers: Vec<Vec<Booking>>,
+    /// Per-worker reservation calendars.
+    pub(super) workers: Vec<Calendar>,
     /// Offered-work integral per [`BUCKET`] of virtual time (each
     /// request's service demand deposited at its arrival), ring-indexed
     /// as `(bucket id, nanoseconds offered in it)`.
@@ -160,6 +193,9 @@ pub struct PerRequestStation {
     /// until the clock advances, so same-event charges (a transaction's
     /// whole timeline prices in one event) skip the pruning pass.
     pub(super) pruned_at: Nanos,
+    /// The arrival of the last charge, which the calendars' hints are
+    /// valid for.
+    last_arrival: Nanos,
 }
 
 /// Bucket width of the windowed-occupancy rings (100 ms).
@@ -227,10 +263,11 @@ impl PerRequestStation {
     pub fn new(workers: usize) -> Self {
         assert!(workers >= 1, "a station needs at least one worker");
         PerRequestStation {
-            workers: vec![Vec::new(); workers],
+            workers: vec![Calendar::default(); workers],
             offered_ring: vec![(u64::MAX, 0); RING as usize],
             wait_ring: vec![(u64::MAX, 0); RING as usize],
             pruned_at: 0,
+            last_arrival: 0,
         }
     }
 
@@ -247,36 +284,36 @@ impl PerRequestStation {
         if now > self.pruned_at {
             // Ends are sorted, so the dead bookings are a front prefix.
             for calendar in &mut self.workers {
-                let dead = calendar.partition_point(|b| b.end <= now);
-                calendar.drain(..dead);
+                let dead = calendar.slots.partition_point(|s| s.end <= now);
+                calendar.slots.drain(..dead);
+                calendar.hint = 0;
             }
             self.pruned_at = now;
-        }
-        // Earliest feasible start per worker. Bookings ending at or
-        // before `at` cannot move the candidate, and ends are sorted, so
-        // the scan starts at the first booking still busy at `at` and
-        // pushes the candidate past every overlapping booking until a
-        // gap of `service` length opens (or the calendar ends).
-        let (mut start, mut w, mut pos) = (Nanos::MAX, 0, 0);
-        for (i, calendar) in self.workers.iter().enumerate() {
-            let mut candidate = at;
-            let mut k = calendar.partition_point(|b| b.end <= at);
-            while let Some(b) = calendar.get(k) {
-                if b.start >= candidate.saturating_add(service) {
-                    break; // the gap before `b` fits the whole slot
-                }
-                candidate = candidate.max(b.end);
-                k += 1;
-            }
-            // Strict `<` keeps the lowest worker index on ties, which
-            // makes slot assignment deterministic.
-            if i == 0 || candidate < start {
-                (start, w, pos) = (candidate, i, k);
-                if start == at {
-                    break; // no later worker can start strictly earlier
-                }
+        } else if at < self.last_arrival {
+            for calendar in &mut self.workers {
+                calendar.hint = 0;
             }
         }
+        self.last_arrival = at;
+        // Pass 1: the first worker free for `[at, at + service)` — its
+        // first slot still busy at `at` starts only after the request
+        // would be done. A start of `at` cannot be beaten, and the lowest
+        // index wins ties. Every worker passed on keeps the slot it found
+        // as its hint, which is where pass 2 starts.
+        let done = at.saturating_add(service);
+        let mut free = None;
+        for (i, calendar) in self.workers.iter_mut().enumerate() {
+            let k = calendar.first_ending_after(at);
+            calendar.hint = k;
+            if calendar.slots.get(k).is_none_or(|s| s.start >= done) {
+                free = Some((i, k));
+                break;
+            }
+        }
+        let (w, start, pos) = match free {
+            Some((w, k)) => (w, at, k),
+            None => self.earliest_gap(at, service),
+        };
         let end = start + service;
         debug_assert!(
             end.saturating_sub(now) <= MAX_LOOKAHEAD,
@@ -292,18 +329,37 @@ impl PerRequestStation {
         // Everything the scan passed ends at or before `start` and
         // everything from `pos` on starts at or after `end`, so the slot
         // goes exactly where the scan stopped and both orders hold.
-        let calendar = &mut self.workers[w];
-        debug_assert!(pos == 0 || calendar[pos - 1].end <= start);
-        debug_assert!(calendar.get(pos).is_none_or(|b| b.start >= end));
-        calendar.insert(
-            pos,
-            Booking {
-                arrival: at,
-                start,
-                end,
-            },
-        );
+        // The slot lands at or past the hint, so the hint stays valid.
+        let slots = &mut self.workers[w].slots;
+        debug_assert!(pos == 0 || slots[pos - 1].end <= start);
+        debug_assert!(slots.get(pos).is_none_or(|s| s.start >= end));
+        slots.insert(pos, Slot { start, end });
         end - at
+    }
+
+    /// Pass 2 of [`PerRequestStation::charge`], for when every worker is
+    /// busy at `at`: per worker, push the candidate start past each
+    /// overlapping slot from the hint on until a gap of `service` opens
+    /// (or the calendar ends), and keep the earliest start, lowest worker
+    /// index on ties. Returns `(worker, start, insert position)`.
+    fn earliest_gap(&self, at: Nanos, service: Nanos) -> (usize, Nanos, usize) {
+        let (mut start, mut w, mut pos) = (Nanos::MAX, 0, 0);
+        for (i, calendar) in self.workers.iter().enumerate() {
+            let (mut candidate, mut k) = (at, calendar.hint);
+            while let Some(s) = calendar.slots.get(k) {
+                if s.start >= candidate.saturating_add(service) {
+                    break; // the gap before `s` fits the whole slot
+                }
+                candidate = candidate.max(s.end);
+                k += 1;
+            }
+            // Strict `<` keeps the lowest worker index on ties, which
+            // makes slot assignment deterministic.
+            if i == 0 || candidate < start {
+                (start, w, pos) = (candidate, i, k);
+            }
+        }
+        (w, start, pos)
     }
 
     /// Deposit `service` offered work at `at` without booking a slot —
@@ -319,37 +375,7 @@ impl PerRequestStation {
     /// clock of the last charge — in service, waiting, or reserved ahead.
     #[must_use]
     pub fn bookings(&self) -> usize {
-        self.workers.iter().map(Vec::len).sum()
-    }
-
-    /// Requests in the system at `at`: arrived (admitted at or before
-    /// `at`) and not yet departed.
-    #[must_use]
-    pub fn in_system_at(&self, at: Nanos) -> usize {
-        self.workers
-            .iter()
-            .flatten()
-            .filter(|b| b.arrival <= at && b.end > at)
-            .count()
-    }
-
-    /// Real queue length at `at`: requests that have arrived but whose
-    /// service has not yet started.
-    #[must_use]
-    pub fn queue_len_at(&self, at: Nanos) -> usize {
-        self.workers
-            .iter()
-            .flatten()
-            .filter(|b| b.arrival <= at && b.start > at)
-            .count()
-    }
-
-    /// Instantaneous in-system occupancy at `at` in worker units:
-    /// `in_system / workers`. A single-sample probe — noisy by nature;
-    /// observations use [`PerRequestStation::rho_windowed`] instead.
-    #[must_use]
-    pub fn rho_at(&self, at: Nanos) -> f64 {
-        self.in_system_at(at) as f64 / self.workers.len() as f64
+        self.workers.iter().map(|c| c.slots.len()).sum()
     }
 
     /// Measured offered load over the trailing `window` ending at `at`,

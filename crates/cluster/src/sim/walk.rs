@@ -33,6 +33,8 @@ pub(super) struct Walk {
     pub(super) cycle: Nanos,
     /// Granules the transaction touches (post-remap, sorted, distinct).
     pub(super) touched: Vec<u64>,
+    /// Each op's granule (post-remap), in op order.
+    pub(super) op_granules: Vec<u64>,
     /// Commit participants (node indices, sorted, distinct); empty when
     /// the attempt aborted before its commit.
     pub(super) participants: Vec<usize>,
@@ -65,6 +67,7 @@ impl ClusterSim {
         walk: &mut Walk,
     ) {
         walk.touched.clear();
+        walk.op_granules.clear();
         walk.participants.clear();
         walk.node_service.clear();
         walk.blame = Blame::default();
@@ -72,8 +75,9 @@ impl ClusterSim {
         walk.anchor = self.granule_of_key(template, template.anchor, region);
         walk.touched.push(walk.anchor);
         for op in &template.ops {
-            walk.touched
-                .push(self.granule_of_key(template, op.key, region));
+            let g = self.granule_of_key(template, op.key, region);
+            walk.op_granules.push(g);
+            walk.touched.push(g);
         }
         walk.touched.sort_unstable();
         walk.touched.dedup();
@@ -132,8 +136,8 @@ impl ClusterSim {
         let home = owner as usize;
         let home_region = self.nodes[home].region;
         let mut t = now;
-        for op in &template.ops {
-            let g = self.granule_of_key(template, op.key, region) as usize;
+        for &g in &walk.op_granules {
+            let g = g as usize;
             let serve_node = self.granules[g].owner as usize;
             t += self.hop(region, home_region, &mut walk.blame);
             if serve_node != home {

@@ -110,14 +110,18 @@ impl DetRng {
     pub fn range(&mut self, lo: u64, hi: u64) -> u64 {
         debug_assert!(lo < hi);
         let span = hi - lo;
-        // Lemire's multiply-shift with rejection for exact uniformity.
-        let threshold = span.wrapping_neg() % span;
-        loop {
-            let m = u128::from(self.next_u64()) * u128::from(span);
-            if (m as u64) >= threshold {
-                return lo + (m >> 64) as u64;
+        // Lemire's multiply-shift with rejection for exact uniformity. A
+        // draw is rejected when the low word of the product is below
+        // `2^64 mod span`, which is below `span`, so the division is only
+        // needed when the low word is (probability `span / 2^64`).
+        let mut m = u128::from(self.next_u64()) * u128::from(span);
+        if (m as u64) < span {
+            let threshold = span.wrapping_neg() % span;
+            while (m as u64) < threshold {
+                m = u128::from(self.next_u64()) * u128::from(span);
             }
         }
+        lo + (m >> 64) as u64
     }
 
     /// Uniform float in `[0, 1)`.
@@ -227,6 +231,59 @@ mod tests {
         for _ in 0..1_000 {
             let v = r.range(10, 20);
             assert!((10..20).contains(&v));
+        }
+    }
+
+    /// Reference implementation: the historical `range`, which takes the
+    /// rejection threshold (a division) on every call.
+    fn reference_range(r: &mut DetRng, lo: u64, hi: u64) -> u64 {
+        let span = hi - lo;
+        let threshold = span.wrapping_neg() % span;
+        loop {
+            let m = u128::from(r.next_u64()) * u128::from(span);
+            if (m as u64) >= threshold {
+                return lo + (m >> 64) as u64;
+            }
+        }
+    }
+
+    #[test]
+    fn range_draws_exactly_what_the_division_per_call_reference_draws() {
+        // The spans where rejection is likeliest (just past a power of
+        // two) or impossible (powers of two), the extremes, and random
+        // ones; each is drawn from a fresh generator per offset so both
+        // sides start from the same stream.
+        let mut spans = vec![
+            1,
+            2,
+            3,
+            5,
+            (1 << 32) - 1,
+            (1 << 32) + 1,
+            1 << 63,
+            (1 << 63) + 1,
+            u64::MAX,
+        ];
+        let mut pick = DetRng::seed(19);
+        spans.extend(
+            (0..64)
+                .map(|i| pick.next_u64() >> (i % 64))
+                .filter(|&s| s > 0),
+        );
+        for (i, &span) in spans.iter().enumerate() {
+            for lo in [0, u64::MAX - span] {
+                let mut fast = DetRng::seed(i as u64);
+                let mut slow = DetRng::seed(i as u64);
+                for _ in 0..2_000 {
+                    assert_eq!(
+                        fast.range(lo, lo + span),
+                        reference_range(&mut slow, lo, lo + span),
+                        "span {span}, lo {lo}"
+                    );
+                }
+                // The same number of draws was consumed.
+                assert_eq!(fast.next_u64(), slow.next_u64(), "span {span}");
+            }
         }
     }
 

@@ -36,7 +36,7 @@ fn put_log_id(buf: &mut BytesMut, log: LogId) {
     }
 }
 
-fn get_log_id(buf: &mut Bytes) -> Option<LogId> {
+fn get_log_id(buf: &mut &[u8]) -> Option<LogId> {
     if !buf.has_remaining() {
         return None;
     }
@@ -87,7 +87,7 @@ impl SysRecord {
     /// Decode from a log payload.
     #[must_use]
     pub fn decode(payload: &Bytes) -> Option<Self> {
-        let mut buf = payload.clone();
+        let mut buf: &[u8] = payload;
         if !buf.has_remaining() {
             return None;
         }
@@ -101,7 +101,8 @@ impl SysRecord {
                 if buf.remaining() < len {
                     return None;
                 }
-                let addr = String::from_utf8(buf.copy_to_bytes(len).to_vec()).ok()?;
+                let addr = std::str::from_utf8(&buf[..len]).ok()?.to_owned();
+                buf.advance(len);
                 SysRecord::AddNode { node, addr }
             }
             SYS_DELETE => {
@@ -171,7 +172,7 @@ fn put_swap(buf: &mut BytesMut, s: &OwnershipSwap) {
     buf.put_u32_le(s.new.0);
 }
 
-fn get_swap(buf: &mut Bytes) -> Option<OwnershipSwap> {
+fn get_swap(buf: &mut &[u8]) -> Option<OwnershipSwap> {
     if buf.remaining() < 4 + 8 + 8 + 8 + 4 + 4 {
         return None;
     }
@@ -202,7 +203,7 @@ fn put_swaps(buf: &mut BytesMut, kind: u8, txn: TxnId, swaps: &[OwnershipSwap]) 
     }
 }
 
-fn get_swaps(buf: &mut Bytes) -> Option<(TxnId, Vec<OwnershipSwap>)> {
+fn get_swaps(buf: &mut &[u8]) -> Option<(TxnId, Vec<OwnershipSwap>)> {
     if buf.remaining() < 12 {
         return None;
     }
@@ -258,7 +259,7 @@ impl GRecord {
     /// Decode from a log payload.
     #[must_use]
     pub fn decode(payload: &Bytes) -> Option<Self> {
-        let mut buf = payload.clone();
+        let mut buf: &[u8] = payload;
         if !buf.has_remaining() {
             return None;
         }
@@ -418,6 +419,67 @@ mod tests {
         assert_eq!(GRecord::decode(&padded.freeze()), None);
         assert_eq!(SysRecord::decode(&Bytes::new()), None);
         assert_eq!(GRecord::decode(&Bytes::new()), None);
+    }
+
+    #[test]
+    fn every_strict_prefix_and_a_flipped_tag_are_rejected() {
+        let g_records = [
+            GRecord::Install {
+                table: TableId(1),
+                granule: GranuleId(5),
+                range: KeyRange::new(0, 64),
+                owner: NodeId(2),
+            },
+            GRecord::OnePhase {
+                txn: TxnId(9),
+                swaps: vec![swap(1, 0, 1), swap(2, 0, 1)],
+            },
+            GRecord::OnePhase {
+                txn: TxnId(9),
+                swaps: vec![],
+            },
+            GRecord::Prepared {
+                txn: TxnId(10),
+                swaps: vec![swap(2, 1, 2)],
+                participants: vec![
+                    LogId::SysLog,
+                    LogId::GLog(NodeId(1)),
+                    LogId::DataWal(NodeId(2)),
+                ],
+            },
+            GRecord::Decision {
+                txn: TxnId(10),
+                commit: true,
+            },
+        ];
+        let sys_records = [
+            SysRecord::AddNode {
+                node: NodeId(3),
+                addr: "10.0.0.3".into(),
+            },
+            SysRecord::AddNode {
+                node: NodeId(0),
+                addr: String::new(),
+            },
+            SysRecord::DeleteNode { node: NodeId(7) },
+        ];
+        let hostile = |encoded: Bytes| {
+            let mut flipped = encoded.to_vec();
+            flipped[0] ^= 0xFF;
+            (0..encoded.len())
+                .map(move |len| encoded.slice(0..len))
+                .chain([Bytes::from(flipped)])
+        };
+        for rec in g_records {
+            for bad in hostile(rec.encode()) {
+                assert_eq!(GRecord::decode(&bad), None, "{rec:?} from {bad:?}");
+            }
+        }
+        for rec in sys_records {
+            for bad in hostile(rec.encode()) {
+                assert_eq!(SysRecord::decode(&bad), None, "{rec:?} from {bad:?}");
+            }
+        }
     }
 
     proptest! {

@@ -30,14 +30,14 @@ use crate::node::MarlinNode;
 use crate::records::GRecord;
 use bytes::Bytes;
 use marlin_common::{
-    ClusterConfig, CoordError, GranuleId, GranuleLayout, LogId, Lsn, NodeId, StorageError, TableId,
-    TxnError, TxnId,
+    ClusterConfig, CoordError, GranuleId, GranuleLayout, KeyRange, LogId, Lsn, NodeId,
+    StorageError, TableId, TxnError, TxnId,
 };
 use marlin_engine::recovery::recover_granule_from_pages;
 use marlin_engine::{
     DataStore, Granule, LockMode, LockTable, LockTarget, RowWrite, TxnUpdateRecord,
 };
-use marlin_storage::{encode_page_updates, StorageService};
+use marlin_storage::StorageService;
 use std::collections::{BTreeMap, VecDeque};
 
 /// How many times reconfiguration wrappers retry after a commit conflict
@@ -65,6 +65,15 @@ impl NodeRuntime {
             alive: true,
         }
     }
+}
+
+/// The granule a user transaction's current run of keys falls in: its
+/// ownership guard passed and its GTable-entry lock is held.
+struct GranuleRun<'a> {
+    granule: GranuleId,
+    range: KeyRange,
+    /// The granule's rows, looked up at the run's first read.
+    rows: Option<&'a Granule>,
 }
 
 /// The synchronous cluster: storage + nodes + table layouts.
@@ -399,6 +408,12 @@ impl LocalCluster {
     /// Implements Algorithm 1's `UserTxnRequest` guard: every accessed
     /// granule must be owned by `node`, with a shared GTable-entry lock
     /// held to commit; rows are locked via 2PL NO_WAIT.
+    ///
+    /// Reads run before writes, each in the order given. The guard and the
+    /// GTable-entry lock run once per run of consecutive keys in one
+    /// granule: inside one call nothing can move ownership, and the lock
+    /// is already held, so repeating them for the run's later keys could
+    /// change no outcome.
     pub fn user_txn(
         &mut self,
         node: NodeId,
@@ -410,59 +425,78 @@ impl LocalCluster {
             return Err(TxnError::NodeUnavailable(node));
         }
         self.ensure_gtable_fresh(node);
-        // The field, not `self.layout(table)`: the node's runtime is
-        // borrowed mutably beside it.
-        let layout = &self.layouts[&table];
-        let pages_per_granule = layout.pages_per_granule(self.page_bytes);
-        let txn = self
-            .nodes
-            .get_mut(&node)
-            .expect("node admitted")
-            .marlin
-            .next_txn();
+        let txn = self.node_mut(node).marlin.next_txn();
+        let layout = self.layout(table);
+        let pages_per_granule = u64::from(layout.pages_per_granule(self.page_bytes));
 
         // Execution phase: guard + locks + buffered accesses.
         let mut result_reads = Vec::with_capacity(reads.len());
         let mut row_writes = Vec::with_capacity(writes.len());
         {
-            let rt = self.nodes.get_mut(&node).expect("node admitted");
-            let access = |key: u64, exclusive: bool| -> Result<GranuleId, TxnError> {
-                let granule = layout.granule_of(key).expect("key in keyspace");
-                rt.marlin.check_user_access(granule)?;
-                rt.locks
-                    .try_lock(txn, LockTarget::GTableEntry { granule }, LockMode::Shared)?;
-                rt.locks.try_lock(
-                    txn,
-                    LockTarget::Row { table, key },
-                    if exclusive {
-                        LockMode::Exclusive
-                    } else {
-                        LockMode::Shared
-                    },
-                )?;
-                Ok(granule)
-            };
+            let NodeRuntime {
+                marlin,
+                locks,
+                data,
+                ..
+            } = &self.nodes[&node];
+            let ops = reads
+                .iter()
+                .map(|&key| (key, None))
+                .chain(writes.iter().map(|(key, value)| (*key, Some(value))));
+            let mut current: Option<GranuleRun<'_>> = None;
             let outcome: Result<(), TxnError> = (|| {
-                for &key in reads {
-                    let granule = access(key, false)?;
-                    result_reads.push(rt.data.read(table, granule, key)?);
-                }
-                for (key, value) in writes {
-                    let granule = access(*key, true)?;
-                    let offset = *key - layout.range_of(granule).lo;
-                    let page_index = (offset % u64::from(pages_per_granule)) as u32;
-                    row_writes.push(RowWrite {
-                        table,
-                        granule,
-                        key: *key,
-                        page_index,
-                        value: value.clone(),
-                    });
+                for (key, value) in ops {
+                    let run = match &mut current {
+                        Some(run) if run.range.contains(key) => run,
+                        slot => {
+                            let granule = layout.granule_of(key).expect("key in keyspace");
+                            marlin.check_user_access(granule)?;
+                            locks.try_lock(
+                                txn,
+                                LockTarget::GTableEntry { granule },
+                                LockMode::Shared,
+                            )?;
+                            slot.insert(GranuleRun {
+                                granule,
+                                range: layout.range_of(granule),
+                                rows: None,
+                            })
+                        }
+                    };
+                    let target = LockTarget::Row { table, key };
+                    match value {
+                        None => {
+                            locks.try_lock(txn, target, LockMode::Shared)?;
+                            let rows = match run.rows {
+                                Some(rows) => rows,
+                                None => {
+                                    let held = data.granule(table, run.granule).ok_or(
+                                        TxnError::WrongNode {
+                                            granule: run.granule,
+                                            owner: NodeId(u32::MAX),
+                                        },
+                                    )?;
+                                    *run.rows.insert(held)
+                                }
+                            };
+                            result_reads.push(rows.rows.get(&key).cloned());
+                        }
+                        Some(value) => {
+                            locks.try_lock(txn, target, LockMode::Exclusive)?;
+                            row_writes.push(RowWrite {
+                                table,
+                                granule: run.granule,
+                                key,
+                                page_index: ((key - run.range.lo) % pages_per_granule) as u32,
+                                value: value.clone(),
+                            });
+                        }
+                    }
                 }
                 Ok(())
             })();
             if let Err(e) = outcome {
-                rt.locks.release_all(txn);
+                locks.release_all(txn);
                 return Err(e);
             }
         }
@@ -477,7 +511,7 @@ impl LocalCluster {
             txn,
             writes: row_writes,
         };
-        let payload = encode_page_updates(&record.to_page_updates());
+        let payload = record.encode_page_updates();
         let (mut driver, effects) = {
             let rt = &self.nodes[&node];
             CommitDriver::new(
@@ -495,10 +529,20 @@ impl LocalCluster {
         let rt = self.node_mut(node);
         match outcome {
             CommitOutcome::Committed => {
-                for w in record.writes {
-                    rt.data
-                        .write(w.table, w.granule, w.key, w.value)
+                // One row-store lookup per run of writes to one granule.
+                let mut writes = record.writes.into_iter().peekable();
+                while let Some(first) = writes.next() {
+                    let id = (first.table, first.granule);
+                    let g = rt
+                        .data
+                        .granule_mut(first.table, first.granule)
                         .expect("owned granule");
+                    debug_assert!(g.range.contains(first.key));
+                    g.rows.insert(first.key, first.value);
+                    while let Some(w) = writes.next_if(|w| (w.table, w.granule) == id) {
+                        debug_assert!(g.range.contains(w.key));
+                        g.rows.insert(w.key, w.value);
+                    }
                 }
                 rt.locks.release_all(txn);
                 Ok(result_reads)

@@ -10,12 +10,67 @@
 //! (user-transaction accesses), and GTable entries (user transactions hold
 //! *read* locks on the GTable entry of every granule they touch until
 //! commit, which is what serializes them against concurrent migrations —
-//! Algorithm 1 line 1 note, §4.2).
+//! Algorithm 1 line 1 note, §4.2). A user transaction takes the GTable
+//! entry once per run of consecutive accesses to one granule, and one row
+//! lock per key.
+//!
+//! Both maps hash with `FxHasher`, a multiply-rotate hash over the
+//! fixed-shape id enums used as keys: a SipHash of a `LockTarget` cost
+//! more than the rest of an acquisition. The table never iterates either
+//! map — it only looks entries up and removes them — so hash order cannot
+//! leak into any outcome or count.
 
 use marlin_common::{GranuleId, TableId, TxnError, TxnId};
 use parking_lot::Mutex;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// FxHash, the multiply-rotate hash of `rustc`: one rotate, xor and
+/// multiply per integer written. It gives up SipHash's resistance to
+/// crafted collisions: the keys are ids the runtime builds from its own
+/// transactions and the workload generators' row keys, not input from a
+/// network client.
+#[derive(Default)]
+struct FxHasher {
+    hash: u64,
+}
+
+impl FxHasher {
+    const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
+
+    fn add(&mut self, word: u64) {
+        self.hash = (self.hash.rotate_left(5) ^ word).wrapping_mul(Self::SEED);
+    }
+}
+
+impl Hasher for FxHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u32(&mut self, i: u32) {
+        self.add(u64::from(i));
+    }
+
+    fn write_u64(&mut self, i: u64) {
+        self.add(i);
+    }
+
+    fn write_usize(&mut self, i: usize) {
+        self.add(i as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.hash
+    }
+}
+
+type FxMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 
 /// What is being locked.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -64,7 +119,7 @@ impl LockEntry {
 
 #[derive(Debug, Default)]
 struct LockTableInner {
-    locks: HashMap<LockTarget, LockEntry>,
+    locks: FxMap<LockTarget, LockEntry>,
     /// The transaction that acquired most recently and the targets it
     /// holds: a transaction takes its locks back to back, so it pays for
     /// one lookup in `parked`, not one per acquisition, and the list's
@@ -72,7 +127,7 @@ struct LockTableInner {
     recent_txn: TxnId,
     recent_held: Vec<LockTarget>,
     /// Targets held by every other transaction (non-empty lists only).
-    parked: HashMap<TxnId, Vec<LockTarget>>,
+    parked: FxMap<TxnId, Vec<LockTarget>>,
     conflicts: u64,
     acquisitions: u64,
 }

@@ -7,7 +7,7 @@
 //! (DESIGN.md, "Data plane virtualization").
 
 use bytes::Bytes;
-use marlin_common::{GranuleId, KeyRange, TableId, TxnError};
+use marlin_common::{GranuleId, KeyRange, TableId};
 use std::collections::BTreeMap;
 
 /// One owned granule: a key range plus its rows.
@@ -72,37 +72,10 @@ impl DataStore {
         self.granules.get(&(table, id))
     }
 
-    /// Read a row.
-    pub fn read(&self, table: TableId, id: GranuleId, key: u64) -> Result<Option<Bytes>, TxnError> {
-        let g = self.granules.get(&(table, id)).ok_or(TxnError::WrongNode {
-            granule: id,
-            owner: marlin_common::NodeId(u32::MAX),
-        })?;
-        Ok(g.rows.get(&key).cloned())
-    }
-
-    /// Write a row. The key must fall in the granule's range.
-    pub fn write(
-        &mut self,
-        table: TableId,
-        id: GranuleId,
-        key: u64,
-        value: Bytes,
-    ) -> Result<(), TxnError> {
-        let g = self
-            .granules
-            .get_mut(&(table, id))
-            .ok_or(TxnError::WrongNode {
-                granule: id,
-                owner: marlin_common::NodeId(u32::MAX),
-            })?;
-        debug_assert!(
-            g.range.contains(key),
-            "key {key} outside granule range {:?}",
-            g.range
-        );
-        g.rows.insert(key, value);
-        Ok(())
+    /// Mutably borrow a granule. A row written through it must fall in the
+    /// granule's range.
+    pub fn granule_mut(&mut self, table: TableId, id: GranuleId) -> Option<&mut Granule> {
+        self.granules.get_mut(&(table, id))
     }
 
     /// Scan all rows of a granule in key order (cache warm-up uses this).
@@ -140,41 +113,36 @@ mod tests {
         ds
     }
 
-    #[test]
-    fn write_then_read_round_trips() {
-        let mut ds = setup();
-        ds.write(TableId(0), GranuleId(0), 42, Bytes::from_static(b"v"))
-            .unwrap();
-        assert_eq!(
-            ds.read(TableId(0), GranuleId(0), 42).unwrap(),
-            Some(Bytes::from_static(b"v"))
-        );
-        assert_eq!(ds.read(TableId(0), GranuleId(0), 43).unwrap(), None);
+    fn write(ds: &mut DataStore, id: GranuleId, key: u64, value: &'static [u8]) {
+        let g = ds.granule_mut(TableId(0), id).unwrap();
+        assert!(g.range.contains(key));
+        g.rows.insert(key, Bytes::from_static(value));
+    }
+
+    fn read(ds: &DataStore, id: GranuleId, key: u64) -> Option<Bytes> {
+        ds.granule(TableId(0), id).unwrap().rows.get(&key).cloned()
     }
 
     #[test]
-    fn missing_granule_is_wrong_node() {
-        let ds = setup();
-        assert!(matches!(
-            ds.read(TableId(0), GranuleId(9), 42),
-            Err(TxnError::WrongNode {
-                granule: GranuleId(9),
-                ..
-            })
-        ));
+    fn write_then_read_round_trips() {
+        let mut ds = setup();
+        write(&mut ds, GranuleId(0), 42, b"v");
+        assert_eq!(read(&ds, GranuleId(0), 42), Some(Bytes::from_static(b"v")));
+        assert_eq!(read(&ds, GranuleId(0), 43), None);
+        assert!(ds.granule(TableId(0), GranuleId(9)).is_none());
+        assert!(ds.granule_mut(TableId(0), GranuleId(9)).is_none());
     }
 
     #[test]
     fn migration_moves_rows_wholesale() {
         let mut src = setup();
         let mut dst = DataStore::new();
-        src.write(TableId(0), GranuleId(1), 150, Bytes::from_static(b"x"))
-            .unwrap();
+        write(&mut src, GranuleId(1), 150, b"x");
         let g = src.remove(TableId(0), GranuleId(1)).unwrap();
         assert!(!src.holds(TableId(0), GranuleId(1)));
         dst.install(TableId(0), GranuleId(1), g);
         assert_eq!(
-            dst.read(TableId(0), GranuleId(1), 150).unwrap(),
+            read(&dst, GranuleId(1), 150),
             Some(Bytes::from_static(b"x"))
         );
     }
@@ -183,8 +151,7 @@ mod tests {
     fn scan_is_key_ordered() {
         let mut ds = setup();
         for key in [30u64, 10, 20] {
-            ds.write(TableId(0), GranuleId(0), key, Bytes::from_static(b"r"))
-                .unwrap();
+            write(&mut ds, GranuleId(0), key, b"r");
         }
         let keys: Vec<u64> = ds
             .scan(TableId(0), GranuleId(0))

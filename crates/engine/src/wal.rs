@@ -3,8 +3,9 @@
 //! Upon commit, a transaction sends only its updates to the WAL (§3.2).
 //! A [`TxnUpdateRecord`] carries the transaction ID and its row writes;
 //! [`TxnUpdateRecord::encode`] produces the log payload and
-//! [`TxnUpdateRecord::to_page_updates`] derives the page-level deltas the
-//! storage replay service applies (see `marlin-storage::wire`).
+//! [`TxnUpdateRecord::encode_page_updates`] the page-level deltas the
+//! storage replay service applies (see `marlin-storage::wire`), which is
+//! what a commit appends.
 //!
 //! Framing (little-endian):
 //!
@@ -15,7 +16,7 @@
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use marlin_common::{GranuleId, PageId, TableId, TxnId};
-use marlin_storage::{PageUpdate, PageWrite};
+use marlin_storage::PageUpdateWriter;
 
 const MAGIC: u16 = 0x4D57;
 
@@ -114,11 +115,39 @@ impl TxnUpdateRecord {
         Some(TxnUpdateRecord { txn, writes })
     }
 
-    /// Derive the page-level updates for the replay service: each row
-    /// write becomes a delta on its page, carrying `key | value` so a
-    /// cold-cache reader can reconstruct rows from `GetPage@LSN`.
+    /// The commit payload the replay service materializes: one page
+    /// update per row write, a delta on its page carrying
+    /// `key u64 | len u32 | value` so a cold-cache reader can reconstruct
+    /// rows from `GetPage@LSN`. The framing is
+    /// [`marlin_storage::PageUpdateWriter`]'s; the payload is built in one
+    /// pass, with no delta allocated per write.
     #[must_use]
-    pub fn to_page_updates(&self) -> Vec<PageUpdate> {
+    pub fn encode_page_updates(&self) -> Bytes {
+        const DELTA_HEADER: usize = 8 + 4;
+        let bytes = self
+            .writes
+            .iter()
+            .map(|w| DELTA_HEADER + w.value.len())
+            .sum();
+        let mut out = PageUpdateWriter::new(self.writes.len(), bytes);
+        for w in &self.writes {
+            out.put_delta(
+                w.page(),
+                &[
+                    &w.key.to_le_bytes(),
+                    &(w.value.len() as u32).to_le_bytes(),
+                    &w.value,
+                ],
+            );
+        }
+        out.finish()
+    }
+
+    /// The same updates as [`Self::encode_page_updates`], one allocated
+    /// delta each. Only the tests use it: as the oracle the one-pass
+    /// payload is checked against, and to build recovery logs.
+    #[cfg(test)]
+    pub(crate) fn to_page_updates(&self) -> Vec<marlin_storage::PageUpdate> {
         self.writes
             .iter()
             .map(|w| {
@@ -126,16 +155,16 @@ impl TxnUpdateRecord {
                 delta.put_u64_le(w.key);
                 delta.put_u32_le(w.value.len() as u32);
                 delta.put_slice(&w.value);
-                PageUpdate {
+                marlin_storage::PageUpdate {
                     page: w.page(),
-                    write: PageWrite::Delta(delta.freeze()),
+                    write: marlin_storage::PageWrite::Delta(delta.freeze()),
                 }
             })
             .collect()
     }
 
     /// Reconstruct `key -> value` rows from a page's delta chain (the
-    /// inverse of [`Self::to_page_updates`] on the read path).
+    /// inverse of [`Self::encode_page_updates`]'s deltas on the read path).
     #[must_use]
     pub fn rows_from_page_deltas(deltas: &[Bytes]) -> Vec<(u64, Bytes)> {
         let mut rows = Vec::new();
@@ -158,6 +187,7 @@ impl TxnUpdateRecord {
 mod tests {
     use super::*;
     use marlin_common::NodeId;
+    use marlin_storage::PageWrite;
     use proptest::prelude::*;
 
     fn record() -> TxnUpdateRecord {
@@ -269,6 +299,35 @@ mod tests {
                     .collect(),
             };
             prop_assert_eq!(TxnUpdateRecord::decode(&r.encode()), Some(r));
+        }
+
+        /// The one-pass commit payload is the two-step encoding byte for
+        /// byte — no writes, empty values, several tables and granules —
+        /// and replay decodes it back to the record's page updates.
+        #[test]
+        fn one_pass_payload_is_the_two_step_encoding(
+            txn in any::<u64>(),
+            writes in proptest::collection::vec(
+                (0u32..3, 0u64..4, any::<u64>(), 0u32..16, proptest::collection::vec(any::<u8>(), 0..3)),
+                0..12,
+            )
+        ) {
+            let r = TxnUpdateRecord {
+                txn: TxnId(txn),
+                writes: writes
+                    .into_iter()
+                    .map(|(t, g, k, p, v)| RowWrite {
+                        table: TableId(t),
+                        granule: GranuleId(g),
+                        key: k,
+                        page_index: p,
+                        value: Bytes::from(v),
+                    })
+                    .collect(),
+            };
+            let payload = r.encode_page_updates();
+            prop_assert_eq!(&payload, &marlin_storage::encode_page_updates(&r.to_page_updates()));
+            prop_assert_eq!(marlin_storage::decode_page_updates(&payload), Some(r.to_page_updates()));
         }
     }
 }

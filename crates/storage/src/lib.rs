@@ -34,4 +34,4 @@ pub use log::{AppendOutcome, ETag, LogRecord, SharedLog};
 pub use page::{Page, PageStore};
 pub use replay::ReplayService;
 pub use service::{LogStats, StorageService};
-pub use wire::{decode_page_updates, encode_page_updates, PageUpdate, PageWrite};
+pub use wire::{decode_page_updates, encode_page_updates, PageUpdate, PageUpdateWriter, PageWrite};

@@ -59,23 +59,69 @@ pub struct PageUpdate {
 /// Encode a list of page updates into a log payload.
 #[must_use]
 pub fn encode_page_updates(updates: &[PageUpdate]) -> Bytes {
-    let mut buf =
-        BytesMut::with_capacity(16 + updates.iter().map(|u| 24 + u.write.len()).sum::<usize>());
-    buf.put_u32_le(updates.len() as u32);
+    let bytes = updates.iter().map(|u| u.write.len()).sum();
+    let mut out = PageUpdateWriter::new(updates.len(), bytes);
     for u in updates {
-        buf.put_u32_le(u.page.table.0);
-        buf.put_u64_le(u.page.granule.0);
-        buf.put_u32_le(u.page.index);
         let (kind, bytes) = match &u.write {
-            PageWrite::Full(b) => (0u8, b),
-            PageWrite::Delta(b) => (1u8, b),
+            PageWrite::Full(b) => (KIND_FULL, b),
+            PageWrite::Delta(b) => (KIND_DELTA, b),
         };
-        buf.put_u8(kind);
-        buf.put_u32_le(bytes.len() as u32);
-        buf.put_slice(bytes);
+        out.put(u.page, kind, &[&bytes[..]]);
     }
-    buf.freeze()
+    out.finish()
 }
+
+/// Writes a payload in this module's layout one update at a time, into
+/// one exactly-sized buffer, for a caller that holds each update's bytes
+/// as parts rather than as a [`PageUpdate`]. [`encode_page_updates`] is
+/// this writer over a slice.
+pub struct PageUpdateWriter {
+    buf: BytesMut,
+    /// Updates promised to [`Self::new`] and not yet written.
+    left: usize,
+}
+
+impl PageUpdateWriter {
+    /// A writer for exactly `count` updates whose writes carry
+    /// `write_bytes` bytes in total.
+    #[must_use]
+    pub fn new(count: usize, write_bytes: usize) -> Self {
+        let mut buf = BytesMut::with_capacity(4 + count * MIN_UPDATE_BYTES + write_bytes);
+        buf.put_u32_le(count as u32);
+        Self { buf, left: count }
+    }
+
+    /// Append a delta on `page` whose bytes are `parts` concatenated.
+    pub fn put_delta(&mut self, page: PageId, parts: &[&[u8]]) {
+        self.put(page, KIND_DELTA, parts);
+    }
+
+    fn put(&mut self, page: PageId, kind: u8, parts: &[&[u8]]) {
+        debug_assert!(self.left > 0, "more updates than promised");
+        self.left -= 1;
+        self.buf.put_u32_le(page.table.0);
+        self.buf.put_u64_le(page.granule.0);
+        self.buf.put_u32_le(page.index);
+        self.buf.put_u8(kind);
+        let len: usize = parts.iter().map(|p| p.len()).sum();
+        self.buf.put_u32_le(len as u32);
+        for part in parts {
+            self.buf.put_slice(part);
+        }
+    }
+
+    /// The payload; every promised update must have been written.
+    #[must_use]
+    pub fn finish(self) -> Bytes {
+        debug_assert_eq!(self.left, 0, "fewer updates than promised");
+        self.buf.freeze()
+    }
+}
+
+/// `kind` of a full page image.
+const KIND_FULL: u8 = 0;
+/// `kind` of a delta.
+const KIND_DELTA: u8 = 1;
 
 /// Encoded size of an update with an empty write: page id, kind, length.
 const MIN_UPDATE_BYTES: usize = 4 + 8 + 4 + 1 + 4;
@@ -111,8 +157,8 @@ pub fn decode_page_updates(payload: &Bytes) -> Option<Vec<PageUpdate>> {
         }
         let bytes = buf.copy_to_bytes(len);
         let write = match kind {
-            0 => PageWrite::Full(bytes),
-            1 => PageWrite::Delta(bytes),
+            KIND_FULL => PageWrite::Full(bytes),
+            KIND_DELTA => PageWrite::Delta(bytes),
             _ => return None,
         };
         out.push(PageUpdate {

@@ -53,6 +53,80 @@ fn user_txns_read_their_writes() {
     assert_eq!(reads[1], None);
 }
 
+/// Keys in granules A, A, B, A: three granule runs, so three GTable-entry
+/// acquisitions beside the four row locks, for the writes and again for
+/// the reads that see them.
+#[test]
+fn granule_runs_read_their_writes() {
+    let mut cluster = LocalCluster::bootstrap(&config(2, 8));
+    // Granules 1 (keys [100, 200)) and 2 ([200, 300)) belong to node 0.
+    let keys = [110u64, 120, 250, 130];
+    let writes: Vec<(u64, Bytes)> = keys
+        .iter()
+        .map(|&k| (k, Bytes::from(k.to_le_bytes().to_vec())))
+        .collect();
+    let locks = |c: &LocalCluster| c.node(NodeId(0)).locks.acquisitions();
+    let before = locks(&cluster);
+    cluster.user_txn(NodeId(0), TABLE, &[], &writes).unwrap();
+    assert_eq!(locks(&cluster) - before, 3 + 4);
+    let before = locks(&cluster);
+    let reads = cluster.user_txn(NodeId(0), TABLE, &keys, &[]).unwrap();
+    assert_eq!(locks(&cluster) - before, 3 + 4);
+    let expected: Vec<Option<Bytes>> = writes.into_iter().map(|(_, v)| Some(v)).collect();
+    assert_eq!(reads, expected);
+    assert_eq!(cluster.node(NodeId(0)).locks.active_locks(), 0);
+}
+
+/// The same keys once B has moved to node 1: the run over A locks its
+/// GTable entry and two rows, B's guard refuses with the owner it handed
+/// B to, and every lock is released.
+#[test]
+fn granule_runs_stop_at_the_first_foreign_granule() {
+    let mut cluster = LocalCluster::bootstrap(&config(2, 8));
+    cluster
+        .migrate(NodeId(0), NodeId(1), TABLE, vec![GranuleId(2)])
+        .unwrap();
+    let before = cluster.node(NodeId(0)).locks.acquisitions();
+    let err = cluster
+        .user_txn(
+            NodeId(0),
+            TABLE,
+            &[110, 120],
+            &[
+                (250, Bytes::from_static(b"b")),
+                (130, Bytes::from_static(b"a")),
+            ],
+        )
+        .unwrap_err();
+    assert_eq!(
+        err,
+        TxnError::WrongNode {
+            granule: GranuleId(2),
+            owner: NodeId(1)
+        }
+    );
+    let rt = cluster.node(NodeId(0));
+    assert_eq!(rt.locks.acquisitions() - before, 1 + 2);
+    assert_eq!(rt.locks.active_locks(), 0);
+}
+
+/// A granule the GTable gives the node but whose rows it does not hold
+/// answers a read with `WrongNode` and no owner hint.
+#[test]
+fn missing_granule_is_wrong_node() {
+    let mut cluster = LocalCluster::bootstrap(&config(2, 8));
+    cluster.node_mut(NodeId(0)).data.remove(TABLE, GranuleId(1));
+    let err = cluster.user_txn(NodeId(0), TABLE, &[150], &[]).unwrap_err();
+    assert_eq!(
+        err,
+        TxnError::WrongNode {
+            granule: GranuleId(1),
+            owner: NodeId(u32::MAX)
+        }
+    );
+    assert_eq!(cluster.node(NodeId(0)).locks.active_locks(), 0);
+}
+
 #[test]
 fn wrong_node_requests_are_redirected() {
     let mut cluster = LocalCluster::bootstrap(&config(2, 8));

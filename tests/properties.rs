@@ -5,10 +5,11 @@
 
 use bytes::Bytes;
 use marlin::common::{
-    ClusterConfig, CoordError, GranuleId, GranuleLayout, KeyRange, NodeId, TableId,
+    ClusterConfig, CoordError, GranuleId, GranuleLayout, KeyRange, NodeId, TableId, TxnError,
 };
 use marlin::core::LocalCluster;
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 const TABLE: TableId = TableId(0);
 const NODES: u32 = 4;
@@ -164,6 +165,108 @@ proptest! {
         let a = cluster.node(NodeId(0)).marlin.mtable().scan();
         let b = cluster.node(NodeId(1)).marlin.mtable().scan();
         prop_assert_eq!(a, b);
+    }
+}
+
+/// One step of a `user_txn` script.
+#[derive(Clone, Debug)]
+enum Step {
+    /// Reads then writes on `node`, each key `granule * 10 + offset` over
+    /// one of the call's granules (offsets 0..4, so keys repeat).
+    Txn {
+        node: u8,
+        granules: Vec<u8>,
+        ops: Vec<(usize, u8, bool)>,
+        read_only: bool,
+    },
+    /// Live-migrate `granule` from its owner to `dst`.
+    Move { granule: u8, dst: u8 },
+}
+
+fn step_strategy() -> impl Strategy<Value = Step> {
+    prop_oneof![
+        (
+            0..NODES as u8,
+            proptest::collection::vec(0..GRANULES as u8, 1..4),
+            proptest::collection::vec((0..3usize, 0..4u8, any::<bool>()), 1..10),
+            any::<bool>(),
+        )
+            .prop_map(|(node, granules, ops, read_only)| Step::Txn {
+                node,
+                granules,
+                ops,
+                read_only,
+            }),
+        (0..GRANULES as u8, 0..NODES as u8).prop_map(|(granule, dst)| Step::Move { granule, dst }),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+    /// Random `user_txn` scripts against a model of values and of each
+    /// node's ownership view: every call's `Ok` reads or `Err` variant is
+    /// the model's. A node refuses a granule with the owner it last handed
+    /// it to, or with no hint if it never owned it.
+    #[test]
+    fn user_txn_matches_a_model_of_values_and_ownership(
+        steps in proptest::collection::vec(step_strategy(), 1..30),
+    ) {
+        let mut cluster = cluster();
+        let mut owner: BTreeMap<u64, NodeId> = BTreeMap::new();
+        let mut hint: BTreeMap<(NodeId, u64), NodeId> = BTreeMap::new();
+        for node in (0..NODES).map(NodeId) {
+            for g in cluster.node(node).marlin.owned_granules() {
+                owner.insert(g.0, node);
+                hint.insert((node, g.0), node);
+            }
+        }
+        let mut values: BTreeMap<u64, Bytes> = BTreeMap::new();
+        for (i, step) in steps.into_iter().enumerate() {
+            match step {
+                Step::Txn { node, granules, ops, read_only } => {
+                    let node = NodeId(u32::from(node));
+                    let mut reads = Vec::new();
+                    let mut writes = Vec::new();
+                    for (slot, offset, write) in ops {
+                        let granule = u64::from(granules[slot % granules.len()]);
+                        let key = granule * 10 + u64::from(offset);
+                        if write && !read_only {
+                            writes.push((key, Bytes::from(format!("{i}:{key}").into_bytes())));
+                        } else {
+                            reads.push(key);
+                        }
+                    }
+                    let refused = reads
+                        .iter()
+                        .chain(writes.iter().map(|(key, _)| key))
+                        .map(|key| key / 10)
+                        .find_map(|granule| {
+                            let owner = hint.get(&(node, granule)).copied().unwrap_or(NodeId(u32::MAX));
+                            (owner != node).then_some(TxnError::WrongNode { granule: GranuleId(granule), owner })
+                        });
+                    let expected = match refused {
+                        Some(e) => Err(e),
+                        None => Ok(reads.iter().map(|key| values.get(key).cloned()).collect::<Vec<_>>()),
+                    };
+                    prop_assert_eq!(cluster.user_txn(node, TABLE, &reads, &writes), expected.clone());
+                    if expected.is_ok() {
+                        values.extend(writes);
+                    }
+                    prop_assert_eq!(cluster.node(node).locks.active_locks(), 0);
+                }
+                Step::Move { granule, dst } => {
+                    let (granule, dst) = (u64::from(granule), NodeId(u32::from(dst)));
+                    let src = owner[&granule];
+                    if src != dst {
+                        cluster.migrate(src, dst, TABLE, vec![GranuleId(granule)]).unwrap();
+                        owner.insert(granule, dst);
+                        hint.insert((src, granule), dst);
+                        hint.insert((dst, granule), dst);
+                    }
+                }
+            }
+        }
     }
 }
 

@@ -384,6 +384,28 @@ impl Workload {
     }
 }
 
+/// Granule `g` of `count` starts on node `floor(g · nodes / count)`: node
+/// `n` holds the block `[ceil(n · count / nodes), ceil((n + 1) · count /
+/// nodes))`, empty when there are more nodes than granules. Filling the
+/// blocks takes one division per node, not one per granule.
+fn initial_blocks(count: u64, nodes: u32) -> Vec<GranuleSim> {
+    let block_end =
+        |n: u32| (u128::from(n + 1) * u128::from(count)).div_ceil(u128::from(nodes)) as usize;
+    let mut granules = Vec::with_capacity(count as usize);
+    for owner in 0..nodes {
+        granules.resize(
+            block_end(owner),
+            GranuleSim {
+                owner,
+                migrating: false,
+                busy_until: 0,
+                cold_left: 0,
+            },
+        );
+    }
+    granules
+}
+
 impl ClusterSim {
     /// Build a cluster of `initial_nodes` nodes with the given workload,
     /// client count, and coordination backend. Granules start contiguously
@@ -415,18 +437,7 @@ impl ClusterSim {
             .collect();
 
         // Granules: contiguous blocks per node, all warm.
-        let granules: Vec<GranuleSim> = (0..granule_count)
-            .map(|g| {
-                let owner =
-                    (u128::from(g) * u128::from(initial_nodes) / u128::from(granule_count)) as u32;
-                GranuleSim {
-                    owner,
-                    migrating: false,
-                    busy_until: 0,
-                    cold_left: 0,
-                }
-            })
-            .collect();
+        let granules = initial_blocks(granule_count, initial_nodes);
         let routes = granules.iter().map(|g| g.owner).collect();
         let mut region_granules: Vec<Vec<u64>> = vec![Vec::new(); regions as usize];
         for (g, gran) in granules.iter().enumerate() {
@@ -1081,6 +1092,25 @@ mod tests {
     use super::observe::sorted_window_stats;
     use super::station::{deposit, ring_slot, Slot, BUCKET, CPU_TAU};
     use super::*;
+
+    /// The per-node block fill gives every granule the owner of the
+    /// per-granule division it replaced — more nodes than granules,
+    /// counts that do not divide, one node, one granule.
+    #[test]
+    fn initial_blocks_are_the_per_granule_division() {
+        for count in [0u64, 1, 2, 3, 7, 10, 64, 97, 1000] {
+            for nodes in [1u32, 2, 3, 5, 8, 13, 64, 100, 1001] {
+                let owners: Vec<u32> = initial_blocks(count, nodes)
+                    .iter()
+                    .map(|g| g.owner)
+                    .collect();
+                let divided: Vec<u32> = (0..count)
+                    .map(|g| (u128::from(g) * u128::from(nodes) / u128::from(count)) as u32)
+                    .collect();
+                assert_eq!(owners, divided, "{count} granules over {nodes} nodes");
+            }
+        }
+    }
 
     // -- CpuStation (analytic EMA) boundary behavior ------------------------
 

@@ -25,7 +25,8 @@ use crate::drivers::{
     AddNodeDriver, CommitDriver, CommitOutcome, DeleteNodeDriver, Effect, Input, MigrationDriver,
     Participant, RecoveryMigrDriver, ScanGTableDriver, Updates,
 };
-use crate::gtable::{materialize, GTablePartition, GranuleMeta};
+use crate::gtable::{GTablePartition, GranuleMeta};
+use crate::invariants::Violation;
 use crate::node::MarlinNode;
 use crate::records::GRecord;
 use bytes::Bytes;
@@ -38,6 +39,7 @@ use marlin_engine::{
     DataStore, Granule, LockMode, LockTable, LockTarget, RowWrite, TxnUpdateRecord,
 };
 use marlin_storage::StorageService;
+use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
 
 /// How many times reconfiguration wrappers retry after a commit conflict
@@ -76,12 +78,23 @@ struct GranuleRun<'a> {
     rows: Option<&'a Granule>,
 }
 
+/// A GLog folded into the GTable partition it materializes, and the LSN
+/// it has been read to: a data record moves the cursor, not the partition.
+#[derive(Default)]
+struct FoldedGLog {
+    partition: GTablePartition,
+    read_to: Lsn,
+}
+
 /// The synchronous cluster: storage + nodes + table layouts.
 pub struct LocalCluster {
     storage: StorageService,
     nodes: BTreeMap<NodeId, NodeRuntime>,
     layouts: BTreeMap<TableId, GranuleLayout>,
     page_bytes: u64,
+    /// Each node's GLog as far as [`LocalCluster::check_invariants`] has
+    /// folded it. The check takes `&self`, hence the `RefCell`.
+    folded_glogs: RefCell<BTreeMap<NodeId, FoldedGLog>>,
 }
 
 impl LocalCluster {
@@ -97,6 +110,7 @@ impl LocalCluster {
             nodes: BTreeMap::new(),
             layouts: map,
             page_bytes,
+            folded_glogs: RefCell::default(),
         }
     }
 
@@ -442,7 +456,7 @@ impl LocalCluster {
             let ops = reads
                 .iter()
                 .map(|&key| (key, None))
-                .chain(writes.iter().map(|(key, value)| (*key, Some(value))));
+                .chain(writes.iter().map(|(key, value)| (*key, Some(&value[..]))));
             let mut current: Option<GranuleRun<'_>> = None;
             let outcome: Result<(), TxnError> = (|| {
                 for (key, value) in ops {
@@ -488,7 +502,7 @@ impl LocalCluster {
                                 granule: run.granule,
                                 key,
                                 page_index: ((key - run.range.lo) % pages_per_granule) as u32,
-                                value: value.clone(),
+                                value,
                             });
                         }
                     }
@@ -511,13 +525,16 @@ impl LocalCluster {
             txn,
             writes: row_writes,
         };
-        let payload = record.encode_page_updates();
+        let encoded = record.encode_page_updates();
         let (mut driver, effects) = {
             let rt = &self.nodes[&node];
             CommitDriver::new(
                 txn,
                 node,
-                vec![(Participant::Node(node), Updates::Raw(payload))],
+                vec![(
+                    Participant::Node(node),
+                    Updates::Raw(encoded.payload().clone()),
+                )],
                 &rt.marlin.tracker,
             )
         };
@@ -530,18 +547,22 @@ impl LocalCluster {
         match outcome {
             CommitOutcome::Committed => {
                 // One row-store lookup per run of writes to one granule.
-                let mut writes = record.writes.into_iter().peekable();
-                while let Some(first) = writes.next() {
+                // Each row keeps its value's window into the record just
+                // appended: the log holds the bytes, the row store only
+                // points at them.
+                let mut writes = record.writes.iter().zip(encoded.values()).peekable();
+                while let Some((first, value)) = writes.next() {
                     let id = (first.table, first.granule);
                     let g = rt
                         .data
                         .granule_mut(first.table, first.granule)
                         .expect("owned granule");
                     debug_assert!(g.range.contains(first.key));
-                    g.rows.insert(first.key, first.value);
-                    while let Some(w) = writes.next_if(|w| (w.table, w.granule) == id) {
+                    g.rows.insert(first.key, value);
+                    while let Some((w, value)) = writes.next_if(|(w, _)| (w.table, w.granule) == id)
+                    {
                         debug_assert!(g.range.contains(w.key));
-                        g.rows.insert(w.key, w.value);
+                        g.rows.insert(w.key, value);
                     }
                 }
                 rt.locks.release_all(txn);
@@ -649,26 +670,40 @@ impl LocalCluster {
     /// historical panicking behavior lives on in the thin
     /// [`LocalCluster::assert_invariants`] wrapper that existing call
     /// sites keep using.
-    pub fn check_invariants(&self) -> Result<(), Vec<crate::invariants::Violation>> {
-        let mut views: BTreeMap<NodeId, GTablePartition> = BTreeMap::new();
+    ///
+    /// Materializing is a fold over the log, so each call folds only the
+    /// records appended since the last one into the partitions it keeps.
+    /// The checked nodes are those with a runtime and a GLog; neither is
+    /// ever dropped, so the kept partitions are exactly theirs.
+    pub fn check_invariants(&self) -> Result<(), Vec<Violation>> {
+        let mut folded = self.folded_glogs.borrow_mut();
         for &id in self.nodes.keys() {
             let Ok(log) = self.storage.log(LogId::GLog(id)) else {
                 continue;
             };
-            let records = log
-                .read_after(Lsn::ZERO)
-                .into_iter()
-                .filter_map(|r| GRecord::decode(&r.payload).map(|rec| (r.lsn, rec)));
-            views.insert(id, materialize(records));
+            let view = folded.entry(id).or_default();
+            for r in log.read_after(view.read_to) {
+                if let Some(record) = GRecord::decode(&r.payload) {
+                    view.partition.apply(r.lsn, &record);
+                }
+                view.read_to = r.lsn;
+            }
         }
+        self.check_views(&folded.iter().map(|(n, f)| (*n, &f.partition)).collect())
+    }
+
+    /// I0–I4 over the given per-node partitions.
+    fn check_views(
+        &self,
+        views: &BTreeMap<NodeId, &GTablePartition>,
+    ) -> Result<(), Vec<Violation>> {
         let universe: Vec<GranuleId> = self
             .layouts
             .values()
             .flat_map(GranuleLayout::granules)
             .collect();
-        let refs: BTreeMap<NodeId, &GTablePartition> = views.iter().map(|(n, p)| (*n, p)).collect();
-        let mut violations = crate::invariants::check_exclusive_ownership(&refs, &universe);
-        violations.extend(crate::invariants::check_range_agreement(&refs));
+        let mut violations = crate::invariants::check_exclusive_ownership(views, &universe);
+        violations.extend(crate::invariants::check_range_agreement(views));
         if violations.is_empty() {
             Ok(())
         } else {
@@ -1043,6 +1078,235 @@ impl LocalCluster {
         Input::OwnersAt {
             from: at,
             owners: Some(owners),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::gtable::materialize;
+    use marlin_common::KeyRange;
+    use proptest::prelude::*;
+
+    const TABLE: TableId = TableId(0);
+    const NODES: u32 = 3;
+    const GRANULES: u64 = 6;
+
+    fn cluster() -> LocalCluster {
+        LocalCluster::bootstrap(&ClusterConfig {
+            initial_nodes: (0..NODES).map(NodeId).collect(),
+            tables: vec![GranuleLayout::uniform(
+                TABLE,
+                KeyRange::new(0, GRANULES * 10),
+                GRANULES,
+                64 * 1024,
+                1024,
+            )],
+            ..ClusterConfig::default()
+        })
+    }
+
+    fn owner(c: &LocalCluster, granule: GranuleId) -> NodeId {
+        c.node_ids()
+            .into_iter()
+            .find(|&n| c.node(n).marlin.gtable().owner_of(granule) == Some(n))
+            .expect("every granule has an owner")
+    }
+
+    /// The from-LSN-0 materialization the folded views replaced: every
+    /// checked node's GLog read and decoded from its first record.
+    fn views_from_zero(c: &LocalCluster) -> BTreeMap<NodeId, GTablePartition> {
+        let mut views = BTreeMap::new();
+        for &id in c.nodes.keys() {
+            let Ok(log) = c.storage.log(LogId::GLog(id)) else {
+                continue;
+            };
+            let records = log
+                .read_after(Lsn::ZERO)
+                .into_iter()
+                .filter_map(|r| GRecord::decode(&r.payload).map(|rec| (r.lsn, rec)));
+            views.insert(id, materialize(records));
+        }
+        views
+    }
+
+    /// Runs the check, then asserts that its partitions and its verdict
+    /// are the from-LSN-0 oracle's. Returns the verdict.
+    fn check_against_oracle(c: &LocalCluster) -> Result<(), Vec<Violation>> {
+        let verdict = c.check_invariants();
+        let oracle = views_from_zero(c);
+        let folded: BTreeMap<NodeId, GTablePartition> = c
+            .folded_glogs
+            .borrow()
+            .iter()
+            .map(|(n, f)| (*n, f.partition.clone()))
+            .collect();
+        assert_eq!(folded, oracle);
+        let refs = oracle.iter().map(|(n, p)| (*n, p)).collect();
+        assert_eq!(verdict, c.check_views(&refs));
+        verdict
+    }
+
+    /// Whether `row`'s bytes lie inside `payload`'s.
+    fn lies_in(row: &Bytes, payload: &Bytes) -> bool {
+        let (row, payload) = (row.as_ptr_range(), payload.as_ptr_range());
+        payload.start <= row.start && row.end <= payload.end
+    }
+
+    /// Each row of `granule` on `node` that `writes` names holds the
+    /// written value, and its bytes are the payload of the record at
+    /// `lsn` in `log`.
+    fn assert_windows(
+        c: &LocalCluster,
+        node: NodeId,
+        granule: GranuleId,
+        writes: &[(u64, Bytes)],
+        log: LogId,
+        lsn: Lsn,
+    ) {
+        let record = c.storage.log(log).unwrap().read_at(lsn).unwrap();
+        let rows = &c.node(node).data.granule(TABLE, granule).unwrap().rows;
+        for (key, value) in writes {
+            let row = &rows[key];
+            assert_eq!(row, value);
+            assert!(lies_in(row, &record.payload), "row {key} is a copy");
+        }
+    }
+
+    /// A committed row is a window into the GLog record its commit
+    /// appended, and stays one when a migration ships it and when crash
+    /// recovery rebuilds it from pages.
+    #[test]
+    fn rows_are_windows_into_their_commit_record() {
+        let mut c = cluster();
+        let granule = GranuleId(1);
+        let src = owner(&c, granule);
+        let writes: Vec<(u64, Bytes)> = (10..14)
+            .map(|k| (k, Bytes::from(format!("value of {k}").into_bytes())))
+            .collect();
+        c.user_txn(src, TABLE, &[], &writes).unwrap();
+        let log = LogId::GLog(src);
+        let lsn = c.storage.end_lsn(log).unwrap();
+        assert_windows(&c, src, granule, &writes, log, lsn);
+
+        let dst = NodeId((src.0 + 1) % NODES);
+        c.migrate(src, dst, TABLE, vec![granule]).unwrap();
+        assert_windows(&c, dst, granule, &writes, log, lsn);
+
+        let rescuer = NodeId((dst.0 + 1) % NODES);
+        c.kill(dst);
+        c.recovery_migrate(rescuer, dst, vec![granule]).unwrap();
+        assert_windows(&c, rescuer, granule, &writes, log, lsn);
+        assert_eq!(
+            c.user_txn(rescuer, TABLE, &[10, 13], &[]).unwrap(),
+            vec![Some(writes[0].1.clone()), Some(writes[3].1.clone())]
+        );
+    }
+
+    /// An `Install` planted on a second node's GLog for a granule its
+    /// owner still holds is a dual owner, for the folded views exactly
+    /// as for the oracle.
+    #[test]
+    fn a_planted_second_install_is_a_dual_owner() {
+        let c = cluster();
+        let granule = GranuleId(4);
+        let holder = owner(&c, granule);
+        let intruder = NodeId((holder.0 + 1) % NODES);
+        assert_eq!(check_against_oracle(&c), Ok(()));
+        let planted = GRecord::Install {
+            table: TABLE,
+            granule,
+            range: c.layout(TABLE).range_of(granule),
+            owner: intruder,
+        };
+        c.storage
+            .append(LogId::GLog(intruder), vec![planted.encode()])
+            .unwrap();
+        let (a, b) = (holder.min(intruder), holder.max(intruder));
+        assert_eq!(
+            check_against_oracle(&c),
+            Err(vec![Violation::DualOwner { granule, a, b }])
+        );
+    }
+
+    /// One step of a random history. Node fields index the cluster's
+    /// runtimes at the time of the step.
+    #[derive(Clone, Debug)]
+    enum Step {
+        Commit { node: u8, key: u8 },
+        Migrate { granule: u8, dst: u8 },
+        Crash { node: u8, rescuer: u8 },
+        Revive { node: u8 },
+        Add { id: u8 },
+        Remove { coordinator: u8, victim: u8 },
+        Check,
+    }
+
+    fn step() -> impl Strategy<Value = Step> {
+        prop_oneof![
+            (any::<u8>(), 0..(GRANULES * 10) as u8)
+                .prop_map(|(node, key)| Step::Commit { node, key }),
+            (0..GRANULES as u8, any::<u8>())
+                .prop_map(|(granule, dst)| Step::Migrate { granule, dst }),
+            (any::<u8>(), any::<u8>()).prop_map(|(node, rescuer)| Step::Crash { node, rescuer }),
+            any::<u8>().prop_map(|node| Step::Revive { node }),
+            (0..6u8).prop_map(|id| Step::Add { id }),
+            (any::<u8>(), any::<u8>()).prop_map(|(coordinator, victim)| Step::Remove {
+                coordinator,
+                victim
+            }),
+            Just(Step::Check),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+        /// Over random histories of commits, migrations, crashes with
+        /// recovery, revivals, membership adds and removes, the folded
+        /// views and the violations they yield equal the from-LSN-0
+        /// oracle's at every check.
+        #[test]
+        fn folded_views_equal_the_from_zero_oracle(steps in proptest::collection::vec(step(), 1..40)) {
+            let mut c = cluster();
+            for s in steps {
+                let ids = c.node_ids();
+                let pick = |i: u8| ids[usize::from(i) % ids.len()];
+                match s {
+                    Step::Commit { node, key } => {
+                        let value = Bytes::from(vec![key; 8]);
+                        let _ = c.user_txn(pick(node), TABLE, &[], &[(u64::from(key), value)]);
+                    }
+                    Step::Migrate { granule, dst } => {
+                        let granule = GranuleId(u64::from(granule));
+                        let (src, dst) = (owner(&c, granule), pick(dst));
+                        if src != dst {
+                            let _ = c.migrate(src, dst, TABLE, vec![granule]);
+                        }
+                    }
+                    Step::Crash { node, rescuer } => {
+                        let (node, rescuer) = (pick(node), pick(rescuer));
+                        c.kill(node);
+                        let orphans = c.node(node).marlin.owned_granules();
+                        if rescuer != node && !orphans.is_empty() {
+                            let _ = c.recovery_migrate(rescuer, node, orphans);
+                        }
+                    }
+                    Step::Revive { node } => c.revive(pick(node)),
+                    Step::Add { id } => {
+                        let id = NodeId(u32::from(id));
+                        let _ = c.add_node(id, format!("10.0.0.{}", id.0));
+                    }
+                    Step::Remove { coordinator, victim } => {
+                        let _ = c.delete_node(pick(coordinator), pick(victim));
+                    }
+                    Step::Check => {
+                        let _ = check_against_oracle(&c);
+                    }
+                }
+            }
+            let _ = check_against_oracle(&c);
         }
     }
 }

@@ -6,11 +6,12 @@
 //! commit for distributed atomicity (driven by `marlin-core`'s commit
 //! driver), over a WAL codec whose records the commit path appends.
 //!
-//! The engine offers two data paths: a fully materialized row store
+//! The engine's data path is a fully materialized row store
 //! ([`store::DataStore`]) used by functional tests, examples, and
-//! small-scale scenarios, and lightweight accounting used by the large
-//! simulated experiments where tuple *values* are irrelevant to the
-//! coordination behavior being measured (see DESIGN.md).
+//! small-scale scenarios. The large simulated experiments keep no rows:
+//! tuple *values* are irrelevant to the coordination behavior they
+//! measure (see docs/ARCHITECTURE.md, "Cost of a request on
+//! `ClusterSim`").
 
 pub mod locks;
 pub mod recovery;

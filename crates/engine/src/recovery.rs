@@ -7,10 +7,14 @@
 //!
 //! 1. [`recover_granule_from_pages`] — fetch the granule's pages via
 //!    `GetPage@LSN` and fold their delta chains into rows (the normal
-//!    cold-cache path).
+//!    cold-cache path). Replay keeps each delta as a window into its log
+//!    record's payload, and each recovered value is a window into its
+//!    delta, so a recovered row shares its bytes with the log, as a
+//!    committed one does: recovery copies no value.
 //! 2. [`recover_granule_from_log`] — replay the data WAL directly (used
 //!    when the page store lags and the caller prefers log reads, and by
-//!    tests as an oracle for path 1).
+//!    tests as an oracle for path 1). It copies each value out of its
+//!    record.
 
 use crate::store::Granule;
 use crate::wal::TxnUpdateRecord;
@@ -76,7 +80,7 @@ pub fn recover_granule_from_log(
         if let Some(update) = TxnUpdateRecord::decode(&record.payload) {
             for w in &update.writes {
                 if w.table == table && w.granule == granule {
-                    g.rows.insert(w.key, w.value.clone());
+                    g.rows.insert(w.key, Bytes::copy_from_slice(w.value));
                 }
             }
         }
@@ -98,17 +102,17 @@ mod tests {
     use marlin_common::{NodeId, TxnId};
     use marlin_storage::ReplayService;
 
-    fn write(key: u64, value: &'static str, page_index: u32) -> RowWrite {
+    fn write(key: u64, value: &'static str, page_index: u32) -> RowWrite<'static> {
         RowWrite {
             table: TableId(0),
             granule: GranuleId(0),
             key,
             page_index,
-            value: Bytes::from_static(value.as_bytes()),
+            value: value.as_bytes(),
         }
     }
 
-    fn commit_to_log(log: &SharedLog, seq: u32, writes: Vec<RowWrite>) {
+    fn commit_to_log(log: &SharedLog, seq: u32, writes: Vec<RowWrite<'_>>) {
         let record = TxnUpdateRecord {
             txn: TxnId::new(NodeId(0), seq),
             writes,
@@ -139,7 +143,7 @@ mod tests {
             granule: GranuleId(7),
             key: 5,
             page_index: 0,
-            value: Bytes::from_static(b"other"),
+            value: b"other",
         };
         commit_to_log(&log, 1, vec![write(1, "mine", 0), other]);
         let g = recover_granule_from_log(&log, TableId(0), GranuleId(0), KeyRange::new(0, 100));

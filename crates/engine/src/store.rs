@@ -4,7 +4,11 @@
 //! sorted row map over its key range. This is the fully materialized path
 //! used by functional tests, examples, and small-scale scenarios; the
 //! large simulated experiments account accesses without materializing rows
-//! (DESIGN.md, "Data plane virtualization").
+//! (docs/ARCHITECTURE.md, "Cost of a request on `ClusterSim`").
+//!
+//! On `LocalCluster` a row's value is a window into the WAL record that
+//! wrote it, not a copy (docs/ARCHITECTURE.md, "Cost of a commit on
+//! `LocalCluster`").
 
 use bytes::Bytes;
 use marlin_common::{GranuleId, KeyRange, TableId};

@@ -24,7 +24,7 @@ pub enum TxnState {
 
 /// Execution context of one transaction on one node.
 #[derive(Clone, Debug)]
-pub struct TxnCtx {
+pub struct TxnCtx<'a> {
     /// Transaction identity.
     pub id: TxnId,
     /// Current lifecycle state.
@@ -32,12 +32,12 @@ pub struct TxnCtx {
     /// Locks acquired (released wholesale at end of transaction).
     pub locks: Vec<LockTarget>,
     /// Buffered writes, applied and logged only at commit.
-    pub writes: Vec<RowWrite>,
+    pub writes: Vec<RowWrite<'a>>,
     /// Number of read operations performed (statistics).
     pub reads: u64,
 }
 
-impl TxnCtx {
+impl<'a> TxnCtx<'a> {
     /// Begin a transaction.
     #[must_use]
     pub fn begin(id: TxnId) -> Self {
@@ -56,7 +56,7 @@ impl TxnCtx {
     }
 
     /// Buffer a write.
-    pub fn buffer_write(&mut self, write: RowWrite) {
+    pub fn buffer_write(&mut self, write: RowWrite<'a>) {
         debug_assert_eq!(self.state, TxnState::Active, "writes only while active");
         self.writes.push(write);
     }
@@ -99,16 +99,15 @@ impl TxnCtx {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::Bytes;
     use marlin_common::{GranuleId, NodeId, TableId};
 
-    fn w(key: u64) -> RowWrite {
+    fn w(key: u64) -> RowWrite<'static> {
         RowWrite {
             table: TableId(0),
             granule: GranuleId(0),
             key,
             page_index: 0,
-            value: Bytes::from_static(b"v"),
+            value: b"v",
         }
     }
 

@@ -17,12 +17,21 @@
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use marlin_common::{GranuleId, PageId, TableId, TxnId};
 use marlin_storage::PageUpdateWriter;
+use std::ops::Range;
 
 const MAGIC: u16 = 0x4D57;
 
-/// One row write inside a transaction.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct RowWrite {
+/// Bytes in front of the value in an encoded write:
+/// `table u32 | granule u64 | key u64 | page_index u32 | len u32`.
+const WRITE_HEADER: usize = 4 + 8 + 8 + 4 + 4;
+
+/// Bytes in front of the value in a row delta: `key u64 | len u32`.
+const DELTA_HEADER: usize = 8 + 4;
+
+/// One row write inside a transaction. The value is borrowed from the
+/// caller: a commit copies it once, into the payload it appends.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct RowWrite<'a> {
     pub table: TableId,
     pub granule: GranuleId,
     pub key: u64,
@@ -30,10 +39,10 @@ pub struct RowWrite {
     /// from the granule layout).
     pub page_index: u32,
     /// New row value.
-    pub value: Bytes,
+    pub value: &'a [u8],
 }
 
-impl RowWrite {
+impl RowWrite<'_> {
     /// The page this write lands on.
     #[must_use]
     pub fn page(&self) -> PageId {
@@ -47,12 +56,36 @@ impl RowWrite {
 
 /// The WAL record of one committed transaction.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct TxnUpdateRecord {
+pub struct TxnUpdateRecord<'a> {
     pub txn: TxnId,
-    pub writes: Vec<RowWrite>,
+    pub writes: Vec<RowWrite<'a>>,
 }
 
-impl TxnUpdateRecord {
+/// A commit payload, and where each write's delta lies inside it.
+pub struct CommitPayload {
+    payload: Bytes,
+    /// Per write, in order: the byte range of its delta in `payload`.
+    deltas: Vec<Range<usize>>,
+}
+
+impl CommitPayload {
+    /// The bytes the commit appends.
+    #[must_use]
+    pub fn payload(&self) -> &Bytes {
+        &self.payload
+    }
+
+    /// Each write's value, in write order, as a window into the payload.
+    /// A committed row keeps its window, so it shares its bytes with the
+    /// log record instead of holding a copy.
+    pub fn values(&self) -> impl Iterator<Item = Bytes> + '_ {
+        self.deltas
+            .iter()
+            .map(|d| self.payload.slice(d.start + DELTA_HEADER..d.end))
+    }
+}
+
+impl<'a> TxnUpdateRecord<'a> {
     /// Encode into a log payload.
     #[must_use]
     pub fn encode(&self) -> Bytes {
@@ -60,7 +93,7 @@ impl TxnUpdateRecord {
             16 + self
                 .writes
                 .iter()
-                .map(|w| 28 + w.value.len())
+                .map(|w| WRITE_HEADER + w.value.len())
                 .sum::<usize>(),
         );
         buf.put_u16_le(MAGIC);
@@ -72,24 +105,26 @@ impl TxnUpdateRecord {
             buf.put_u64_le(w.key);
             buf.put_u32_le(w.page_index);
             buf.put_u32_le(w.value.len() as u32);
-            buf.put_slice(&w.value);
+            buf.put_slice(w.value);
         }
         buf.freeze()
     }
 
-    /// Decode from a log payload; `None` if the payload is not a data
-    /// transaction record (e.g. a coordination record).
+    /// Decode from a log payload, each value a slice of it; `None` if the
+    /// payload is not a data transaction record (e.g. a coordination
+    /// record).
     #[must_use]
-    pub fn decode(payload: &Bytes) -> Option<Self> {
-        let mut buf = payload.clone();
+    pub fn decode(payload: &'a [u8]) -> Option<Self> {
+        let mut buf = payload;
         if buf.remaining() < 2 + 8 + 4 || buf.get_u16_le() != MAGIC {
             return None;
         }
         let txn = TxnId(buf.get_u64_le());
         let count = buf.get_u32_le() as usize;
-        let mut writes = Vec::with_capacity(count);
+        // Reserve only for a count the payload can hold.
+        let mut writes = Vec::with_capacity(count.min(buf.remaining() / WRITE_HEADER));
         for _ in 0..count {
-            if buf.remaining() < 4 + 8 + 8 + 4 + 4 {
+            if buf.remaining() < WRITE_HEADER {
                 return None;
             }
             let table = TableId(buf.get_u32_le());
@@ -100,7 +135,8 @@ impl TxnUpdateRecord {
             if buf.remaining() < len {
                 return None;
             }
-            let value = buf.copy_to_bytes(len);
+            let (value, rest) = buf.split_at(len);
+            buf = rest;
             writes.push(RowWrite {
                 table,
                 granule,
@@ -120,27 +156,31 @@ impl TxnUpdateRecord {
     /// `key u64 | len u32 | value` so a cold-cache reader can reconstruct
     /// rows from `GetPage@LSN`. The framing is
     /// [`marlin_storage::PageUpdateWriter`]'s; the payload is built in one
-    /// pass, with no delta allocated per write.
+    /// pass, with no delta allocated per write, and comes back with where
+    /// each write's delta lies in it.
     #[must_use]
-    pub fn encode_page_updates(&self) -> Bytes {
-        const DELTA_HEADER: usize = 8 + 4;
+    pub fn encode_page_updates(&self) -> CommitPayload {
         let bytes = self
             .writes
             .iter()
             .map(|w| DELTA_HEADER + w.value.len())
             .sum();
         let mut out = PageUpdateWriter::new(self.writes.len(), bytes);
+        let mut deltas = Vec::with_capacity(self.writes.len());
         for w in &self.writes {
-            out.put_delta(
+            deltas.push(out.put_delta(
                 w.page(),
                 &[
                     &w.key.to_le_bytes(),
                     &(w.value.len() as u32).to_le_bytes(),
-                    &w.value,
+                    w.value,
                 ],
-            );
+            ));
         }
-        out.finish()
+        CommitPayload {
+            payload: out.finish(),
+            deltas,
+        }
     }
 
     /// The same updates as [`Self::encode_page_updates`], one allocated
@@ -151,10 +191,10 @@ impl TxnUpdateRecord {
         self.writes
             .iter()
             .map(|w| {
-                let mut delta = BytesMut::with_capacity(12 + w.value.len());
+                let mut delta = BytesMut::with_capacity(DELTA_HEADER + w.value.len());
                 delta.put_u64_le(w.key);
                 delta.put_u32_le(w.value.len() as u32);
-                delta.put_slice(&w.value);
+                delta.put_slice(w.value);
                 marlin_storage::PageUpdate {
                     page: w.page(),
                     write: marlin_storage::PageWrite::Delta(delta.freeze()),
@@ -165,12 +205,13 @@ impl TxnUpdateRecord {
 
     /// Reconstruct `key -> value` rows from a page's delta chain (the
     /// inverse of [`Self::encode_page_updates`]'s deltas on the read path).
+    /// Each value is a window into its delta, not a copy.
     #[must_use]
     pub fn rows_from_page_deltas(deltas: &[Bytes]) -> Vec<(u64, Bytes)> {
         let mut rows = Vec::new();
         for delta in deltas {
             let mut buf = delta.clone();
-            while buf.remaining() >= 12 {
+            while buf.remaining() >= DELTA_HEADER {
                 let key = buf.get_u64_le();
                 let len = buf.get_u32_le() as usize;
                 if buf.remaining() < len {
@@ -190,7 +231,7 @@ mod tests {
     use marlin_storage::PageWrite;
     use proptest::prelude::*;
 
-    fn record() -> TxnUpdateRecord {
+    fn record() -> TxnUpdateRecord<'static> {
         TxnUpdateRecord {
             txn: TxnId::new(NodeId(2), 17),
             writes: vec![
@@ -199,16 +240,33 @@ mod tests {
                     granule: GranuleId(4),
                     key: 1000,
                     page_index: 1,
-                    value: Bytes::from_static(b"hello"),
+                    value: b"hello",
                 },
                 RowWrite {
                     table: TableId(1),
                     granule: GranuleId(9),
                     key: 2000,
                     page_index: 0,
-                    value: Bytes::new(),
+                    value: b"",
                 },
             ],
+        }
+    }
+
+    /// Records over owned values, as the proptests generate them.
+    fn record_of(txn: u64, writes: &[(u32, u64, u64, u32, Vec<u8>)]) -> TxnUpdateRecord<'_> {
+        TxnUpdateRecord {
+            txn: TxnId(txn),
+            writes: writes
+                .iter()
+                .map(|(t, g, k, p, v)| RowWrite {
+                    table: TableId(*t),
+                    granule: GranuleId(*g),
+                    key: *k,
+                    page_index: *p,
+                    value: v,
+                })
+                .collect(),
         }
     }
 
@@ -220,11 +278,8 @@ mod tests {
 
     #[test]
     fn non_wal_payloads_are_rejected() {
-        assert_eq!(TxnUpdateRecord::decode(&Bytes::from_static(b"")), None);
-        assert_eq!(
-            TxnUpdateRecord::decode(&Bytes::from_static(b"\x00\x00rest")),
-            None
-        );
+        assert_eq!(TxnUpdateRecord::decode(b""), None);
+        assert_eq!(TxnUpdateRecord::decode(b"\x00\x00rest"), None);
     }
 
     #[test]
@@ -246,14 +301,14 @@ mod tests {
                     granule: GranuleId(0),
                     key: 5,
                     page_index: 0,
-                    value: Bytes::from_static(b"v1"),
+                    value: b"v1",
                 },
                 RowWrite {
                     table: TableId(0),
                     granule: GranuleId(0),
                     key: 5,
                     page_index: 0,
-                    value: Bytes::from_static(b"v2"),
+                    value: b"v2",
                 },
             ],
         };
@@ -285,25 +340,14 @@ mod tests {
                 0..12,
             )
         ) {
-            let r = TxnUpdateRecord {
-                txn: TxnId(txn),
-                writes: writes
-                    .into_iter()
-                    .map(|(t, g, k, p, v)| RowWrite {
-                        table: TableId(t),
-                        granule: GranuleId(g),
-                        key: k,
-                        page_index: p,
-                        value: Bytes::from(v),
-                    })
-                    .collect(),
-            };
+            let r = record_of(txn, &writes);
             prop_assert_eq!(TxnUpdateRecord::decode(&r.encode()), Some(r));
         }
 
         /// The one-pass commit payload is the two-step encoding byte for
         /// byte — no writes, empty values, several tables and granules —
-        /// and replay decodes it back to the record's page updates.
+        /// replay decodes it back to the record's page updates, and each
+        /// value window holds its write's value inside the payload.
         #[test]
         fn one_pass_payload_is_the_two_step_encoding(
             txn in any::<u64>(),
@@ -312,22 +356,19 @@ mod tests {
                 0..12,
             )
         ) {
-            let r = TxnUpdateRecord {
-                txn: TxnId(txn),
-                writes: writes
-                    .into_iter()
-                    .map(|(t, g, k, p, v)| RowWrite {
-                        table: TableId(t),
-                        granule: GranuleId(g),
-                        key: k,
-                        page_index: p,
-                        value: Bytes::from(v),
-                    })
-                    .collect(),
-            };
-            let payload = r.encode_page_updates();
-            prop_assert_eq!(&payload, &marlin_storage::encode_page_updates(&r.to_page_updates()));
-            prop_assert_eq!(marlin_storage::decode_page_updates(&payload), Some(r.to_page_updates()));
+            let r = record_of(txn, &writes);
+            let encoded = r.encode_page_updates();
+            let payload = encoded.payload();
+            prop_assert_eq!(payload, &marlin_storage::encode_page_updates(&r.to_page_updates()));
+            prop_assert_eq!(marlin_storage::decode_page_updates(payload), Some(r.to_page_updates()));
+            let span = payload.as_ptr_range();
+            let values: Vec<Bytes> = encoded.values().collect();
+            prop_assert_eq!(values.len(), r.writes.len());
+            for (value, w) in values.iter().zip(&r.writes) {
+                prop_assert_eq!(&value[..], w.value);
+                let window = value.as_ptr_range();
+                prop_assert!(span.start <= window.start && window.end <= span.end);
+            }
         }
     }
 }

@@ -151,9 +151,10 @@ fn bucket_of(v: Nanos) -> usize {
     let v = v.max(1);
     // 10 buckets per power of two: index = floor(log2(v) * 10).
     let exp = 63 - v.leading_zeros() as usize;
-    let frac_base = 1u64 << exp;
-    let within = (u128::from(v - frac_base) * 10 / u128::from(frac_base)) as usize;
-    (exp * 10 + within.min(9)).min(BUCKETS - 1)
+    // floor((v - 2^exp) * 10 / 2^exp) is a shift, and below 10 because
+    // v < 2^(exp + 1).
+    let within = ((u128::from(v - (1 << exp)) * 10) >> exp) as usize;
+    (exp * 10 + within).min(BUCKETS - 1)
 }
 
 fn bucket_lower(idx: usize) -> Nanos {
@@ -363,6 +364,31 @@ mod tests {
         );
     }
 
+    /// `bucket_of` as it was written before the division became a shift.
+    fn bucket_of_by_division(v: Nanos) -> usize {
+        let v = v.max(1);
+        let exp = 63 - v.leading_zeros() as usize;
+        let frac_base = 1u64 << exp;
+        let within = (u128::from(v - frac_base) * 10 / u128::from(frac_base)) as usize;
+        (exp * 10 + within.min(9)).min(BUCKETS - 1)
+    }
+
+    #[test]
+    fn bucket_of_matches_the_division_formula_at_the_edges() {
+        let mut edges = vec![0, 1, 2, 3, u64::MAX - 1, u64::MAX];
+        for exp in 1..64 {
+            let base = 1u64 << exp;
+            // Each sub-bucket boundary of the octave, and its neighbours.
+            for within in 0..10u64 {
+                let at = base + base / 10 * within + (base % 10) * within / 10;
+                edges.extend([at - 1, at, at + 1]);
+            }
+        }
+        for v in edges {
+            assert_eq!(bucket_of(v), bucket_of_by_division(v), "v = {v}");
+        }
+    }
+
     #[test]
     fn histogram_merge_combines_counts() {
         let mut a = Histogram::new();
@@ -391,6 +417,12 @@ mod tests {
             for w in qs.windows(2) {
                 prop_assert!(w[0] <= w[1]);
             }
+        }
+
+        /// The shift is the division it replaced, on any value.
+        #[test]
+        fn bucket_of_is_the_division_formula(v in any::<u64>()) {
+            prop_assert_eq!(bucket_of(v), bucket_of_by_division(v));
         }
 
         /// bucket_lower(bucket_of(v)) <= v for all v (lower bound is sound).

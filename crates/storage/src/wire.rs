@@ -20,6 +20,7 @@
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use marlin_common::{GranuleId, PageId, TableId};
+use std::ops::Range;
 
 /// How a page update is applied by replay.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -75,6 +76,9 @@ pub fn encode_page_updates(updates: &[PageUpdate]) -> Bytes {
 /// one exactly-sized buffer, for a caller that holds each update's bytes
 /// as parts rather than as a [`PageUpdate`]. [`encode_page_updates`] is
 /// this writer over a slice.
+///
+/// Each write reports where its bytes lie in the finished payload, so a
+/// caller can keep windows into the payload instead of copies of them.
 pub struct PageUpdateWriter {
     buf: BytesMut,
     /// Updates promised to [`Self::new`] and not yet written.
@@ -92,11 +96,12 @@ impl PageUpdateWriter {
     }
 
     /// Append a delta on `page` whose bytes are `parts` concatenated.
-    pub fn put_delta(&mut self, page: PageId, parts: &[&[u8]]) {
-        self.put(page, KIND_DELTA, parts);
+    /// Returns the byte range of the delta in the finished payload.
+    pub fn put_delta(&mut self, page: PageId, parts: &[&[u8]]) -> Range<usize> {
+        self.put(page, KIND_DELTA, parts)
     }
 
-    fn put(&mut self, page: PageId, kind: u8, parts: &[&[u8]]) {
+    fn put(&mut self, page: PageId, kind: u8, parts: &[&[u8]]) -> Range<usize> {
         debug_assert!(self.left > 0, "more updates than promised");
         self.left -= 1;
         self.buf.put_u32_le(page.table.0);
@@ -105,9 +110,11 @@ impl PageUpdateWriter {
         self.buf.put_u8(kind);
         let len: usize = parts.iter().map(|p| p.len()).sum();
         self.buf.put_u32_le(len as u32);
+        let start = self.buf.len();
         for part in parts {
             self.buf.put_slice(part);
         }
+        start..start + len
     }
 
     /// The payload; every promised update must have been written.
@@ -235,6 +242,19 @@ mod tests {
         let mut tail = BytesMut::from(encode_page_updates(&[]).as_ref());
         tail.put_u8(0xFF);
         assert_eq!(decode_page_updates(&tail.freeze()), None);
+    }
+
+    #[test]
+    fn writer_reports_where_each_delta_lies() {
+        let mut out = PageUpdateWriter::new(3, 5);
+        let a = out.put_delta(page(0, 1, 2), &[b"ab", b"c"]);
+        let b = out.put_delta(page(3, 4, 5), &[]);
+        let c = out.put_delta(page(6, 7, 8), &[b"de"]);
+        let payload = out.finish();
+        assert_eq!(&payload[a], b"abc");
+        assert!(b.is_empty());
+        assert_eq!(&payload[c.clone()], b"de");
+        assert_eq!(c.end, payload.len());
     }
 
     #[test]

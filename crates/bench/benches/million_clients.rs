@@ -33,10 +33,9 @@ const EXACT_PROBE_WALL: Duration = Duration::from_millis(1_500);
 const MIN_VIRTUAL_PER_WALL: f64 = 25.0;
 
 fn main() {
-    // Clamp so the preset stays above both scale-engine activation
-    // thresholds even under aggressive MARLIN_SCALE shrinks: clients
-    // (1M/s) >= 10_000 needs s <= 100, and sketched granules
-    // (200k/s) >= 4_096 needs s <= 48.
+    // Clamp so heat stays sketched even under aggressive MARLIN_SCALE
+    // shrinks: the sketch's granule floor (200k/s >= 4_096) needs
+    // s <= 48.
     let s = scale().min(40);
     let started = Instant::now();
     banner(

@@ -13,7 +13,7 @@
 use crate::harness::runner::{MetricsSnapshot, TelemetrySection};
 use marlin_autoscaler::{ForecastSample, Observation, RegionLoad, ScaleAction};
 use marlin_sim::Nanos;
-use marlin_telemetry::CoordBreakdown;
+use marlin_telemetry::{json_escape, json_f64, CoordBreakdown};
 
 /// What produced a log entry.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -307,15 +307,15 @@ impl RunReport {
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(4096 + 256 * self.log.len());
         out.push('{');
-        field(&mut out, "scenario", &json_str(&self.scenario));
-        field(&mut out, "backend", &json_str(&self.backend));
-        field(&mut out, "runner", &json_str(&self.runner));
+        field(&mut out, "scenario", &json_escape(&self.scenario));
+        field(&mut out, "backend", &json_escape(&self.backend));
+        field(&mut out, "runner", &json_escape(&self.runner));
         let policy = match &self.policy {
-            Some(p) => json_str(p),
+            Some(p) => json_escape(p),
             None => "null".into(),
         };
         field(&mut out, "policy", &policy);
-        field(&mut out, "cpu_model", &json_str(&self.cpu_model));
+        field(&mut out, "cpu_model", &json_escape(&self.cpu_model));
         field(&mut out, "seed", &self.seed.to_string());
         field(&mut out, "horizon_ns", &self.horizon.to_string());
         let accuracy = match &self.forecast {
@@ -408,32 +408,6 @@ fn field(out: &mut String, key: &str, value: &str) {
     out.push(',');
 }
 
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".into()
-    }
-}
-
 fn json_pairs_u32(pairs: &[(u32, f64)]) -> String {
     let cells: Vec<String> = pairs
         .iter()
@@ -514,7 +488,7 @@ fn record_json(r: &DecisionRecord) -> String {
     out.push('{');
     field(&mut out, "tick", &r.tick.to_string());
     field(&mut out, "at_ns", &r.at.to_string());
-    field(&mut out, "source", &json_str(r.source.as_str()));
+    field(&mut out, "source", &json_escape(r.source.as_str()));
     let o = &r.observation;
     let obs = format!(
         "{{\"live_nodes\":{},\"throughput_tps\":{},\"p99_latency_ns\":{},\
@@ -694,7 +668,7 @@ fn telemetry_json(t: &TelemetrySection) -> String {
         .map(|p| {
             format!(
                 "{{\"name\":{},\"wall_ns\":{},\"calls\":{}}}",
-                json_str(p.name),
+                json_escape(p.name),
                 p.wall_nanos,
                 p.calls
             )

@@ -17,6 +17,7 @@ use marlin_autoscaler::{
 };
 use marlin_common::{NodeId, RegionId};
 use marlin_sim::{Nanos, RegionMatrix, SECOND};
+use marlin_telemetry::json_escape;
 use marlin_workload::LoadTrace;
 
 /// Default node-capacity units one closed-loop client offers (calibrated
@@ -224,50 +225,12 @@ impl Scenario {
         self
     }
 
-    /// Select the client engine ([`ClientEngine::Exact`] one event per
-    /// client vs [`ClientEngine::Cohort`] flow-level batching; simulator
-    /// only). The cohort engine activates only at or above
-    /// [`SimParams::cohort_min_clients`] — below the threshold a
-    /// `Cohort` run takes the exact per-client path and is bit-identical
-    /// to `Exact`.
+    /// Select the client engine (simulator only): [`ClientEngine::Exact`]
+    /// simulation, or the [`ClientEngine::Cohort`] scale engine —
+    /// cohorts, histogram latency window and sketched heat.
     #[must_use]
     pub fn client_engine(mut self, engine: ClientEngine) -> Self {
         self.params.client_engine = engine;
-        self
-    }
-
-    /// Override the cohort-activation threshold (parity tests force the
-    /// aggregate path at small scale by passing 0).
-    #[must_use]
-    pub fn cohort_min_clients(mut self, min: u32) -> Self {
-        self.params.cohort_min_clients = min;
-        self
-    }
-
-    /// Toggle the count-min heat sketch (simulator only; granule heat
-    /// falls back to exact counters below
-    /// [`SimParams::sketch_min_granules`]).
-    #[must_use]
-    pub fn heat_sketch(mut self, on: bool) -> Self {
-        self.params.heat_sketch = on;
-        self
-    }
-
-    /// Toggle the log-bucketed latency histogram for windowed p99
-    /// derivation (simulator only; falls back to the exact tuple window
-    /// below [`SimParams::hist_min_clients`] peak clients, so decision
-    /// logs stay bit-identical there).
-    #[must_use]
-    pub fn latency_hist(mut self, on: bool) -> Self {
-        self.params.latency_hist = on;
-        self
-    }
-
-    /// Override the histogram-activation threshold (tests force the
-    /// bucketed path at small scale by passing 0).
-    #[must_use]
-    pub fn hist_min_clients(mut self, min: u32) -> Self {
-        self.params.hist_min_clients = min;
         self
     }
 
@@ -692,11 +655,13 @@ impl Scenario {
     }
 
     /// The scale-engine showcase: one million closed-loop clients over a
-    /// Zipfian-skewed table, run by the cohort client engine with the
-    /// count-min heat sketch and a hold-policy + rebalance-planner loop,
-    /// so the full observation surface — weighted throughput and p99,
-    /// sketched hot granules — sits on the hot path. `scale` divides the
-    /// client and granule counts for quick runs (1 = the full million).
+    /// Zipfian-skewed table, run by the cohort client engine with a
+    /// hold-policy + rebalance-planner loop, so the full observation
+    /// surface — weighted throughput and p99, sketched hot granules —
+    /// sits on the hot path. `scale` divides the client and granule
+    /// counts for quick runs (1 = the full million); heat is sketched up
+    /// to scale 48, where the table still holds
+    /// [`SKETCH_MIN_KEYS`](marlin_sim::sketch::SKETCH_MIN_KEYS) granules.
     ///
     /// The same scenario with [`ClientEngine::Exact`] is the oracle the
     /// cohort engine's throughput advantage is measured against
@@ -714,8 +679,6 @@ impl Scenario {
             .observe_window(4 * SECOND)
             .duration(60 * SECOND)
             .client_engine(ClientEngine::Cohort)
-            .heat_sketch(true)
-            .latency_hist(true)
             .policy(Box::new(marlin_autoscaler::HoldPolicy))
             .planner(RebalanceConfig::default())
     }
@@ -731,9 +694,9 @@ impl Scenario {
     #[must_use]
     pub fn manifest_json(&self) -> String {
         let mut out = String::with_capacity(512);
-        out.push_str("{\"name\":\"");
-        out.push_str(&self.name);
-        out.push_str("\",\"backend\":\"");
+        out.push_str("{\"name\":");
+        out.push_str(&json_escape(&self.name));
+        out.push_str(",\"backend\":\"");
         out.push_str(match self.backend {
             CoordKind::Marlin => "marlin",
             CoordKind::ZkSmall => "zk-small",
@@ -983,27 +946,27 @@ mod tests {
         assert_eq!(s.trace.peak(), 1_000_000);
         assert_eq!(s.workload.granule_count(), 200_000);
         assert_eq!(s.params.client_engine, ClientEngine::Cohort);
-        assert!(s.params.heat_sketch);
-        assert!(s.params.latency_hist, "p99 comes from the histogram");
         assert!(s.policy.is_some() && s.planner.is_some());
-        // Scaled-down runs stay above the cohort threshold, so the
-        // engine under test is the one the bench measures.
-        let scaled = Scenario::million_clients(10);
-        assert_eq!(scaled.trace.peak(), 100_000);
-        assert!(scaled.trace.peak() >= scaled.params.cohort_min_clients);
-        assert!(scaled.trace.peak() >= scaled.params.hist_min_clients);
-        // The builder knobs reach params for hand-rolled scenarios too.
-        let s = Scenario::new("t")
-            .client_engine(ClientEngine::Cohort)
-            .cohort_min_clients(0)
-            .heat_sketch(true)
-            .latency_hist(true)
-            .hist_min_clients(0);
+        // The largest scale whose table is still sketched.
+        let scaled = Scenario::million_clients(48);
+        assert_eq!(scaled.trace.peak(), 20_833);
+        assert!(scaled.workload.granule_count() >= marlin_sim::sketch::SKETCH_MIN_KEYS as u64);
+        // The builder knob reaches params for hand-rolled scenarios too.
+        let s = Scenario::new("t").client_engine(ClientEngine::Cohort);
         assert_eq!(s.params.client_engine, ClientEngine::Cohort);
-        assert_eq!(s.params.cohort_min_clients, 0);
-        assert!(s.params.heat_sketch);
-        assert!(s.params.latency_hist);
-        assert_eq!(s.params.hist_min_clients, 0);
+    }
+
+    #[test]
+    fn manifest_escapes_the_scenario_name() {
+        let manifest = Scenario::new("say \"hi\"\nand\tleave\\").manifest_json();
+        // The escaped name, then the next field: the name cannot end the
+        // string early or break the line.
+        assert!(
+            manifest.starts_with(r#"{"name":"say \"hi\"\nand\tleave\\","backend":"marlin","#),
+            "{manifest}"
+        );
+        // One line, so it fits a `#` comment of a repro artifact.
+        assert!(!manifest.contains('\n'));
     }
 
     #[test]

@@ -122,38 +122,33 @@ impl CpuModel {
     }
 }
 
-/// How simulated clients are advanced by `ClusterSim`.
+/// How `ClusterSim` scales: the simulator's one scale switch.
 ///
-/// The simulator's historical hot loop schedules one `ClientTxn` event
-/// per client per transaction, which is exact but caps throughput at a
-/// few hundred thousand clients. The cohort engine replaces that loop
-/// with flow-level batching at large scale:
+/// - [`ClientEngine::Exact`] (the default) — one `ClientTxn` event per
+///   client transaction, an exact per-granule heat vector and an exact
+///   `(commit time, latency, region, weight)` window for p99. Every §6
+///   decision log and report digest comes from this engine.
+/// - [`ClientEngine::Cohort`] — the scale engine, for
+///   `million_clients`-scale runs where per-client events would
+///   dominate wall time. Clients sharing a region advance as one cohort
+///   in fixed virtual steps: each step samples a handful of
+///   representative transaction walks with the cohort's own forked
+///   [`DetRng`](marlin_sim::DetRng) stream and offers the remaining
+///   demand to the CPU stations in bulk, so demand redistributes on the
+///   step after any migration. Windowed p99 comes from log-bucketed
+///   histograms (an underestimate within 1/32), and granule heat from a
+///   count-min sketch once the table reaches
+///   [`SKETCH_MIN_KEYS`](marlin_sim::sketch::SKETCH_MIN_KEYS) granules
+///   (below that the exact vector is cheaper and is used).
 ///
-/// - [`ClientEngine::Exact`] (the default) — one event per client
-///   transaction. Every decision log and report digest produced before
-///   this enum existed came from this path; it remains the oracle.
-/// - [`ClientEngine::Cohort`] — clients sharing a region are advanced as
-///   one cohort. Below [`SimParams::cohort_min_clients`] peak clients
-///   the engine is *parity-pinned*: it routes through the literal exact
-///   path (same events, same RNG draws), so §6-preset decision logs are
-///   bit-identical under either engine. At or above the threshold a
-///   flow-level engine takes over: each cohort advances in fixed virtual
-///   steps, samples a handful of representative transaction walks with
-///   the cohort's own forked [`DetRng`](marlin_sim::DetRng) stream, and
-///   offers the remaining aggregate demand to the CPU stations in bulk.
-///   Route/ownership changes are picked up by the per-step resampling,
-///   so demand redistributes on the next step after any migration.
-///
-/// Use `Exact` whenever historical parity matters; use `Cohort` for
-/// `million_clients`-scale scenarios where per-client events dominate
-/// wall time. See `docs/ARCHITECTURE.md` ("Scale engine").
+/// See `docs/ARCHITECTURE.md` ("Scale engine").
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum ClientEngine {
-    /// One event per client transaction (historical behavior, exact).
+    /// One event per client transaction, exact heat and latency window.
     #[default]
     Exact,
-    /// Flow-level cohort batching above `cohort_min_clients`; the exact
-    /// path below it (parity-pinned).
+    /// Flow-level cohorts, histogram latency window, sketched heat on
+    /// large tables.
     Cohort,
 }
 
@@ -254,35 +249,8 @@ pub struct SimParams {
     pub node_hourly: f64,
 
     // -- scale engine (docs/ARCHITECTURE.md, "Scale engine") ----------------------
-    /// How simulated clients are advanced (see [`ClientEngine`]).
+    /// Exact simulation or the scale engine (see [`ClientEngine`]).
     pub client_engine: ClientEngine,
-    /// Peak client count at which [`ClientEngine::Cohort`] switches from
-    /// the parity-pinned exact path to flow-level batching. Decided once
-    /// at construction from the scenario's peak client count. Tests
-    /// lower it to force the aggregate path at small scale.
-    pub cohort_min_clients: u32,
-    /// Track granule heat with a deterministic count-min sketch instead
-    /// of the exact per-granule vector. Only engaged when the granule
-    /// count is at least [`SimParams::sketch_min_granules`]; below that
-    /// the exact vector is used regardless (sketch overhead would exceed
-    /// the vector it replaces). Default off: every historical decision
-    /// log was produced by the exact counter.
-    pub heat_sketch: bool,
-    /// Granule count below which `heat_sketch` falls back to the exact
-    /// vector.
-    pub sketch_min_granules: usize,
-    /// Derive windowed p99 latency from a log-bucketed histogram
-    /// ([`marlin_telemetry::LatencyHist`]) instead of the exact
-    /// per-commit tuple window. Only engaged when the peak client count
-    /// is at least [`SimParams::hist_min_clients`]; below that the exact
-    /// tuple window is used regardless, so decision logs stay
-    /// bit-identical (the same parity discipline as `heat_sketch` and
-    /// the cohort engine). Default off: every historical decision log
-    /// was produced by the exact tuple derivation.
-    pub latency_hist: bool,
-    /// Peak client count below which `latency_hist` falls back to the
-    /// exact tuple window.
-    pub hist_min_clients: u32,
 
     /// RNG seed for the run.
     pub seed: u64,
@@ -313,11 +281,6 @@ impl Default for SimParams {
             provision_lead_time: 0,
             node_hourly: 0.192,
             client_engine: ClientEngine::default(),
-            cohort_min_clients: 10_000,
-            heat_sketch: false,
-            sketch_min_granules: 4_096,
-            latency_hist: false,
-            hist_min_clients: 10_000,
             seed: 42,
         }
     }
@@ -370,25 +333,17 @@ mod tests {
 
     #[test]
     fn client_engine_defaults_to_exact_for_decision_log_parity() {
-        // The default must stay `Exact` with the sketch off: every
-        // historical decision log and fuzz digest was produced by the
-        // per-client event loop over the exact heat vector.
+        // The default must stay `Exact`: every historical decision log
+        // and fuzz digest was produced by the per-client event loop over
+        // the exact heat vector and the exact latency window.
         let p = SimParams::default();
         assert_eq!(p.client_engine, ClientEngine::Exact);
-        assert!(!p.heat_sketch);
         assert_eq!(ClientEngine::Exact.name(), "exact");
         assert_eq!(ClientEngine::Cohort.name(), "cohort");
         assert_eq!(
             ClientEngine::all(),
             [ClientEngine::Exact, ClientEngine::Cohort]
         );
-        // The activation threshold must sit above every §6 preset's peak
-        // client count (max 2 000) so `Cohort` stays parity-pinned there.
-        assert!(p.cohort_min_clients > 2_000);
-        // Same discipline for the latency histogram: off by default, and
-        // its threshold above every §6 preset's peak client count.
-        assert!(!p.latency_hist);
-        assert!(p.hist_min_clients > 2_000);
     }
 
     #[test]

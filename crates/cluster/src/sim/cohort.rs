@@ -5,7 +5,7 @@ use super::*;
 
 /// One flow-level client cohort: every client of one region, advanced
 /// together by [`Event::CohortStep`] instead of one event per client
-/// ([`ClientEngine::Cohort`] at or above the activation threshold).
+/// ([`ClientEngine::Cohort`]).
 pub(super) struct Cohort {
     /// The region whose clients this cohort aggregates.
     pub(super) region: RegionId,
@@ -93,7 +93,7 @@ impl ClusterSim {
                 }
             }
         }
-        self.prune_recent_commits(latest_commit);
+        self.lat_window.prune(latest_commit);
         self.cohort_walks = walks;
     }
 }

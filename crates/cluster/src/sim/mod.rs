@@ -40,6 +40,7 @@ use marlin_autoscaler::{GranuleLoad, NodeLoad, Observation, ScaleAction};
 use marlin_baselines::{CoordReply, CoordRequest, CoordinationService};
 use marlin_common::{GranuleId, LogId, Lsn, NodeId, RegionId};
 use marlin_core::LsnTracker;
+use marlin_sim::sketch::SKETCH_MIN_KEYS;
 use marlin_sim::{ActorId, DetRng, EventQueue, HeatTracker, Nanos, TimeSeries, SECOND};
 use marlin_telemetry::{CoordBreakdown, CoordOps, LatencyHist, ProfileSummary, Profiler, Tracer};
 use marlin_workload::{
@@ -222,7 +223,9 @@ enum Event {
     EndNetworkOverlay { token: u64 },
 }
 
-/// The simulated cluster.
+/// The simulated cluster. [`SimParams::client_engine`] is read once, in
+/// [`ClusterSim::new`], and fixes how clients advance, how heat is
+/// counted and how the latency window is kept (see [`ClientEngine`]).
 pub struct ClusterSim {
     params: SimParams,
     kind: CoordKind,
@@ -262,26 +265,9 @@ pub struct ClusterSim {
     /// empty until a first walk grows them, then cleared and reused.
     exact_walk: Walk,
     cohort_walks: Vec<Walk>,
-    /// Whether this run batches clients into cohorts. Decided once at
-    /// construction: `Cohort` runs below
-    /// [`SimParams::cohort_min_clients`] take the exact per-client path
-    /// and are bit-identical to `Exact`.
-    cohort_active: bool,
-    /// Committed user transactions in the recent past: (commit time,
-    /// client-perceived latency, client region, weight). The exact
-    /// engine records weight 1 per commit; the cohort engine records
-    /// one weighted entry per sampled walk. Pruned to the observation
-    /// window.
-    recent_commits: std::collections::VecDeque<(Nanos, Nanos, u16, u32)>,
-    /// Whether windowed p99 comes from the log-bucketed histogram
-    /// rather than the exact tuple window. Decided once at
-    /// construction: `latency_hist` runs below
-    /// [`SimParams::hist_min_clients`] keep the exact window and are
-    /// bit-identical to histogram-off runs (the same parity discipline
-    /// as `cohort_active`).
-    hist_active: bool,
-    /// The histogram-backed commit-latency window (empty stub unless
-    /// `hist_active`).
+    /// Committed user transactions in the recent past, what `observe`
+    /// reads throughput and p99 from: exact tuples, or histograms under
+    /// the cohort engine.
     lat_window: LatencyWindow,
     /// The run's slowest commits with their blame breakdowns.
     exemplars: TailExemplars,
@@ -295,8 +281,8 @@ pub struct ClusterSim {
     region_accrued_at: Nanos,
     /// Accesses per granule since the last observation (heat sampling
     /// for the rebalance planner): exact counters, or a deterministic
-    /// count-min sketch when [`SimParams::heat_sketch`] is on and the
-    /// granule table is large enough.
+    /// count-min sketch under the cohort engine when the granule table
+    /// is large enough.
     heat: HeatTracker,
     /// Nodes being drained for scale-in.
     draining: Vec<u32>,
@@ -448,16 +434,9 @@ impl ClusterSim {
         let start = |n: usize| granules.partition_point(|g| (g.owner as usize) < n) as u64;
         let owned = (0..nodes.len()).map(|n| start(n + 1) - start(n)).collect();
 
-        // Engine selection happens once, here: a `Cohort` run below the
-        // activation threshold takes the exact per-client path and is
-        // bit-identical to `Exact` (the parity pin the §6 presets and
-        // the fuzz digest oracle rely on).
-        let cohort_active =
-            params.client_engine == ClientEngine::Cohort && clients >= params.cohort_min_clients;
-        // Same once-at-construction discipline for the latency
-        // histogram: below the threshold the exact tuple window runs
-        // and decision logs are bit-identical to histogram-off runs.
-        let hist_active = params.latency_hist && clients >= params.hist_min_clients;
+        // The one scale switch: `Cohort` means cohort stepping, the
+        // histogram latency window and (on large tables) sketched heat.
+        let cohort = params.client_engine == ClientEngine::Cohort;
 
         let make_gen = |stream: DetRng| match workload {
             Workload::Ycsb { granules, zipfian } => ClientGen::Ycsb(YcsbGenerator::new(
@@ -479,7 +458,7 @@ impl ClusterSim {
         // Clients: one generator stream each, distributed over regions —
         // unless the cohort engine aggregates them, in which case no
         // per-client state is materialized at all.
-        let client_sims: Vec<ClientSim> = if cohort_active {
+        let client_sims: Vec<ClientSim> = if cohort {
             Vec::new()
         } else {
             (0..clients)
@@ -496,7 +475,7 @@ impl ClusterSim {
         // Cohorts: one per region, sized by the same round-robin deal
         // the exact engine uses (`client % regions`), with generator
         // streams forked off a dedicated label.
-        let cohorts: Vec<Cohort> = if cohort_active {
+        let cohorts: Vec<Cohort> = if cohort {
             let base = rng.fork(FORK_COHORT);
             (0..regions)
                 .map(|r| Cohort {
@@ -533,8 +512,8 @@ impl ClusterSim {
         let mut sketch_rng = rng.fork(FORK_SKETCH);
         let heat = HeatTracker::new(
             granule_count as usize,
-            params.heat_sketch,
-            params.sketch_min_granules,
+            cohort,
+            SKETCH_MIN_KEYS,
             &mut sketch_rng,
         );
 
@@ -563,10 +542,7 @@ impl ClusterSim {
             cohorts,
             exact_walk: Walk::default(),
             cohort_walks: Vec::new(),
-            cohort_active,
-            recent_commits: std::collections::VecDeque::new(),
-            hist_active,
-            lat_window: LatencyWindow::new(if hist_active { regions as usize } else { 0 }),
+            lat_window: LatencyWindow::new(cohort, regions),
             exemplars: TailExemplars::default(),
             region_commits: vec![0; regions as usize],
             region_node_ns: vec![0.0; regions as usize],
@@ -587,7 +563,7 @@ impl ClusterSim {
         // the closed loops don't phase-lock) and cost sampling. The
         // cohort engine instead starts one step loop per cohort, phased
         // across the step so region steps don't all land on one event.
-        if sim.cohort_active {
+        if cohort {
             for r in 0..sim.cohorts.len() as u32 {
                 let phase = Self::COHORT_STEP * u64::from(r + 1) / sim.cohorts.len().max(1) as u64;
                 sim.queue
@@ -623,16 +599,15 @@ impl ClusterSim {
         self.params.client_engine
     }
 
-    /// Whether clients actually run as flow-level cohorts: `Cohort` at
-    /// or above [`SimParams::cohort_min_clients`]. Below the threshold
-    /// the run takes the exact per-client path (the parity pin).
+    /// Whether clients run as flow-level cohorts ([`ClientEngine::Cohort`]).
     #[must_use]
     pub fn cohort_active(&self) -> bool {
-        self.cohort_active
+        self.params.client_engine == ClientEngine::Cohort
     }
 
     /// Whether granule heat is tracked by the count-min sketch rather
-    /// than exact counters.
+    /// than exact counters: the cohort engine on a table of at least
+    /// [`SKETCH_MIN_KEYS`] granules.
     #[must_use]
     pub fn heat_sketched(&self) -> bool {
         self.heat.is_sketched()
@@ -644,13 +619,11 @@ impl ClusterSim {
         self.heat.touched()
     }
 
-    /// Whether windowed p99 latency is derived from the log-bucketed
-    /// histogram: `latency_hist` at or above
-    /// [`SimParams::hist_min_clients`]. Below the threshold the exact
-    /// tuple window runs (the parity pin).
+    /// Whether windowed throughput and p99 come from log-bucketed
+    /// histograms (the cohort engine) rather than exact tuples.
     #[must_use]
     pub fn hist_active(&self) -> bool {
-        self.hist_active
+        self.lat_window.is_hist()
     }
 
     /// The run's slowest commits with their blame breakdowns, slowest
@@ -886,7 +859,7 @@ impl ClusterSim {
     }
 
     fn apply_region_clients(&mut self, region: u16, count: u32) {
-        if self.cohort_active {
+        if self.cohort_active() {
             if let Some(cohort) = self.cohorts.iter_mut().find(|c| c.region.0 == region) {
                 cohort.active = count.min(cohort.members);
             }
@@ -984,7 +957,7 @@ impl ClusterSim {
             }
             Event::MembershipTick { member } => self.handle_membership(now, member),
             Event::SetClients { count } => {
-                if self.cohort_active {
+                if self.cohort_active() {
                     // The round-robin deal means the first `count`
                     // clients split over regions exactly as
                     // `interleaved_share` computes.

@@ -244,13 +244,7 @@ impl ClusterSim {
             blame: *blame,
         });
         let w32 = u32::try_from(w).unwrap_or(u32::MAX);
-        if self.hist_active {
-            self.lat_window
-                .record(walk.at, latency, region.0, u64::from(w32));
-        } else {
-            self.recent_commits
-                .push_back((walk.at, latency, region.0, w32));
-        }
+        self.lat_window.record(walk.at, latency, region.0, w32);
         self.region_commits[region.0 as usize] += w;
         for &g in &walk.touched {
             let gran = &mut self.granules[g as usize];
@@ -271,22 +265,6 @@ impl ClusterSim {
         self.metrics.coord.commit_cas_retries += w * walk.cas_failures;
         if walk.end == WalkEnd::Misroute && matches!(self.backend, CoordBackend::Service(_)) {
             self.metrics.coord.service_reads += w;
-        }
-    }
-
-    /// Keep the commit window bounded here, not only in observe():
-    /// scripted scenarios and the figure benches never observe, and a
-    /// paper-scale run commits tens of millions of transactions. Called
-    /// per commit (exact) or per step (cohort); a no-op on the window
-    /// that stays empty because the histogram holds the latencies.
-    pub(super) fn prune_recent_commits(&mut self, latest: Nanos) {
-        let floor = latest.saturating_sub(Self::MAX_OBSERVE_WINDOW);
-        while self
-            .recent_commits
-            .front()
-            .is_some_and(|&(t, _, _, _)| t < floor)
-        {
-            self.recent_commits.pop_front();
         }
     }
 
@@ -391,7 +369,7 @@ impl ClusterSim {
             let mut blame = self.clients[c].attempt_blame;
             blame.add(&walk.blame);
             self.book_commit(&walk, 1, region, walk.at - started, &blame);
-            self.prune_recent_commits(walk.at);
+            self.lat_window.prune(walk.at);
             self.clients[c].strikes = 0;
             self.clients[c].attempt_started = None;
             self.clients[c].attempt_blame = Blame::default();

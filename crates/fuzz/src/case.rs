@@ -9,7 +9,7 @@
 
 use marlin_autoscaler::ScaleAction;
 use marlin_cluster::harness::{Fault, Scenario};
-use marlin_cluster::params::{ClientEngine, CoordKind, CpuModel};
+use marlin_cluster::params::{CoordKind, CpuModel};
 use marlin_cluster::sim::Workload;
 use marlin_common::{NodeId, RegionId};
 use marlin_sim::Nanos;
@@ -114,13 +114,6 @@ pub struct FuzzCase {
     pub backend: CoordKind,
     /// CPU congestion model.
     pub cpu_model: CpuModel,
-    /// Client engine (`Cohort` is parity-pinned to `Exact` below the
-    /// activation threshold, so sampling it never forks the digest
-    /// corpus — unless the pin breaks, which is the point).
-    pub client_engine: ClientEngine,
-    /// Whether granule heat may use the count-min sketch (also pinned:
-    /// fuzz-scale granule counts sit below the sketch threshold).
-    pub heat_sketch: bool,
     /// Scaling policy, if any.
     pub policy: PolicyKind,
     /// Granules the workload spans.
@@ -163,9 +156,7 @@ impl FuzzCase {
             .backend(self.backend)
             .workload(Workload::ycsb(self.granules))
             .seed(self.seed)
-            .cpu_model(self.cpu_model)
-            .client_engine(self.client_engine)
-            .heat_sketch(self.heat_sketch);
+            .cpu_model(self.cpu_model);
         if self.regions > 1 {
             s = s.geo();
         }
@@ -282,15 +273,6 @@ impl FuzzCase {
                 CpuModel::PerRequest => "per-request",
             }
         ));
-        // Engine knobs are emitted only when non-default, so repros of
-        // default cases stay byte-identical to the v1 format (and old
-        // artifacts parse unchanged).
-        if self.client_engine == ClientEngine::Cohort {
-            out.push_str("engine=cohort\n");
-        }
-        if self.heat_sketch {
-            out.push_str("sketch=on\n");
-        }
         out.push_str(&format!(
             "policy={}\n",
             match self.policy {
@@ -353,8 +335,6 @@ impl FuzzCase {
             runner: RunnerKind::Sim,
             backend: CoordKind::Marlin,
             cpu_model: CpuModel::Analytic,
-            client_engine: ClientEngine::Exact,
-            heat_sketch: false,
             policy: PolicyKind::None,
             granules: 100,
             initial_nodes: 2,
@@ -401,20 +381,6 @@ impl FuzzCase {
                         "analytic" => CpuModel::Analytic,
                         "per-request" => CpuModel::PerRequest,
                         _ => return Err(format!("unknown cpu model {value:?}")),
-                    }
-                }
-                "engine" => {
-                    case.client_engine = match value {
-                        "exact" => ClientEngine::Exact,
-                        "cohort" => ClientEngine::Cohort,
-                        _ => return Err(format!("unknown client engine {value:?}")),
-                    }
-                }
-                "sketch" => {
-                    case.heat_sketch = match value {
-                        "on" => true,
-                        "off" => false,
-                        _ => return Err(format!("bad sketch flag {value:?}")),
                     }
                 }
                 "policy" => {
@@ -538,8 +504,6 @@ mod tests {
             runner: RunnerKind::Sim,
             backend: CoordKind::ZkSmall,
             cpu_model: CpuModel::PerRequest,
-            client_engine: ClientEngine::Cohort,
-            heat_sketch: true,
             policy: PolicyKind::Reactive { min: 2, max: 6 },
             granules: 300,
             initial_nodes: 3,
@@ -615,21 +579,16 @@ mod tests {
 
     #[test]
     fn default_engine_knobs_are_omitted_from_the_repro() {
-        let mut case = sample_case();
-        case.client_engine = ClientEngine::Exact;
-        case.heat_sketch = false;
-        let text = case.to_repro();
-        assert!(!text.contains("engine="), "default engine key emitted");
-        assert!(!text.contains("sketch="), "default sketch key emitted");
-        // A v1 artifact without the keys parses to the defaults.
-        let parsed = FuzzCase::from_repro(&text).expect("parses");
-        assert_eq!(parsed, case);
-        // And non-default knobs round-trip through their keys.
-        let cohort = sample_case();
-        let text = cohort.to_repro();
-        assert!(text.contains("engine=cohort\n"));
-        assert!(text.contains("sketch=on\n"));
-        assert_eq!(FuzzCase::from_repro(&text).expect("parses"), cohort);
+        // Fuzz cases run the exact engine, so a repro names no engine...
+        let text = sample_case().to_repro();
+        assert!(!text.contains("engine=") && !text.contains("sketch="));
+        // ...and an artifact that still carries the retired keys is
+        // refused rather than silently run on a different engine.
+        for key in ["engine=cohort", "sketch=on"] {
+            let old = format!("{text}{key}\n");
+            let err = FuzzCase::from_repro(&old).expect_err(key);
+            assert!(err.starts_with("unknown key"), "{key}: {err}");
+        }
     }
 
     #[test]

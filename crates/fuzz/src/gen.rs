@@ -8,7 +8,7 @@
 //! from nothing but a seed list.
 
 use crate::case::{FuzzCase, FuzzEvent, PolicyKind, RunnerKind, TimedEvent};
-use marlin_cluster::params::{ClientEngine, CoordKind, CpuModel};
+use marlin_cluster::params::{CoordKind, CpuModel};
 use marlin_sim::DetRng;
 
 /// Fork labels for the independent generation streams. Distinct
@@ -16,9 +16,6 @@ use marlin_sim::DetRng;
 const FORK_CONFIG: u64 = 9001;
 const FORK_TRACE: u64 = 9002;
 const FORK_EVENTS: u64 = 9003;
-/// Scale-engine knobs (client engine, heat sketch) — a separate stream
-/// so sampling them leaves every pre-existing seed's case unchanged.
-const FORK_ENGINE: u64 = 9004;
 
 /// Generate the deterministic [`FuzzCase`] for `seed`.
 ///
@@ -33,7 +30,6 @@ pub fn generate(seed: u64, scale: u64) -> FuzzCase {
     let mut cfg = root.fork(FORK_CONFIG);
     let mut trc = root.fork(FORK_TRACE);
     let mut evr = root.fork(FORK_EVENTS);
-    let mut eng = root.fork(FORK_ENGINE);
 
     // --- configuration ----------------------------------------------------
     let local = cfg.chance(0.25);
@@ -56,20 +52,6 @@ pub fn generate(seed: u64, scale: u64) -> FuzzCase {
         };
         let regions = if cfg.chance(0.3) { 4 } else { 1 };
         (RunnerKind::Sim, backend, cpu, regions)
-    };
-    // Engine knobs, sampled for sim cases only (the local runner has no
-    // `ClusterSim`). Fuzz-scale client and granule counts sit below both
-    // activation thresholds, so either sample is parity-pinned to the
-    // exact path — the swarm's digest oracle exists to notice if not.
-    let (client_engine, heat_sketch) = if runner == RunnerKind::Sim {
-        let engine = if eng.chance(0.5) {
-            ClientEngine::Cohort
-        } else {
-            ClientEngine::Exact
-        };
-        (engine, eng.chance(0.5))
-    } else {
-        (ClientEngine::Exact, false)
     };
     let granules = (cfg.range(48, 257) / scale).max(24);
     let initial_nodes = cfg.range(2, 5) as u32;
@@ -161,8 +143,6 @@ pub fn generate(seed: u64, scale: u64) -> FuzzCase {
         runner,
         backend,
         cpu_model,
-        client_engine,
-        heat_sketch,
         policy,
         granules,
         initial_nodes,
@@ -228,12 +208,6 @@ mod tests {
             .any(|c| matches!(c.policy, PolicyKind::Predictive { .. })));
         assert!(cases.iter().any(|c| !c.events.is_empty()));
         assert!(cases.iter().any(|c| c.membership_stress.is_some()));
-        assert!(cases
-            .iter()
-            .any(|c| c.client_engine == ClientEngine::Cohort));
-        assert!(cases.iter().any(|c| c.client_engine == ClientEngine::Exact));
-        assert!(cases.iter().any(|c| c.heat_sketch));
-        assert!(cases.iter().any(|c| !c.heat_sketch));
         assert!(cases.iter().any(|c| c
             .events
             .iter()
@@ -247,23 +221,8 @@ mod tests {
             if c.runner == RunnerKind::Local {
                 assert_eq!(c.backend, CoordKind::Marlin);
                 assert_eq!(c.regions, 1);
-                assert_eq!(c.client_engine, ClientEngine::Exact);
-                assert!(!c.heat_sketch);
             }
         }
-    }
-
-    #[test]
-    fn the_default_swarm_sweep_samples_both_engines() {
-        // The CI swarm runs 64 seeds; that window alone must exercise
-        // both client engines and both sketch settings.
-        let cases: Vec<FuzzCase> = (0..64).map(|s| generate(s, 10)).collect();
-        assert!(cases
-            .iter()
-            .any(|c| c.client_engine == ClientEngine::Cohort));
-        assert!(cases.iter().any(|c| c.client_engine == ClientEngine::Exact));
-        assert!(cases.iter().any(|c| c.heat_sketch));
-        assert!(cases.iter().any(|c| !c.heat_sketch));
     }
 
     #[test]

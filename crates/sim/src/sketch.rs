@@ -12,8 +12,9 @@
 //! - **Exact** — a plain per-granule vector, bit-identical to the
 //!   historical `granule_hits` accounting, plus the list of keys touched
 //!   this window (ranking and clearing are O(touched)). Used when the
-//!   sketch is disabled *or* the granule count is below the configured
-//!   threshold (where the sketch would cost more than the vector).
+//!   sketch is disabled *or* the granule count is below the threshold
+//!   (the simulator passes [`SKETCH_MIN_KEYS`]), where the sketch would
+//!   cost more than the vector.
 //! - **Sketched** — a [`CountMinSketch`] plus a bounded heavy-hitter
 //!   candidate list. Estimates never undercount; the expected
 //!   overcount per row is `total / width`, and the documented test
@@ -23,13 +24,17 @@
 //! (forked, never the simulator's main stream), hashing is a fixed
 //! multiply-xor mix, and the candidate list is maintained with fully
 //! ordered tie-breaks — the same access stream always yields the same
-//! shortlist, which is what lets the engine-parity suite pin
-//! sketch-vs-exact rebalance plans against each other.
+//! shortlist, which is what lets the property suite pin the sketched
+//! head ranking against the exact one.
 
 use crate::rng::DetRng;
 
 /// Rows in the count-min sketch (independent hash functions).
 const ROWS: usize = 4;
+
+/// Key count from which a tracker asked to sketch does so: below it the
+/// exact vector costs less than the sketch it would be replaced by.
+pub const SKETCH_MIN_KEYS: usize = 4_096;
 
 /// Maximum heavy-hitter candidates retained by a sketched tracker. Must
 /// comfortably exceed the observation surface's shortlist (64) so the
@@ -476,9 +481,9 @@ mod tests {
 
     #[test]
     fn threshold_falls_back_to_exact() {
-        let t = HeatTracker::new(100, true, 4_096, &mut rng());
+        let t = HeatTracker::new(SKETCH_MIN_KEYS - 1, true, SKETCH_MIN_KEYS, &mut rng());
         assert!(!t.is_sketched());
-        let t = HeatTracker::new(100_000, true, 4_096, &mut rng());
+        let t = HeatTracker::new(SKETCH_MIN_KEYS, true, SKETCH_MIN_KEYS, &mut rng());
         assert!(t.is_sketched());
     }
 }

@@ -54,8 +54,9 @@ pub use trace::{TraceEvent, TracePhase, Tracer, DEFAULT_TRACE_CAPACITY};
 /// the telemetry crate stays dependency-free).
 pub type Nanos = u64;
 
-/// Minimal JSON string escaping shared by the exporters (mirrors the
-/// report writer's escaping rules; no serde in the offline build).
+/// Minimal JSON string escaping, quotes included, shared by the exporters,
+/// the run report and the scenario manifest (no serde in the offline
+/// build).
 #[must_use]
 pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);

@@ -19,6 +19,7 @@
 //! - `MARLIN_SCALE=<n>`       — divide workload sizes for quick runs
 //! - `MARLIN_BENCH_JSON=<dir>` — drop the `BENCH_fuzz_swarm.json` trajectory
 //!
+//! Prints one digest per seed and a `corpus digest` over all of them.
 //! Exits non-zero iff any seed produced a violation.
 
 use marlin::fuzz::{run_case, swarm, FuzzCase, FuzzConfig};
@@ -96,6 +97,14 @@ fn swarm_main() -> bool {
             }
         }
     }
+    // One digest for the whole corpus, folded in seed order as the `e2e`
+    // benchmark's fuzz workload folds its own, so CI can pin it.
+    let mut by_seed: Vec<(u64, u64)> = outcomes.iter().map(|o| (o.seed, o.digest)).collect();
+    by_seed.sort_unstable();
+    let corpus = by_seed.iter().fold(0xCBF2_9CE4_8422_2325u64, |h, (_, d)| {
+        (h ^ d).wrapping_mul(0x0000_0100_0000_01B3)
+    });
+    println!("corpus digest {corpus:016x}");
     println!(
         "\n{} seed(s), {} failure(s), {:.1}s wall ({:.2} scenarios/s)",
         n,

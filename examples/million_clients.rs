@@ -24,10 +24,9 @@ use marlin::sim::SECOND;
 use marlin_bench::scale;
 
 fn main() {
-    // Clamp so the preset stays above both scale-engine activation
-    // thresholds even under aggressive MARLIN_SCALE shrinks: clients
-    // (1M/s) >= 10_000 needs s <= 100, and sketched granules
-    // (200k/s) >= 4_096 needs s <= 48.
+    // Clamp so heat stays sketched even under aggressive MARLIN_SCALE
+    // shrinks: the sketch's granule floor (200k/s >= 4_096) needs
+    // s <= 48.
     let scenario = Scenario::million_clients(scale().min(40));
     let horizon = scenario.horizon;
     let expected_clients = scenario.trace.peak();

@@ -1,265 +1,29 @@
-//! Client-engine parity: `Exact` vs `Cohort` on every §6 preset.
+//! The cohort scale engine at §6 scale: approximate, but it must still
+//! drive the closed autoscaling loop.
 //!
-//! The cohort scale engine is opt-in (`SimParams::client_engine`) and
-//! **parity-pinned**: below `cohort_min_clients` (default 10,000 — above
-//! every §6 preset's peak) a `Cohort` run routes through the literal
-//! exact per-client path, so its decision log and full report digest
-//! must be *bit-identical* to an `Exact` run of the same scenario. That
-//! pin is what lets the fuzz swarm sample the engine freely without
-//! forking its digest corpus, and what keeps the historical §6 digests
-//! authoritative.
-//!
-//! The latency histogram rides the same pin: the cohort leg of every
-//! preset runs with `latency_hist(true)`, which below `hist_min_clients`
-//! must route through the literal exact tuple window — so the digests
-//! above also certify the histogram knob is inert at §6 scale.
-//!
-//! The file also pins the approximating components when they *are*
-//! active: the count-min heat sketch must produce the same rebalance
-//! plan as the exact heat vector on the skewed-access preset, the
-//! log-bucketed histogram's p99 must stay within its documented 1/32
-//! relative-error bound at `million_clients` scale, and the aggregate
-//! cohort path (forced on by `cohort_min_clients(0)`) must still drive
-//! the closed autoscaling loop sensibly.
+//! `ClientEngine::Cohort` is the simulator's one scale switch: it arms
+//! cohort stepping, the histogram latency window and (on large tables)
+//! the heat sketch together, at any client count. Cohorts approximate,
+//! so no bit-parity with `Exact` is expected; the approximating parts
+//! have their error bounds pinned where they live (the latency window in
+//! `sim/observe.rs`, the sketch in `tests/sketch_properties.rs`). What
+//! is pinned here is behaviour: a cohort run of the spike preset scales
+//! out, drains back and follows its load trace.
 
-use marlin::cluster::harness::{run, RunReport, Scenario, SimRunner};
-use marlin::cluster::params::{ClientEngine, CoordKind, CpuModel};
-use marlin::fuzz::report_digest;
+use marlin::cluster::harness::{run, Scenario, SimRunner};
+use marlin::cluster::params::{ClientEngine, CoordKind};
 use marlin::sim::SECOND;
 
-/// Run `make()`'s scenario once per engine and return both reports,
-/// asserting the cohort leg actually took the pinned exact path. The
-/// cohort leg also arms the latency histogram: every §6 preset peaks
-/// below `hist_min_clients`, so the histogram must stay parity-pinned
-/// to the exact tuple window — same discipline, same digest.
-fn parity_pair(make: impl Fn() -> Scenario) -> (RunReport, RunReport) {
-    let exact_s = make().client_engine(ClientEngine::Exact);
-    let mut exact_r = SimRunner::new(&exact_s);
-    let exact = run(exact_s, &mut exact_r);
-
-    let cohort_s = make()
-        .client_engine(ClientEngine::Cohort)
-        .latency_hist(true);
-    let mut cohort_r = SimRunner::new(&cohort_s);
-    assert!(
-        !cohort_r.sim().cohort_active(),
-        "§6 presets sit below the activation threshold — the parity pin"
-    );
-    assert!(
-        !cohort_r.sim().hist_active(),
-        "§6 presets sit below hist_min_clients — the histogram parity pin"
-    );
-    let cohort = run(cohort_s, &mut cohort_r);
-    (exact, cohort)
-}
-
-/// The parity oracle: identical decision logs, identical report digests
-/// (FNV over the full JSON with wall-clock actuation times zeroed).
-fn assert_parity(name: &str, make: impl Fn() -> Scenario) {
-    let (exact, cohort) = parity_pair(make);
-    assert_eq!(
-        exact.decision_signature(),
-        cohort.decision_signature(),
-        "{name}: decision logs diverge across engines"
-    );
-    assert_eq!(
-        report_digest(&exact),
-        report_digest(&cohort),
-        "{name}: report digests diverge across engines"
-    );
-}
-
-#[test]
-fn ycsb_scale_out_is_engine_invariant() {
-    assert_parity("ycsb_scale_out", || {
-        Scenario::ycsb_scale_out(CoordKind::Marlin, 10)
-    });
-}
-
-#[test]
-fn tpcc_scale_out_is_engine_invariant() {
-    assert_parity("tpcc_scale_out", || {
-        Scenario::tpcc_scale_out(CoordKind::Marlin, 10)
-    });
-}
-
-#[test]
-fn sweep_point_is_engine_invariant() {
-    assert_parity("sweep_point", || {
-        Scenario::sweep_point(CoordKind::Fdb, 2, 10)
-    });
-}
-
-#[test]
-fn dynamic_burst_is_engine_invariant() {
-    assert_parity("dynamic_burst", || {
-        Scenario::dynamic_burst(CoordKind::ZkSmall, 10)
-    });
-}
-
-#[test]
-fn membership_is_engine_invariant() {
-    assert_parity("membership", || {
-        Scenario::membership(CoordKind::Marlin, 8, 5 * SECOND, 20 * SECOND)
-    });
-}
-
-#[test]
-fn autoscale_spike_is_engine_invariant() {
-    assert_parity("autoscale_spike", || {
-        Scenario::autoscale_spike(CoordKind::Marlin, 10)
-    });
-}
-
-#[test]
-fn autoscale_diurnal_is_engine_invariant() {
-    assert_parity("autoscale_diurnal", || {
-        Scenario::autoscale_diurnal(CoordKind::Marlin, 2_000)
-    });
-}
-
-#[test]
-fn cpu_model_comparison_is_engine_invariant() {
-    assert_parity("cpu_model_comparison", || {
-        Scenario::cpu_model_comparison(CoordKind::Marlin, 10, CpuModel::PerRequest)
-    });
-}
-
-#[test]
-fn geo_autoscale_is_engine_invariant() {
-    assert_parity("geo_autoscale", || {
-        Scenario::geo_autoscale(CoordKind::Marlin, 1_600)
-    });
-}
-
-#[test]
-fn zipfian_rebalance_is_engine_invariant() {
-    assert_parity("zipfian_rebalance", || {
-        Scenario::zipfian_rebalance(CoordKind::Marlin, 2_000, 0.9)
-    });
-}
-
-#[test]
-fn predictive_diurnal_is_engine_invariant() {
-    assert_parity("predictive_diurnal", || {
-        Scenario::predictive_diurnal(CoordKind::Marlin, 2_000)
-    });
-}
-
-#[test]
-fn predictive_geo_is_engine_invariant() {
-    assert_parity("predictive_geo", || {
-        Scenario::predictive_geo(CoordKind::Marlin, 1_600)
-    });
-}
-
-// ---------------------------------------------------------------------------
-// The approximating components, active.
-
-/// The count-min sketch must agree with the exact heat vector where it
-/// matters: the rebalance plan the planner derives from the observed hot
-/// granules. Zipfian skew separates the head granules by orders of
-/// magnitude, so the sketch's bounded overestimate cannot reorder them.
-#[test]
-fn sketched_heat_reproduces_the_exact_rebalance_plan() {
-    let build = |sketch: bool| {
-        let mut s = Scenario::zipfian_rebalance(CoordKind::Marlin, 2_000, 0.9).heat_sketch(sketch);
-        // The preset's 2,000 granules sit below the default exact-mode
-        // cutoff; lower it so the sketch is genuinely exercised.
-        s.params.sketch_min_granules = 1_024;
-        s
-    };
-    let run_one = |sketch: bool| {
-        let s = build(sketch);
-        let mut r = SimRunner::new(&s);
-        let report = run(s, &mut r);
-        assert_eq!(r.sim().heat_sketched(), sketch);
-        report
-    };
-    let exact = run_one(false);
-    let sketched = run_one(true);
-    let plans = |r: &RunReport| -> Vec<(u64, String)> {
-        r.decision_signature()
-            .into_iter()
-            .filter(|(_, a)| a.starts_with("rebalance"))
-            .collect()
-    };
-    assert!(
-        !plans(&exact).is_empty(),
-        "the skew must provoke rebalance plans"
-    );
-    assert_eq!(
-        plans(&exact),
-        plans(&sketched),
-        "sketched heat must yield the exact heat's rebalance plan"
-    );
-}
-
-/// Above `hist_min_clients` the log-bucketed histogram genuinely runs,
-/// and its p99 must honor the documented bound: an underestimate within
-/// one sub-bucket, `exact - hist <= hist / 32`. The hold policy and the
-/// planner never read p99, so the two runs' event streams are identical
-/// and every control tick's observation pairs an exact p99 with its
-/// histogram estimate of the *same* window.
-#[test]
-fn histogram_p99_stays_within_the_documented_error_bound_at_scale() {
-    // Scale 100 ⇒ 10,000 clients — exactly the activation threshold.
-    let run_one = |hist: bool| {
-        let s = Scenario::million_clients(100).latency_hist(hist);
-        let mut r = SimRunner::new(&s);
-        assert!(r.sim().cohort_active(), "the preset pins the scale engine");
-        assert_eq!(r.sim().hist_active(), hist);
-        run(s, &mut r)
-    };
-    let exact = run_one(false);
-    let hist = run_one(true);
-    assert_eq!(
-        exact.decision_signature(),
-        hist.decision_signature(),
-        "p99 derivation must not perturb the decision stream"
-    );
-    assert_eq!(exact.metrics.commits, hist.metrics.commits);
-    let mut checked = 0u32;
-    for (e, h) in exact.log.iter().zip(&hist.log) {
-        assert_eq!(e.at, h.at);
-        assert_eq!(
-            e.observation.throughput_tps, h.observation.throughput_tps,
-            "tick {}: identical event streams must agree on throughput",
-            e.tick
-        );
-        let (ep, hp) = (e.observation.p99_latency, h.observation.p99_latency);
-        if ep == 0 && hp == 0 {
-            continue; // warm-up tick with an empty window
-        }
-        assert!(
-            hp <= ep,
-            "tick {}: bucket lower bounds underestimate (hist {hp} > exact {ep})",
-            e.tick
-        );
-        assert!(
-            ep - hp <= hp / 32,
-            "tick {}: histogram p99 {hp} misses exact {ep} by more than 1/32",
-            e.tick
-        );
-        checked += 1;
-    }
-    assert!(checked > 0, "the run must produce non-empty p99 windows");
-}
-
-/// Force the aggregate path on at §6 scale (no bit-parity expected —
-/// cohorts approximate) and check the closed loop still works: the
-/// spike provokes a scale-out, the calm drains it, and the run commits.
+/// Run the spike preset on cohorts and check the closed loop still
+/// works: the spike provokes a scale-out, the calm drains it, and the
+/// run commits.
 #[test]
 fn forced_cohort_engine_still_drives_the_autoscaling_loop() {
-    let scenario = Scenario::autoscale_spike(CoordKind::Marlin, 10)
-        .client_engine(ClientEngine::Cohort)
-        .cohort_min_clients(0);
+    let scenario =
+        Scenario::autoscale_spike(CoordKind::Marlin, 10).client_engine(ClientEngine::Cohort);
     let initial = scenario.initial_nodes;
     let mut runner = SimRunner::new(&scenario);
-    assert!(
-        runner.sim().cohort_active(),
-        "threshold 0 forces cohorts on"
-    );
+    assert!(runner.sim().cohort_active() && runner.sim().hist_active());
     let report = run(scenario, &mut runner);
     assert!(report.metrics.commits > 0, "the cohort engine must commit");
     assert!(
@@ -277,9 +41,8 @@ fn forced_cohort_engine_still_drives_the_autoscaling_loop() {
 /// follow the trace through the spike and back.
 #[test]
 fn cohort_engine_follows_the_load_trace() {
-    let scenario = Scenario::autoscale_spike(CoordKind::Marlin, 10)
-        .client_engine(ClientEngine::Cohort)
-        .cohort_min_clients(0);
+    let scenario =
+        Scenario::autoscale_spike(CoordKind::Marlin, 10).client_engine(ClientEngine::Cohort);
     let mut runner = SimRunner::new(&scenario);
     // The runner provisions at the trace *peak*; the t=0 step down to
     // the base count is itself a scheduled event, so advance past it.

@@ -118,30 +118,24 @@ fn planted_violation_shrinks_to_minimal_schedule() {
     assert!(trips(&failure.shrunk), "shrunk case still violates");
 }
 
-/// Planted-divergence self-test for the engine-sampling swarm: the
-/// digest oracle only protects the `Cohort` parity pin if a *genuine*
-/// engine divergence would actually move the digest. Force the
-/// aggregate cohort path on a generated sim case (activation threshold
-/// 0) and check the digest separates from the exact run — while the
-/// pinned run (default threshold) stays bit-identical to it.
+/// Planted-divergence self-test for the digest oracle: it only catches
+/// an engine change if a *genuine* engine divergence moves the digest.
+/// Run a generated sim case on the cohort engine and check the digest
+/// separates from the exact run the fuzzer makes.
 #[test]
 fn digest_oracle_detects_a_planted_engine_divergence() {
     let seed = (0..200)
         .find(|&s| generate(s, SCALE).runner == RunnerKind::Sim)
         .expect("some low seed runs on the simulator");
     let case = generate(seed, SCALE);
-    let digest_with = |engine: ClientEngine, min_clients: u32| {
-        let mut scenario = case.build_scenario().client_engine(engine);
-        scenario.params.cohort_min_clients = min_clients;
+    let digest_with = |engine: ClientEngine| {
+        let scenario = case.build_scenario().client_engine(engine);
         let mut runner = SimRunner::new(&scenario);
         report_digest(&run(scenario, &mut runner))
     };
-    let exact = digest_with(ClientEngine::Exact, 10_000);
-    let pinned = digest_with(ClientEngine::Cohort, 10_000);
-    let aggregate = digest_with(ClientEngine::Cohort, 0);
-    assert_eq!(exact, pinned, "seed {seed}: the parity pin must hold");
     assert_ne!(
-        exact, aggregate,
+        digest_with(ClientEngine::Exact),
+        digest_with(ClientEngine::Cohort),
         "seed {seed}: a real engine divergence must move the digest, or the oracle is blind"
     );
 }

@@ -15,9 +15,14 @@
 //!    the summed true counts.
 //! 4. **Exact-mode equivalence** — below the `sketch_min` threshold a
 //!    sketch-requested tracker is *bit-identical* to the exact vector
-//!    (the parity pin the §6 presets rely on).
+//!    (what a cohort run on a small table counts heat with).
+//! 5. **Same head on skew** — on a Zipfian stream the sketched tracker
+//!    ranks the hottest keys exactly as the exact vector does, which is
+//!    what the rebalance planner reads.
 
+use marlin::sim::sketch::SKETCH_MIN_KEYS;
 use marlin::sim::{CountMinSketch, DetRng, HeatTracker};
+use marlin::workload::ZipfSampler;
 use proptest::prelude::*;
 
 /// A weighted access stream: `(key, weight)` pairs over a small keyspace
@@ -134,5 +139,33 @@ proptest! {
         sketchy.reset();
         exact.reset();
         prop_assert_eq!(sketchy.hottest(64), exact.hottest(64));
+    }
+}
+
+/// Promise 5: Zipf(0.9) separates the head keys' counts by more than
+/// the sketch overcounts them, so window after window the sketched
+/// tracker's hottest keys are the exact tracker's, in the same order.
+/// (Past the top 8 neighbours' counts come within the overcount, and
+/// the two may swap them.)
+#[test]
+fn sketched_heat_ranks_the_zipf_head_like_the_exact_vector() {
+    const KEYS: usize = 20_000;
+    const HEAD: usize = 8;
+    let zipf = ZipfSampler::new(KEYS as u64, 0.9);
+    let mut rng = DetRng::seed(7);
+    let mut sketched = HeatTracker::new(KEYS, true, SKETCH_MIN_KEYS, &mut DetRng::seed(1));
+    let mut exact = HeatTracker::new(KEYS, false, SKETCH_MIN_KEYS, &mut DetRng::seed(1));
+    assert!(sketched.is_sketched() && !exact.is_sketched());
+    let head =
+        |t: &HeatTracker| -> Vec<usize> { t.hottest(HEAD).iter().map(|&(k, _)| k).collect() };
+    for window in 0..4 {
+        for _ in 0..100_000 {
+            let key = zipf.next_rank(&mut rng) as usize;
+            sketched.record(key, 1);
+            exact.record(key, 1);
+        }
+        assert_eq!(head(&sketched), head(&exact), "window {window}");
+        sketched.reset();
+        exact.reset();
     }
 }

@@ -8,7 +8,8 @@
 //! - **Deterministic fields gate exactly.** `scale`, the section list,
 //!   each section's `virtual_ns`, and the deterministic result values
 //!   ([`DETERMINISTIC_VALUES`]: commits, meta cost, coordination ops,
-//!   client counts) are pure functions of (scenario, seed, scale) — any
+//!   client counts, reproduced paper ratios) are pure functions of
+//!   (scenario, seed, scale) — any
 //!   drift is a behavior change, not noise, and fails the diff until the
 //!   baseline is refreshed deliberately.
 //! - **Wall-clock fields gate with noise headroom.** Wall times come
@@ -33,12 +34,13 @@ use std::path::Path;
 /// Result values that are pure functions of (scenario, seed, scale) and
 /// therefore gate with exact equality. Anything else under `values`
 /// (wall-derived speedups, rates) is reported but never gated.
-pub const DETERMINISTIC_VALUES: [&str; 5] = [
+pub const DETERMINISTIC_VALUES: [&str; 6] = [
     "commits",
     "meta_cost",
     "coord_ops_total",
     "active_clients",
     "probe_clients",
+    "ratio",
 ];
 
 /// Default divisor for the virtual-per-wall hard floor: the current run

@@ -1,9 +1,10 @@
 //! Shared plumbing for the benchmark harness.
 //!
-//! Every figure/table of the paper has a `harness = false` bench target in
-//! `benches/`; `cargo bench --workspace` regenerates all of them, printing
-//! the same rows/series the paper plots. Criterion microbenches cover the
-//! core protocol primitives.
+//! The `paper_claims` bench target prints the paper's §6 as one table,
+//! [`claims::CLAIMS`], and Table 1; the other `harness = false` targets
+//! in `benches/` cover the controller, the CPU models, predictive scaling
+//! and the million-client engine, and criterion microbenches the
+//! protocol primitives.
 //!
 //! Set `MARLIN_SCALE=<n>` to divide workload sizes by `n` for quick runs
 //! (default 1 = the paper's full scale). Set `MARLIN_REPORT_JSON=<path>`
@@ -13,6 +14,7 @@
 //! `BENCH_<target>.json` perf-trajectory artifact there (wall time,
 //! virtual-seconds-per-wall-second, and the sim self-profile per run).
 
+pub mod claims;
 pub mod diff;
 
 use marlin_cluster::harness::RunReport;

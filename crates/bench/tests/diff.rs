@@ -99,6 +99,25 @@ fn min_of_n_across_directories_absorbs_one_noisy_run() {
 }
 
 #[test]
+fn a_reproduced_paper_ratio_drifting_in_its_last_digit_fails() {
+    // Same section, commits, Meta Cost, virtual and wall time; only the
+    // claim's ratio moved to the next f64.
+    let v = diff_dirs(
+        Path::new(&fixture("ratio/baseline")),
+        &[Path::new(&fixture("ratio/drift"))],
+        &DiffConfig::default(),
+    )
+    .expect("fixture dirs load");
+    let failed: Vec<&str> = v
+        .checks
+        .iter()
+        .filter(|c| c.status == marlin_bench::diff::CheckStatus::Fail)
+        .map(|c| c.name.as_str())
+        .collect();
+    assert_eq!(failed, ["value:ratio"], "{:?}", v.checks);
+}
+
+#[test]
 fn missing_baseline_directory_is_a_usage_error_not_a_pass() {
     let out = bench_diff(&[&fixture("no-such-dir"), &fixture("pass")]);
     assert_eq!(out.status.code(), Some(2), "I/O errors must exit 2");

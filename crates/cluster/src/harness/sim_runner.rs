@@ -80,7 +80,8 @@ impl SimRunner {
         }
     }
 
-    /// The underlying simulator (for series rendering in bench mains).
+    /// The underlying simulator (for the time series a report does not
+    /// carry, e.g. Figure 14's scale-out time in the §6 claims table).
     #[must_use]
     pub fn sim(&self) -> &ClusterSim {
         &self.sim

@@ -30,7 +30,7 @@
 //!   `LocalCluster`, the one generic [`run`] driver, and the
 //!   JSON-serializable [`RunReport`] with the full controller decision
 //!   log.
-//! - [`report`] — plain-text series/table rendering for the bench mains.
+//! - [`report`] — plain-text result tables for the bench and example mains.
 //!
 //! The architecture overview — crate map, control loop, harness, region
 //! axis, and CPU-model guidance — lives in `docs/ARCHITECTURE.md`.

@@ -293,18 +293,6 @@ impl RunMetrics {
         }
     }
 
-    /// Abort ratio within one time bucket.
-    #[must_use]
-    pub fn abort_ratio_at(&self, t: Nanos) -> f64 {
-        let c = self.user_commits.rate_at(t);
-        let a = self.user_aborts.rate_at(t);
-        if c + a == 0.0 {
-            0.0
-        } else {
-            a / (c + a)
-        }
-    }
-
     /// Migration latency summary.
     #[must_use]
     pub fn migration_summary(&self) -> Summary {
@@ -343,8 +331,6 @@ mod tests {
         m.abort(SECOND + 2);
         assert_eq!(m.total_commits(), 2);
         assert!((m.abort_ratio() - 1.0 / 3.0).abs() < 1e-9);
-        assert!((m.abort_ratio_at(SECOND) - 1.0 / 3.0).abs() < 1e-9);
-        assert_eq!(m.abort_ratio_at(10 * SECOND), 0.0);
     }
 
     #[test]

@@ -1,53 +1,4 @@
-//! Plain-text rendering of experiment results (the bench mains print the
-//! same rows/series the paper's figures plot).
-
-use marlin_sim::{Nanos, RateSeries, TimeSeries, SECOND};
-
-/// Render a rate series as `t_seconds  value` rows, downsampled to at most
-/// `max_rows` rows.
-#[must_use]
-pub fn render_rate_series(name: &str, series: &RateSeries, max_rows: usize) -> String {
-    let points: Vec<(f64, f64)> = series.per_second().collect();
-    render_points(name, &points, max_rows)
-}
-
-/// Render a `(time, value)` series.
-#[must_use]
-pub fn render_time_series(name: &str, series: &TimeSeries, max_rows: usize) -> String {
-    let points: Vec<(f64, f64)> = series
-        .points()
-        .iter()
-        .map(|&(t, v)| (t as f64 / SECOND as f64, v))
-        .collect();
-    render_points(name, &points, max_rows)
-}
-
-fn render_points(name: &str, points: &[(f64, f64)], max_rows: usize) -> String {
-    let mut out = format!("# {name}\n");
-    let stride = (points.len() / max_rows.max(1)).max(1);
-    for (i, (t, v)) in points.iter().enumerate() {
-        if i % stride == 0 {
-            out.push_str(&format!("{t:8.1}s  {v:12.1}\n"));
-        }
-    }
-    out
-}
-
-/// Format a duration in seconds with one decimal.
-#[must_use]
-pub fn secs(d: Nanos) -> String {
-    format!("{:.1}s", d as f64 / SECOND as f64)
-}
-
-/// Format a ratio as `x.xx×`.
-#[must_use]
-pub fn ratio(a: f64, b: f64) -> String {
-    if b == 0.0 {
-        "∞".to_string()
-    } else {
-        format!("{:.2}x", a / b)
-    }
-}
+//! Plain-text result tables for the bench and example mains.
 
 /// A fixed-width table builder for paper-style result tables.
 #[derive(Debug, Default)]
@@ -117,22 +68,5 @@ mod tests {
         let lines: Vec<&str> = r.lines().collect();
         assert_eq!(lines.len(), 4);
         assert!(lines[1].chars().all(|c| c == '-'));
-    }
-
-    #[test]
-    fn ratio_formatting() {
-        assert_eq!(ratio(4.4, 2.0), "2.20x");
-        assert_eq!(ratio(1.0, 0.0), "∞");
-    }
-
-    #[test]
-    fn rate_series_rendering_downsamples() {
-        let mut s = RateSeries::new(SECOND);
-        for i in 0..100 {
-            s.record(i * SECOND);
-        }
-        let text = render_rate_series("tput", &s, 10);
-        assert!(text.lines().count() <= 12);
-        assert!(text.starts_with("# tput"));
     }
 }

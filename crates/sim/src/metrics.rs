@@ -54,15 +54,6 @@ impl RateSeries {
         self.bucket_width
     }
 
-    /// Iterate `(bucket_start_seconds, events_per_second)` pairs.
-    pub fn per_second(&self) -> impl Iterator<Item = (f64, f64)> + '_ {
-        let w = self.bucket_width as f64 / SECOND as f64;
-        self.counts
-            .iter()
-            .enumerate()
-            .map(move |(i, &c)| (i as f64 * w, c as f64 / w))
-    }
-
     /// Rate in the bucket containing time `t` (events per second).
     #[must_use]
     pub fn rate_at(&self, t: Nanos) -> f64 {
@@ -291,13 +282,11 @@ mod tests {
         r.record(SECOND);
         r.record(3 * SECOND + 5);
         assert_eq!(r.total(), 4);
-        let pts: Vec<_> = r.per_second().collect();
-        assert_eq!(pts.len(), 4);
-        assert_eq!(pts[0].1, 2.0);
-        assert_eq!(pts[1].1, 1.0);
-        assert_eq!(pts[2].1, 0.0);
-        assert_eq!(pts[3].1, 1.0);
         assert_eq!(r.rate_at(500), 2.0);
+        assert_eq!(r.rate_at(SECOND), 1.0);
+        assert_eq!(r.rate_at(2 * SECOND), 0.0);
+        assert_eq!(r.rate_at(3 * SECOND), 1.0);
+        assert_eq!(r.rate_at(4 * SECOND), 0.0);
     }
 
     #[test]

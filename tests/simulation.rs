@@ -1,7 +1,8 @@
 //! Cross-crate checks on the simulated evaluation testbed, driven
 //! through the unified harness: conservation laws, determinism, and the
-//! headline comparative orderings at smoke scale (the full-scale
-//! versions are the bench targets).
+//! headline comparative orderings at smoke scale. Every §6 claim at the
+//! paper's presets is one row of `marlin_bench::claims::CLAIMS`, whose
+//! directions `crates/bench/tests/paper_claims.rs` asserts.
 
 use marlin::autoscaler::ScaleAction;
 use marlin::cluster::harness::{run, MetricsSnapshot, Scenario, SimRunner};

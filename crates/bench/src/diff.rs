@@ -27,8 +27,7 @@
 //!
 //! Everything here is `Result`-based: the binary owns process exit.
 
-use marlin_telemetry::{json_escape, json_f64};
-use std::fmt::Write as _;
+use marlin_telemetry::json::{self, json_f64, parse_json, Json};
 use std::path::Path;
 
 /// Result values that are pure functions of (scenario, seed, scale) and
@@ -46,237 +45,6 @@ pub const DETERMINISTIC_VALUES: [&str; 6] = [
 /// Default divisor for the virtual-per-wall hard floor: the current run
 /// fails when its best section rate drops below `baseline / 8`.
 pub const DEFAULT_VPW_FLOOR_DIV: f64 = 8.0;
-
-// ---------------------------------------------------------------------------
-// A minimal JSON reader for the hand-rolled BENCH artifacts (offline
-// build: no serde). Only what the artifact grammar uses.
-
-/// A parsed JSON value.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Json {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// Any number (the artifacts stay within f64).
-    Num(f64),
-    /// A string.
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object, in source order.
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Member lookup on an object (first match), `None` otherwise.
-    #[must_use]
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(members) => members.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-}
-
-struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn err(&self, what: &str) -> String {
-        format!("{what} at byte {}", self.pos)
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn bump(&mut self) -> Option<u8> {
-        let b = self.peek();
-        if b.is_some() {
-            self.pos += 1;
-        }
-        b
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn eat(&mut self, b: u8) -> Result<(), String> {
-        if self.bump() == Some(b) {
-            Ok(())
-        } else {
-            self.pos = self.pos.saturating_sub(1);
-            Err(self.err(&format!("expected '{}'", b as char)))
-        }
-    }
-
-    fn value(&mut self, depth: u32) -> Result<Json, String> {
-        if depth > 64 {
-            return Err(self.err("nesting too deep"));
-        }
-        self.skip_ws();
-        match self.peek() {
-            Some(b'{') => self.object(depth),
-            Some(b'[') => self.array(depth),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(_) => self.number(),
-            None => Err(self.err("unexpected end of input")),
-        }
-    }
-
-    fn literal(&mut self, word: &str, v: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(v)
-        } else {
-            Err(self.err(&format!("expected '{word}'")))
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        while matches!(
-            self.peek(),
-            Some(b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-        ) {
-            self.pos += 1;
-        }
-        let span = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("invalid utf-8 in number"))?;
-        span.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| self.err(&format!("invalid number '{span}'")))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.eat(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.bump() {
-                Some(b'"') => return Ok(out),
-                Some(b'\\') => match self.bump() {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'u') => {
-                        let end = self.pos.checked_add(4).filter(|&e| e <= self.bytes.len());
-                        let code = end
-                            .and_then(|e| std::str::from_utf8(&self.bytes[self.pos..e]).ok())
-                            .and_then(|h| u32::from_str_radix(h, 16).ok())
-                            .ok_or_else(|| self.err("invalid \\u escape"))?;
-                        self.pos += 4;
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                    }
-                    _ => return Err(self.err("invalid escape")),
-                },
-                Some(b) if b < 0x80 => out.push(b as char),
-                Some(b) => {
-                    // Re-decode the multi-byte sequence in place.
-                    let start = self.pos - 1;
-                    let len = match b {
-                        0xc0..=0xdf => 2,
-                        0xe0..=0xef => 3,
-                        _ => 4,
-                    };
-                    let end = start
-                        .checked_add(len)
-                        .filter(|&e| e <= self.bytes.len())
-                        .ok_or_else(|| self.err("truncated utf-8"))?;
-                    let s = std::str::from_utf8(&self.bytes[start..end])
-                        .map_err(|_| self.err("invalid utf-8 in string"))?;
-                    out.push_str(s);
-                    self.pos = end;
-                }
-                None => return Err(self.err("unterminated string")),
-            }
-        }
-    }
-
-    fn array(&mut self, depth: u32) -> Result<Json, String> {
-        self.eat(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value(depth + 1)?);
-            self.skip_ws();
-            match self.bump() {
-                Some(b',') => {}
-                Some(b']') => return Ok(Json::Arr(items)),
-                _ => return Err(self.err("expected ',' or ']'")),
-            }
-        }
-    }
-
-    fn object(&mut self, depth: u32) -> Result<Json, String> {
-        self.eat(b'{')?;
-        let mut members = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(members));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.eat(b':')?;
-            let val = self.value(depth + 1)?;
-            members.push((key, val));
-            self.skip_ws();
-            match self.bump() {
-                Some(b',') => {}
-                Some(b'}') => return Ok(Json::Obj(members)),
-                _ => return Err(self.err("expected ',' or '}'")),
-            }
-        }
-    }
-}
-
-/// Parse one JSON document (trailing whitespace allowed).
-pub fn parse_json(text: &str) -> Result<Json, String> {
-    let mut r = Reader {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
-    let v = r.value(0)?;
-    r.skip_ws();
-    if r.pos != r.bytes.len() {
-        return Err(r.err("trailing garbage"));
-    }
-    Ok(v)
-}
 
 // ---------------------------------------------------------------------------
 // The artifact model the comparator works on.
@@ -472,32 +240,27 @@ impl Verdict {
             .count()
     }
 
-    /// Serialize the verdict (hand-rolled; no serde in the offline
-    /// build): `{"status":...,"failures":N,"checks":[...]}`.
+    /// Serialize the verdict:
+    /// `{"status":...,"failures":N,"checks":[...]}`.
     #[must_use]
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(256 + 160 * self.checks.len());
-        let _ = write!(
-            out,
-            "{{\"status\":\"{}\",\"failures\":{},\"checks\":[",
-            if self.pass() { "pass" } else { "fail" },
-            self.failures()
-        );
-        for (i, c) in self.checks.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"target\":{},\"section\":{},\"check\":{},\"status\":\"{}\",\"detail\":{}}}",
-                json_escape(&c.target),
-                json_escape(&c.section),
-                json_escape(&c.name),
-                c.status.name(),
-                json_escape(&c.detail)
-            );
-        }
-        out.push_str("]}\n");
+        json::object(&mut out, |o| {
+            o.field("status", if self.pass() { "pass" } else { "fail" })
+                .field("failures", self.failures());
+            o.arr("checks", |a| {
+                for c in &self.checks {
+                    a.obj(|o| {
+                        o.field("target", &c.target)
+                            .field("section", &c.section)
+                            .field("check", &c.name)
+                            .field("status", c.status.name())
+                            .field("detail", &c.detail);
+                    });
+                }
+            });
+        });
+        out.push('\n');
         out
     }
 }
@@ -771,14 +534,14 @@ pub fn diff_dirs(baseline: &Path, currents: &[&Path], cfg: &DiffConfig) -> Resul
 pub fn write_trajectory(dir: &Path, out: &Path) -> Result<usize, String> {
     let docs = load_dir(dir)?;
     let mut body = String::with_capacity(docs.iter().map(|(_, t)| t.len() + 2).sum::<usize>() + 32);
-    body.push_str("{\"targets\":[");
-    for (i, (_, raw)) in docs.iter().enumerate() {
-        if i > 0 {
-            body.push(',');
-        }
-        body.push_str(raw.trim_end());
-    }
-    body.push_str("]}\n");
+    json::object(&mut body, |o| {
+        o.arr("targets", |a| {
+            for (_, raw) in &docs {
+                a.raw(raw.trim_end());
+            }
+        });
+    });
+    body.push('\n');
     std::fs::write(out, body).map_err(|e| format!("cannot write {}: {e}", out.display()))?;
     Ok(docs.len())
 }
@@ -813,20 +576,7 @@ mod tests {
         assert_eq!(d.sections[0].virtual_ns, 60_000_000_000);
         assert_eq!(d.sections[0].value("commits"), Some(81_000.0));
         assert_eq!(d.sections[0].value("speedup_vs_exact"), Some(123.4));
-    }
-
-    #[test]
-    fn parser_rejects_malformed_documents() {
-        assert!(parse_json("{\"a\":").is_err());
-        assert!(parse_json("{\"a\":1} trailing").is_err());
-        assert!(parse_json("[1,2,]").is_err());
         assert!(parse_bench_doc("{\"scale\":1,\"sections\":[]}").is_err());
-    }
-
-    #[test]
-    fn parser_handles_escapes_and_unicode() {
-        let v = parse_json("{\"a\":\"q\\\"\\\\\\n\\u0041é\"}").expect("parses");
-        assert_eq!(v.get("a").and_then(Json::as_str), Some("q\"\\\nAé"));
     }
 
     #[test]
@@ -944,7 +694,43 @@ mod tests {
         );
         let j = v.to_json();
         assert!(j.starts_with("{\"status\":\"fail\""));
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
-        assert!(parse_json(&j).is_ok(), "verdict must itself parse");
+        let parsed = parse_json(&j).expect("verdict must itself parse");
+        let check = &parsed.get("checks").and_then(Json::as_arr).expect("checks")[0];
+        assert_eq!(
+            check.get("check").and_then(Json::as_str),
+            Some("value:commits")
+        );
+        assert_eq!(
+            j,
+            r#"{"status":"fail","failures":1,"checks":[{"target":"t","section":"scenario/marlin/sim","check":"value:commits","status":"fail","detail":"baseline commits=500, current 501 — deterministic output drifted — a behavior change, not noise; if intended, refresh bench/baseline (see docs/OBSERVABILITY.md)"}]}
+"#
+        );
+    }
+
+    #[test]
+    fn trajectory_embeds_each_artifact_verbatim() {
+        let dir = std::env::temp_dir().join(format!("marlin-trajectory-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let mut b = BenchReport::new("b", 10);
+        b.sections.push(BenchSection {
+            name: "s".into(),
+            wall_nanos: 5,
+            virtual_nanos: 9,
+            ..BenchSection::default()
+        });
+        std::fs::write(dir.join("BENCH_b.json"), b.to_json()).expect("write b");
+        std::fs::write(
+            dir.join("BENCH_a.json"),
+            BenchReport::new("a", 10).to_json(),
+        )
+        .expect("write a");
+        let out = dir.join("trajectory.json");
+        assert_eq!(write_trajectory(&dir, &out), Ok(2));
+        assert_eq!(
+            std::fs::read_to_string(&out).expect("written"),
+            r#"{"targets":[{"target":"a","scale":10,"sections":[]},{"target":"b","scale":10,"sections":[{"name":"s","wall_ns":5,"virtual_ns":9,"virtual_per_wall":1.8}]}]}
+"#
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

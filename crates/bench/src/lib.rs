@@ -2,9 +2,9 @@
 //!
 //! The `paper_claims` bench target prints the paper's §6 as one table,
 //! [`claims::CLAIMS`], and Table 1; the other `harness = false` targets
-//! in `benches/` cover the controller, the CPU models, predictive scaling
-//! and the million-client engine, and criterion microbenches the
-//! protocol primitives.
+//! in `benches/` cover the controller, the CPU models, predictive scaling,
+//! the million-client engine, and (`micro_primitives`) the CPU station,
+//! one control tick's `observe` and the telemetry overhead guard.
 //!
 //! Set `MARLIN_SCALE=<n>` to divide workload sizes by `n` for quick runs
 //! (default 1 = the paper's full scale). Set `MARLIN_REPORT_JSON=<path>`

@@ -3,7 +3,8 @@
 //! fixture (the CI negative self-test runs the same pair), and emit a
 //! machine-readable verdict plus the aggregated trajectory.
 
-use marlin_bench::diff::{diff_dirs, parse_json, DiffConfig, Json};
+use marlin_bench::diff::{diff_dirs, DiffConfig};
+use marlin_telemetry::json::{parse_json, Json};
 use std::path::Path;
 use std::process::Command;
 

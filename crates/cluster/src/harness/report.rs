@@ -13,7 +13,8 @@
 use crate::harness::runner::{MetricsSnapshot, TelemetrySection};
 use marlin_autoscaler::{ForecastSample, Observation, RegionLoad, ScaleAction};
 use marlin_sim::Nanos;
-use marlin_telemetry::{json_escape, json_f64, CoordBreakdown};
+use marlin_telemetry::json::{self, parse_json, Arr, Json, Obj, ToJson};
+use marlin_telemetry::CoordBreakdown;
 
 /// What produced a log entry.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -306,38 +307,33 @@ impl RunReport {
     #[must_use]
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(4096 + 256 * self.log.len());
-        out.push('{');
-        field(&mut out, "scenario", &json_escape(&self.scenario));
-        field(&mut out, "backend", &json_escape(&self.backend));
-        field(&mut out, "runner", &json_escape(&self.runner));
-        let policy = match &self.policy {
-            Some(p) => json_escape(p),
-            None => "null".into(),
-        };
-        field(&mut out, "policy", &policy);
-        field(&mut out, "cpu_model", &json_escape(&self.cpu_model));
-        field(&mut out, "seed", &self.seed.to_string());
-        field(&mut out, "horizon_ns", &self.horizon.to_string());
-        let accuracy = match &self.forecast {
-            Some(f) => format!(
-                "{{\"samples\":{},\"mape\":{},\"bias\":{},\"fallback_ticks\":{}}}",
-                f.samples,
-                json_f64(f.mape),
-                json_f64(f.bias),
-                f.fallback_ticks
-            ),
-            None => "null".into(),
-        };
-        field(&mut out, "forecast_accuracy", &accuracy);
-        let log: Vec<String> = self.log.iter().map(record_json).collect();
-        field(&mut out, "log", &format!("[{}]", log.join(",")));
-        if let Some(t) = &self.telemetry {
-            field(&mut out, "telemetry", &telemetry_json(t));
-        }
-        out.push_str("\"metrics\":");
-        out.push_str(&metrics_json(&self.metrics));
-        out.push('}');
+        json::object(&mut out, |o| self.write_json(o));
         out
+    }
+
+    fn write_json(&self, o: &mut Obj<'_>) {
+        o.field("scenario", &self.scenario)
+            .field("backend", &self.backend)
+            .field("runner", &self.runner)
+            .field("policy", &self.policy)
+            .field("cpu_model", &self.cpu_model)
+            .field("seed", self.seed)
+            .field("horizon_ns", self.horizon)
+            .obj_or_null("forecast_accuracy", self.forecast.as_ref(), |o, f| {
+                o.field("samples", f.samples)
+                    .field("mape", f.mape)
+                    .field("bias", f.bias)
+                    .field("fallback_ticks", f.fallback_ticks);
+            })
+            .arr("log", |a| {
+                for r in &self.log {
+                    a.obj(|o| record_json(o, r));
+                }
+            });
+        if let Some(t) = &self.telemetry {
+            o.obj("telemetry", |o| telemetry_json(o, t));
+        }
+        o.obj("metrics", |o| metrics_json(o, &self.metrics));
     }
 }
 
@@ -364,29 +360,15 @@ pub fn action_signature(action: &ScaleAction) -> String {
 /// and return the path. Every bench target calls this so figure runs
 /// leave machine-readable artifacts including the decision logs.
 ///
-/// Reports *accumulate*: if the file already holds an array written by
-/// this function (e.g. an earlier target of a `cargo bench` sweep), the
-/// new reports are appended to it. Delete the file to start fresh.
+/// Reports *accumulate*: if the file already holds a JSON array (e.g.
+/// from an earlier target of a `cargo bench` sweep), the new reports are
+/// appended to it; a file holding anything else is replaced. Delete the
+/// file to start fresh.
 pub fn maybe_write_json(reports: &[RunReport]) -> Option<String> {
     let path = std::env::var("MARLIN_REPORT_JSON")
         .ok()
         .filter(|p| !p.is_empty())?;
-    let body = reports
-        .iter()
-        .map(RunReport::to_json)
-        .collect::<Vec<_>>()
-        .join(",\n");
-    // Splice into an existing array (our own writer's format) so a
-    // multi-target bench run keeps every figure's reports.
-    let doc = match std::fs::read_to_string(&path) {
-        Ok(existing) => match existing.trim_end().strip_suffix(']') {
-            Some(head) if head.trim() == "[" => format!("[{body}]\n"),
-            Some(head) => format!("{head},\n{body}]\n"),
-            None => format!("[{body}]\n"),
-        },
-        Err(_) => format!("[{body}]\n"),
-    };
-    match std::fs::write(&path, doc) {
+    match append_reports(&path, reports) {
         Ok(()) => {
             println!("wrote {} RunReport(s) to {path}", reports.len());
             Some(path)
@@ -398,296 +380,204 @@ pub fn maybe_write_json(reports: &[RunReport]) -> Option<String> {
     }
 }
 
-// -- JSON plumbing (no serde in the offline build) --------------------------
-
-fn field(out: &mut String, key: &str, value: &str) {
-    out.push('"');
-    out.push_str(key);
-    out.push_str("\":");
-    out.push_str(value);
-    out.push(',');
+/// Append `reports` to the JSON array at `path`, one report per line. A
+/// file that does not hold a JSON array (a truncated one, say) is
+/// replaced by a fresh array, with a note on stderr.
+fn append_reports(path: &str, reports: &[RunReport]) -> std::io::Result<()> {
+    let prior = std::fs::read_to_string(path).ok();
+    // The prior array's text up to its closing `]`, when it holds elements.
+    let head = prior.as_deref().and_then(|text| match parse_json(text) {
+        Ok(Json::Arr(items)) if items.is_empty() => None,
+        Ok(Json::Arr(_)) => text.trim_end().strip_suffix(']'),
+        _ => {
+            eprintln!("MARLIN_REPORT_JSON: {path} is not a JSON array; writing a fresh one");
+            None
+        }
+    });
+    let mut doc = head.unwrap_or("[").to_owned();
+    json::lines(&mut doc, head.is_some(), |a| {
+        for r in reports {
+            a.obj(|o| r.write_json(o));
+        }
+    });
+    doc.push_str("]\n");
+    std::fs::write(path, doc)
 }
 
-fn json_pairs_u32(pairs: &[(u32, f64)]) -> String {
-    let cells: Vec<String> = pairs
-        .iter()
-        .map(|&(k, v)| format!("[{k},{}]", json_f64(v)))
-        .collect();
-    format!("[{}]", cells.join(","))
+fn pairs<K: ToJson + Copy>(a: &mut Arr<'_>, pairs: &[(K, f64)]) {
+    for &(k, v) in pairs {
+        a.arr(|p| {
+            p.item(k).item(v);
+        });
+    }
 }
 
-fn json_pairs_nanos(pairs: &[(Nanos, f64)]) -> String {
-    let cells: Vec<String> = pairs
-        .iter()
-        .map(|&(t, v)| format!("[{t},{}]", json_f64(v)))
-        .collect();
-    format!("[{}]", cells.join(","))
-}
-
-fn action_json(action: &ScaleAction) -> String {
+fn action_json(o: &mut Obj<'_>, action: &ScaleAction) {
     match action {
         ScaleAction::AddNodes { count, region } => {
-            let region = region.map_or("null".into(), |r| r.0.to_string());
-            format!("{{\"kind\":\"add_nodes\",\"count\":{count},\"region\":{region}}}")
+            o.field("kind", "add_nodes")
+                .field("count", *count)
+                .field("region", region.map(|r| r.0));
         }
         ScaleAction::RemoveNodes { victims } => {
-            let ids: Vec<String> = victims.iter().map(|n| n.0.to_string()).collect();
-            format!(
-                "{{\"kind\":\"remove_nodes\",\"victims\":[{}]}}",
-                ids.join(",")
-            )
+            o.field("kind", "remove_nodes").arr("victims", |a| {
+                for n in victims {
+                    a.item(n.0);
+                }
+            });
         }
         ScaleAction::Rebalance { moves } => {
-            let cells: Vec<String> = moves
-                .iter()
-                .map(|m| format!("[{},{},{}]", m.granule.0, m.src.0, m.dst.0))
-                .collect();
-            format!("{{\"kind\":\"rebalance\",\"moves\":[{}]}}", cells.join(","))
+            o.field("kind", "rebalance").arr("moves", |a| {
+                for m in moves {
+                    a.arr(|c| {
+                        c.item(m.granule.0).item(m.src.0).item(m.dst.0);
+                    });
+                }
+            });
         }
     }
 }
 
-fn forecast_json(s: &ForecastSample) -> String {
-    let region = s.region.map_or("null".into(), |r| r.0.to_string());
-    format!(
-        "{{\"region\":{region},\"demand\":{},\"predicted\":{},\"lead_ns\":{},\
-         \"rolling_mape\":{},\"bias\":{},\"fallback\":{},\"distressed\":{}}}",
-        json_f64(s.demand),
-        json_f64(s.predicted),
-        s.lead,
-        json_f64(s.rolling_mape),
-        json_f64(s.bias),
-        s.fallback,
-        s.distressed,
-    )
+fn forecast_json(o: &mut Obj<'_>, s: &ForecastSample) {
+    o.field("region", s.region.map(|r| r.0))
+        .field("demand", s.demand)
+        .field("predicted", s.predicted)
+        .field("lead_ns", s.lead)
+        .field("rolling_mape", s.rolling_mape)
+        .field("bias", s.bias)
+        .field("fallback", s.fallback)
+        .field("distressed", s.distressed);
 }
 
-fn region_loads_json(regions: &[RegionLoad]) -> String {
-    let cells: Vec<String> = regions
-        .iter()
-        .map(|r| {
-            format!(
-                "{{\"region\":{},\"live_nodes\":{},\"mean_utilization\":{},\
-                 \"queue_depth\":{},\"p99_latency_ns\":{},\"throughput_tps\":{},\
-                 \"dollars_per_hour\":{}}}",
-                r.region.0,
-                r.live_nodes,
-                json_f64(r.mean_utilization),
-                json_f64(r.queue_depth),
-                r.p99_latency,
-                json_f64(r.throughput_tps),
-                json_f64(r.dollars_per_hour),
-            )
+fn region_load_json(o: &mut Obj<'_>, r: &RegionLoad) {
+    o.field("region", r.region.0)
+        .field("live_nodes", r.live_nodes)
+        .field("mean_utilization", r.mean_utilization)
+        .field("queue_depth", r.queue_depth)
+        .field("p99_latency_ns", r.p99_latency)
+        .field("throughput_tps", r.throughput_tps)
+        .field("dollars_per_hour", r.dollars_per_hour);
+}
+
+fn record_json(o: &mut Obj<'_>, r: &DecisionRecord) {
+    let d = &r.observation;
+    o.field("tick", r.tick)
+        .field("at_ns", r.at)
+        .field("source", r.source.as_str())
+        .obj("observation", |o| {
+            o.field("live_nodes", d.live_nodes)
+                .field("throughput_tps", d.throughput_tps)
+                .field("p99_latency_ns", d.p99_latency)
+                .field("mean_utilization", d.mean_utilization)
+                .field("queue_depth", d.queue_depth)
+                .field("dollars_per_hour", d.dollars_per_hour)
+                .arr("node_utilization", |a| pairs(a, &d.node_utilization))
+                .arr("regions", |a| {
+                    for region in &d.regions {
+                        a.obj(|o| region_load_json(o, region));
+                    }
+                });
         })
-        .collect();
-    format!("[{}]", cells.join(","))
-}
-
-fn record_json(r: &DecisionRecord) -> String {
-    let mut out = String::with_capacity(256);
-    out.push('{');
-    field(&mut out, "tick", &r.tick.to_string());
-    field(&mut out, "at_ns", &r.at.to_string());
-    field(&mut out, "source", &json_escape(r.source.as_str()));
-    let o = &r.observation;
-    let obs = format!(
-        "{{\"live_nodes\":{},\"throughput_tps\":{},\"p99_latency_ns\":{},\
-         \"mean_utilization\":{},\"queue_depth\":{},\"dollars_per_hour\":{},\
-         \"node_utilization\":{},\"regions\":{}}}",
-        o.live_nodes,
-        json_f64(o.throughput_tps),
-        o.p99_latency,
-        json_f64(o.mean_utilization),
-        json_f64(o.queue_depth),
-        json_f64(o.dollars_per_hour),
-        json_pairs_u32(&o.node_utilization),
-        region_loads_json(&o.regions),
-    );
-    field(&mut out, "observation", &obs);
-    let action = match &r.action {
-        Some(a) => action_json(a),
-        None => "null".into(),
-    };
-    field(&mut out, "action", &action);
+        .obj_or_null("action", r.action.as_ref(), action_json);
     if !r.forecasts.is_empty() {
-        let cells: Vec<String> = r.forecasts.iter().map(forecast_json).collect();
-        field(&mut out, "forecasts", &format!("[{}]", cells.join(",")));
+        o.arr("forecasts", |a| {
+            for s in &r.forecasts {
+                a.obj(|o| forecast_json(o, s));
+            }
+        });
     }
-    out.push_str("\"actuation_micros\":");
-    out.push_str(&r.actuation_micros.to_string());
-    out.push('}');
-    out
+    o.field("actuation_micros", r.actuation_micros);
 }
 
-fn metrics_json(m: &MetricsSnapshot) -> String {
-    let mut out = String::with_capacity(512);
-    out.push('{');
-    field(&mut out, "live_nodes", &m.live_nodes.to_string());
-    field(&mut out, "commits", &m.commits.to_string());
-    field(&mut out, "abort_ratio", &json_f64(m.abort_ratio));
-    field(&mut out, "mean_latency_ns", &json_f64(m.mean_latency));
-    field(&mut out, "p99_latency_ns", &m.p99_latency.to_string());
-    field(&mut out, "migrations", &m.migrations.to_string());
-    field(
-        &mut out,
-        "migration_duration_ns",
-        &m.migration_duration.to_string(),
-    );
-    field(
-        &mut out,
-        "migration_throughput",
-        &json_f64(m.migration_throughput),
-    );
-    field(
-        &mut out,
-        "migration_latency_mean_ns",
-        &json_f64(m.migration_latency.mean),
-    );
-    field(
-        &mut out,
-        "migration_latency_p99_ns",
-        &m.migration_latency.p99.to_string(),
-    );
-    field(
-        &mut out,
-        "membership_commits",
-        &m.membership_commits.to_string(),
-    );
-    field(
-        &mut out,
-        "membership_retries",
-        &m.membership_retries.to_string(),
-    );
-    field(
-        &mut out,
-        "membership_mean_latency_ns",
-        &json_f64(m.membership_mean_latency),
-    );
-    field(&mut out, "db_cost", &json_f64(m.db_cost));
-    field(&mut out, "meta_cost", &json_f64(m.meta_cost));
-    field(
-        &mut out,
-        "coordination",
-        &coordination_json(&m.coordination),
-    );
-    field(&mut out, "total_cost", &json_f64(m.total_cost));
-    field(&mut out, "cost_per_mtxn", &json_f64(m.cost_per_mtxn));
-    let regions: Vec<String> = m
-        .region_breakdown
-        .iter()
-        .map(|r| {
-            let nodes: Vec<String> = r.nodes.iter().map(u32::to_string).collect();
-            format!(
-                "{{\"region\":{},\"live_nodes\":{},\"nodes\":[{}],\
-                 \"commits\":{},\"db_cost\":{}}}",
-                r.region,
-                r.live_nodes,
-                nodes.join(","),
-                r.commits,
-                json_f64(r.db_cost),
-            )
+fn metrics_json(o: &mut Obj<'_>, m: &MetricsSnapshot) {
+    o.field("live_nodes", m.live_nodes)
+        .field("commits", m.commits)
+        .field("abort_ratio", m.abort_ratio)
+        .field("mean_latency_ns", m.mean_latency)
+        .field("p99_latency_ns", m.p99_latency)
+        .field("migrations", m.migrations)
+        .field("migration_duration_ns", m.migration_duration)
+        .field("migration_throughput", m.migration_throughput)
+        .field("migration_latency_mean_ns", m.migration_latency.mean)
+        .field("migration_latency_p99_ns", m.migration_latency.p99)
+        .field("membership_commits", m.membership_commits)
+        .field("membership_retries", m.membership_retries)
+        .field("membership_mean_latency_ns", m.membership_mean_latency)
+        .field("db_cost", m.db_cost)
+        .field("meta_cost", m.meta_cost)
+        .obj("coordination", |o| coordination_json(o, &m.coordination))
+        .field("total_cost", m.total_cost)
+        .field("cost_per_mtxn", m.cost_per_mtxn)
+        .arr("region_breakdown", |a| {
+            for r in &m.region_breakdown {
+                a.obj(|o| {
+                    o.field("region", r.region)
+                        .field("live_nodes", r.live_nodes)
+                        .arr("nodes", |a| {
+                            for n in &r.nodes {
+                                a.item(n);
+                            }
+                        })
+                        .field("commits", r.commits)
+                        .field("db_cost", r.db_cost);
+                });
+            }
         })
-        .collect();
-    field(
-        &mut out,
-        "region_breakdown",
-        &format!("[{}]", regions.join(",")),
-    );
-    field(&mut out, "blame", &blame_json(&m.blame));
-    let exemplars: Vec<String> = m.tail_exemplars.iter().map(exemplar_json).collect();
-    field(
-        &mut out,
-        "tail_exemplars",
-        &format!("[{}]", exemplars.join(",")),
-    );
-    out.push_str("\"node_count\":");
-    out.push_str(&json_pairs_nanos(&m.node_count));
-    out.push('}');
-    out
-}
-
-fn blame_json(b: &crate::metrics::Blame) -> String {
-    format!(
-        "{{\"queue_wait_ns\":{},\"service_ns\":{},\"network_ns\":{},\
-         \"network_overlay_ns\":{},\"migration_stall_ns\":{},\
-         \"provision_lead_ns\":{},\"retry_backoff_ns\":{}}}",
-        b.queue_wait,
-        b.service,
-        b.network,
-        b.network_overlay,
-        b.migration_stall,
-        b.provision_lead,
-        b.retry_backoff,
-    )
-}
-
-fn exemplar_json(e: &crate::metrics::TailExemplar) -> String {
-    format!(
-        "{{\"at_ns\":{},\"latency_ns\":{},\"granule\":{},\"node\":{},\
-         \"region\":{},\"weight\":{},\"blame\":{}}}",
-        e.at,
-        e.latency,
-        e.granule,
-        e.node,
-        e.region,
-        e.weight,
-        blame_json(&e.blame),
-    )
-}
-
-fn coordination_json(c: &CoordBreakdown) -> String {
-    let o = &c.ops;
-    format!(
-        "{{\"commit_cas_attempts\":{},\"commit_cas_retries\":{},\
-         \"migration_cas_attempts\":{},\"migration_cas_retries\":{},\
-         \"membership_cas_attempts\":{},\"membership_cas_retries\":{},\
-         \"service_writes\":{},\"service_reads\":{},\
-         \"watch_notifications\":{},\"write_dollars\":{},\
-         \"read_dollars\":{},\"uptime_dollars\":{},\"meta_dollars\":{}}}",
-        o.commit_cas_attempts,
-        o.commit_cas_retries,
-        o.migration_cas_attempts,
-        o.migration_cas_retries,
-        o.membership_cas_attempts,
-        o.membership_cas_retries,
-        o.service_writes,
-        o.service_reads,
-        o.watch_notifications,
-        json_f64(c.write_dollars),
-        json_f64(c.read_dollars),
-        json_f64(c.uptime_dollars),
-        json_f64(c.meta_dollars()),
-    )
-}
-
-fn telemetry_json(t: &TelemetrySection) -> String {
-    let phases: Vec<String> = t
-        .profile
-        .phases
-        .iter()
-        .map(|p| {
-            format!(
-                "{{\"name\":{},\"wall_ns\":{},\"calls\":{}}}",
-                json_escape(p.name),
-                p.wall_nanos,
-                p.calls
-            )
+        .obj("blame", |o| blame_json(o, &m.blame))
+        .arr("tail_exemplars", |a| {
+            for e in &m.tail_exemplars {
+                a.obj(|o| {
+                    o.field("at_ns", e.at)
+                        .field("latency_ns", e.latency)
+                        .field("granule", e.granule)
+                        .field("node", e.node)
+                        .field("region", e.region)
+                        .field("weight", e.weight)
+                        .obj("blame", |o| blame_json(o, &e.blame));
+                });
+            }
         })
-        .collect();
-    format!(
-        "{{\"trace_events\":{},\"trace_dropped\":{},\"virtual_ns\":{},\
-         \"wall_ns\":{},\"virtual_per_wall\":{},\"events\":{},\
-         \"queue_depth_mean\":{},\"queue_depth_max\":{},\"phases\":[{}]}}",
-        t.trace_events,
-        t.trace_dropped,
-        t.virtual_nanos,
-        t.profile.total_wall_nanos,
-        json_f64(t.virtual_per_wall()),
-        t.profile.events,
-        json_f64(t.profile.queue_depth_mean),
-        t.profile.queue_depth_max,
-        phases.join(","),
-    )
+        .arr("node_count", |a| pairs(a, &m.node_count));
+}
+
+fn blame_json(o: &mut Obj<'_>, b: &crate::metrics::Blame) {
+    o.field("queue_wait_ns", b.queue_wait)
+        .field("service_ns", b.service)
+        .field("network_ns", b.network)
+        .field("network_overlay_ns", b.network_overlay)
+        .field("migration_stall_ns", b.migration_stall)
+        .field("provision_lead_ns", b.provision_lead)
+        .field("retry_backoff_ns", b.retry_backoff);
+}
+
+fn coordination_json(o: &mut Obj<'_>, c: &CoordBreakdown) {
+    let n = &c.ops;
+    o.field("commit_cas_attempts", n.commit_cas_attempts)
+        .field("commit_cas_retries", n.commit_cas_retries)
+        .field("migration_cas_attempts", n.migration_cas_attempts)
+        .field("migration_cas_retries", n.migration_cas_retries)
+        .field("membership_cas_attempts", n.membership_cas_attempts)
+        .field("membership_cas_retries", n.membership_cas_retries)
+        .field("service_writes", n.service_writes)
+        .field("service_reads", n.service_reads)
+        .field("watch_notifications", n.watch_notifications)
+        .field("write_dollars", c.write_dollars)
+        .field("read_dollars", c.read_dollars)
+        .field("uptime_dollars", c.uptime_dollars)
+        .field("meta_dollars", c.meta_dollars());
+}
+
+fn telemetry_json(o: &mut Obj<'_>, t: &TelemetrySection) {
+    let p = &t.profile;
+    o.field("trace_events", t.trace_events)
+        .field("trace_dropped", t.trace_dropped)
+        .field("virtual_ns", t.virtual_nanos)
+        .field("wall_ns", p.total_wall_nanos)
+        .field("virtual_per_wall", t.virtual_per_wall())
+        .field("events", p.events)
+        .field("queue_depth_mean", p.queue_depth_mean)
+        .field("queue_depth_max", p.queue_depth_max);
+    p.write_phases(o);
 }
 
 #[cfg(test)]
@@ -889,13 +779,98 @@ mod tests {
              \"granule\":42,\"node\":1,\"region\":0,\"weight\":1,\
              \"blame\":{\"queue_wait_ns\":1000000,\"service_ns\":4000000,"
         ));
-        // Structural sanity: balanced braces/brackets.
+        assert_eq!(j, include_str!("../../tests/fixtures/report/plain.json"));
+        // The same facts, read back through the codec.
+        let v = parse_json(&j).expect("the report parses");
         assert_eq!(
-            j.matches('{').count(),
-            j.matches('}').count(),
-            "balanced braces"
+            v.get("scenario").and_then(Json::as_str),
+            Some("unit \"quoted\"")
         );
-        assert_eq!(j.matches('[').count(), j.matches(']').count());
+        let log = v.get("log").and_then(Json::as_arr).expect("log array");
+        assert_eq!(log.len(), 1);
+        let action = log[0].get("action").expect("action");
+        assert_eq!(
+            action.get("kind").and_then(Json::as_str),
+            Some("remove_nodes")
+        );
+        assert_eq!(
+            action.get("victims"),
+            Some(&Json::Arr(vec![Json::Num(3.0)]))
+        );
+        let metrics = v.get("metrics").expect("metrics");
+        assert_eq!(metrics.get("meta_cost").and_then(Json::as_f64), Some(0.0));
+        let exemplar = &metrics
+            .get("tail_exemplars")
+            .and_then(Json::as_arr)
+            .expect("exemplars")[0];
+        assert_eq!(
+            exemplar
+                .get("blame")
+                .and_then(|b| b.get("service_ns"))
+                .and_then(Json::as_f64),
+            Some(4_000_000.0)
+        );
+    }
+
+    /// The full documents, byte for byte: every field the report writer
+    /// has ever emitted, in order, with its escaping and `null`s.
+    #[test]
+    fn report_documents_match_the_pinned_bytes() {
+        let mut r = report();
+        r.policy = None;
+        r.telemetry = Some(TelemetrySection {
+            trace_events: 12,
+            trace_dropped: 0,
+            profile: marlin_telemetry::ProfileSummary {
+                phases: vec![
+                    marlin_telemetry::PhaseStat {
+                        name: "event:\"odd\"\nname",
+                        wall_nanos: 1_000,
+                        calls: 2,
+                    },
+                    marlin_telemetry::PhaseStat {
+                        name: "observe",
+                        wall_nanos: 7,
+                        calls: 1,
+                    },
+                ],
+                total_wall_nanos: 2_000_000,
+                events: 40,
+                queue_depth_mean: 3.5,
+                queue_depth_max: 9,
+            },
+            virtual_nanos: 3_000_000_000,
+        });
+        let mv = |g: u64, src: u32, dst: u32| marlin_autoscaler::GranuleMove {
+            granule: marlin_common::GranuleId(g),
+            src: NodeId(src),
+            dst: NodeId(dst),
+        };
+        r.log[0].action = Some(ScaleAction::Rebalance {
+            moves: vec![mv(5, 1, 2), mv(6, 2, 0)],
+        });
+        let observation = r.log[0].observation.clone();
+        let entry = |at: Nanos, source, action, actuation_micros| DecisionRecord {
+            tick: 0,
+            at,
+            source,
+            observation: observation.clone(),
+            action,
+            forecasts: Vec::new(),
+            actuation_micros,
+        };
+        r.log.push(entry(
+            1_500_000_000,
+            DecisionSource::Script,
+            Some(ScaleAction::add_in(2, RegionId(1))),
+            3,
+        ));
+        r.log
+            .push(entry(1_600_000_000, DecisionSource::Fault, None, 0));
+        assert_eq!(
+            r.to_json(),
+            include_str!("../../tests/fixtures/report/rich.json")
+        );
     }
 
     #[test]
@@ -911,8 +886,17 @@ mod tests {
              \"write_dollars\":0,\"read_dollars\":0,\"uptime_dollars\":0,\
              \"meta_dollars\":0}"
         ));
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
-        assert_eq!(j.matches('[').count(), j.matches(']').count());
+        let coordination = parse_json(&j)
+            .expect("the report parses")
+            .get("metrics")
+            .and_then(|m| m.get("coordination"))
+            .cloned()
+            .expect("metrics.coordination");
+        assert_eq!(
+            coordination.get("migration_cas_attempts"),
+            Some(&Json::Num(14.0))
+        );
+        assert_eq!(coordination.get("meta_dollars"), Some(&Json::Num(0.0)));
     }
 
     #[test]
@@ -948,8 +932,16 @@ mod tests {
         assert!(j.contains("\"virtual_per_wall\":1500,"));
         assert!(j.contains("\"queue_depth_mean\":3.5,\"queue_depth_max\":9"));
         assert!(j.contains("{\"name\":\"event:\\\"odd\\\"\\nname\",\"wall_ns\":1000,\"calls\":2}"));
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
-        assert_eq!(j.matches('[').count(), j.matches(']').count());
+        let v = parse_json(&j).expect("the report parses");
+        let phase = &v
+            .get("telemetry")
+            .and_then(|t| t.get("phases"))
+            .and_then(Json::as_arr)
+            .expect("telemetry.phases")[0];
+        assert_eq!(
+            phase.get("name").and_then(Json::as_str),
+            Some("event:\"odd\"\nname")
+        );
     }
 
     #[test]
@@ -965,6 +957,40 @@ mod tests {
         assert!(j.contains("\"phases\":[]"));
         // No wall time recorded → speedup reports 0, not NaN/null.
         assert!(j.contains("\"virtual_per_wall\":0,"));
+        assert_eq!(
+            j,
+            include_str!("../../tests/fixtures/report/empty_phases.json")
+        );
+    }
+
+    #[test]
+    fn reports_splice_into_an_array_and_replace_anything_else() {
+        let path = std::env::temp_dir().join(format!("marlin-reports-{}.json", std::process::id()));
+        let path = path.to_str().expect("utf-8 temp path");
+        let read = || parse_json(&std::fs::read_to_string(path).expect("written")).expect("parses");
+        // A truncated file must not be spliced into.
+        std::fs::write(path, "[{\"a\":[1]").expect("seed the file");
+        append_reports(path, &[report()]).expect("write");
+        let doc = read();
+        let items = doc.as_arr().expect("an array");
+        assert_eq!(items.len(), 1);
+        assert_eq!(
+            items[0].get("scenario").and_then(Json::as_str),
+            Some("unit \"quoted\"")
+        );
+        // A well-formed array keeps its elements and gains the new ones.
+        append_reports(path, &[report(), report()]).expect("write");
+        assert_eq!(read().as_arr().map(<[Json]>::len), Some(3));
+        // Appending nothing leaves a valid array.
+        append_reports(path, &[]).expect("write");
+        assert_eq!(read().as_arr().map(<[Json]>::len), Some(3));
+        // An empty prior array, in any layout, gains the new reports.
+        for empty in ["[]", "[ ]\n", "[]\n"] {
+            std::fs::write(path, empty).expect("seed the file");
+            append_reports(path, &[report()]).expect("write");
+            assert_eq!(read().as_arr().map(<[Json]>::len), Some(1), "{empty:?}");
+        }
+        let _ = std::fs::remove_file(path);
     }
 
     #[test]
@@ -982,8 +1008,19 @@ mod tests {
             action_signature(&ScaleAction::add_in(2, RegionId(1))),
             "add+2@r1"
         );
-        assert!(action_json(&ScaleAction::add_in(2, RegionId(1))).contains("\"region\":1"));
-        assert!(action_json(&ScaleAction::add(2)).contains("\"region\":null"));
+        let write = |action: &ScaleAction| {
+            let mut out = String::new();
+            json::object(&mut out, |o| action_json(o, action));
+            out
+        };
+        assert_eq!(
+            write(&ScaleAction::add_in(2, RegionId(1))),
+            "{\"kind\":\"add_nodes\",\"count\":2,\"region\":1}"
+        );
+        assert_eq!(
+            write(&ScaleAction::add(2)),
+            "{\"kind\":\"add_nodes\",\"count\":2,\"region\":null}"
+        );
     }
 
     #[test]
@@ -1042,8 +1079,14 @@ mod tests {
             "\"forecast_accuracy\":{\"samples\":1,\"mape\":0.5,\"bias\":0.5,\"fallback_ticks\":1}"
         ));
         assert!(j.contains("\"forecasts\":[{\"region\":null,\"demand\":4,\"predicted\":6,\"lead_ns\":1000000000,\"rolling_mape\":null,\"bias\":null,\"fallback\":true,\"distressed\":false}]"));
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
-        assert_eq!(j.matches('[').count(), j.matches(']').count());
+        assert_eq!(j, include_str!("../../tests/fixtures/report/forecast.json"));
+        let v = parse_json(&j).expect("the report parses");
+        let first = &v.get("log").and_then(Json::as_arr).expect("log")[0];
+        let sample = &first
+            .get("forecasts")
+            .and_then(Json::as_arr)
+            .expect("forecasts")[0];
+        assert_eq!(sample.get("rolling_mape"), Some(&Json::Null));
         // Non-predictive reports keep a null accuracy and omit per-record
         // forecast arrays entirely.
         let j = report().to_json();

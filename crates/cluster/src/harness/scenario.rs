@@ -17,7 +17,7 @@ use marlin_autoscaler::{
 };
 use marlin_common::{NodeId, RegionId};
 use marlin_sim::{Nanos, RegionMatrix, SECOND};
-use marlin_telemetry::json_escape;
+use marlin_telemetry::json;
 use marlin_workload::LoadTrace;
 
 /// Default node-capacity units one closed-loop client offers (calibrated
@@ -694,84 +694,81 @@ impl Scenario {
     #[must_use]
     pub fn manifest_json(&self) -> String {
         let mut out = String::with_capacity(512);
-        out.push_str("{\"name\":");
-        out.push_str(&json_escape(&self.name));
-        out.push_str(",\"backend\":\"");
-        out.push_str(match self.backend {
-            CoordKind::Marlin => "marlin",
-            CoordKind::ZkSmall => "zk-small",
-            CoordKind::ZkLarge => "zk-large",
-            CoordKind::Fdb => "fdb",
+        json::object(&mut out, |o| {
+            o.field("name", &self.name)
+                .field(
+                    "backend",
+                    match self.backend {
+                        CoordKind::Marlin => "marlin",
+                        CoordKind::ZkSmall => "zk-small",
+                        CoordKind::ZkLarge => "zk-large",
+                        CoordKind::Fdb => "fdb",
+                    },
+                )
+                .field("granules", self.workload.granule_count())
+                .field("initial_nodes", self.initial_nodes)
+                .field("regions", self.params.regions.regions())
+                .field("horizon_ms", self.horizon / 1_000_000)
+                .field("control_interval_ms", self.control_interval / 1_000_000)
+                .field(
+                    "provision_lead_ms",
+                    self.params.provision_lead_time / 1_000_000,
+                )
+                .field("seed", self.params.seed)
+                .field("policy", self.policy.is_some())
+                .arr("trace", |a| {
+                    for &(t, c) in self.trace.changes() {
+                        a.arr(|p| {
+                            p.item(t / 1_000_000).item(c);
+                        });
+                    }
+                })
+                .arr("script", |a| {
+                    for (t, action) in &self.script {
+                        let desc = match action {
+                            ScaleAction::AddNodes { count, region } => match region {
+                                Some(r) => format!("add {count} @r{}", r.0),
+                                None => format!("add {count}"),
+                            },
+                            ScaleAction::RemoveNodes { victims } => {
+                                format!("remove {}", victims.len())
+                            }
+                            ScaleAction::Rebalance { moves } => {
+                                format!("rebalance {}", moves.len())
+                            }
+                        };
+                        a.arr(|p| {
+                            p.item(t / 1_000_000).item(desc);
+                        });
+                    }
+                })
+                .arr("faults", |a| {
+                    for (t, f) in &self.faults {
+                        let desc = match f {
+                            Fault::Crash(n) => format!("crash n{}", n.0),
+                            Fault::RegionLatencySpike {
+                                region,
+                                extra,
+                                until,
+                            } => format!(
+                                "latency_spike r{} +{}ms until {}ms",
+                                region.0,
+                                extra / 1_000_000,
+                                until / 1_000_000
+                            ),
+                            Fault::RegionPartition { region, until } => {
+                                format!("partition r{} until {}ms", region.0, until / 1_000_000)
+                            }
+                            Fault::ProvisionLeadJitter { extra } => {
+                                format!("lead_jitter +{}ms", extra / 1_000_000)
+                            }
+                        };
+                        a.arr(|p| {
+                            p.item(t / 1_000_000).item(desc);
+                        });
+                    }
+                });
         });
-        out.push_str("\",\"granules\":");
-        out.push_str(&self.workload.granule_count().to_string());
-        out.push_str(",\"initial_nodes\":");
-        out.push_str(&self.initial_nodes.to_string());
-        out.push_str(",\"regions\":");
-        out.push_str(&self.params.regions.regions().to_string());
-        out.push_str(",\"horizon_ms\":");
-        out.push_str(&(self.horizon / 1_000_000).to_string());
-        out.push_str(",\"control_interval_ms\":");
-        out.push_str(&(self.control_interval / 1_000_000).to_string());
-        out.push_str(",\"provision_lead_ms\":");
-        out.push_str(&(self.params.provision_lead_time / 1_000_000).to_string());
-        out.push_str(",\"seed\":");
-        out.push_str(&self.params.seed.to_string());
-        out.push_str(",\"policy\":");
-        out.push_str(if self.policy.is_some() {
-            "true"
-        } else {
-            "false"
-        });
-        out.push_str(",\"trace\":[");
-        for (i, &(t, c)) in self.trace.changes().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("[{},{}]", t / 1_000_000, c));
-        }
-        out.push_str("],\"script\":[");
-        for (i, (t, a)) in self.script.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let desc = match a {
-                ScaleAction::AddNodes { count, region } => match region {
-                    Some(r) => format!("add {count} @r{}", r.0),
-                    None => format!("add {count}"),
-                },
-                ScaleAction::RemoveNodes { victims } => format!("remove {}", victims.len()),
-                ScaleAction::Rebalance { moves } => format!("rebalance {}", moves.len()),
-            };
-            out.push_str(&format!("[{},\"{}\"]", t / 1_000_000, desc));
-        }
-        out.push_str("],\"faults\":[");
-        for (i, (t, f)) in self.faults.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let desc = match f {
-                Fault::Crash(n) => format!("crash n{}", n.0),
-                Fault::RegionLatencySpike {
-                    region,
-                    extra,
-                    until,
-                } => format!(
-                    "latency_spike r{} +{}ms until {}ms",
-                    region.0,
-                    extra / 1_000_000,
-                    until / 1_000_000
-                ),
-                Fault::RegionPartition { region, until } => {
-                    format!("partition r{} until {}ms", region.0, until / 1_000_000)
-                }
-                Fault::ProvisionLeadJitter { extra } => {
-                    format!("lead_jitter +{}ms", extra / 1_000_000)
-                }
-            };
-            out.push_str(&format!("[{},\"{}\"]", t / 1_000_000, desc));
-        }
-        out.push_str("]}");
         out
     }
 }
@@ -967,6 +964,64 @@ mod tests {
         );
         // One line, so it fits a `#` comment of a repro artifact.
         assert!(!manifest.contains('\n'));
+        assert_eq!(
+            manifest,
+            r#"{"name":"say \"hi\"\nand\tleave\\","backend":"marlin","granules":1000,"initial_nodes":2,"regions":1,"horizon_ms":30000,"control_interval_ms":1000,"provision_lead_ms":0,"seed":42,"policy":false,"trace":[[0,0]],"script":[],"faults":[]}"#
+        );
+        let name = json::parse_json(&manifest).expect("the manifest parses");
+        assert_eq!(
+            name.get("name").and_then(json::Json::as_str),
+            Some("say \"hi\"\nand\tleave\\")
+        );
+    }
+
+    #[test]
+    fn manifest_lists_the_trace_script_and_faults() {
+        let manifest = Scenario::new("say \"hi\"\nand\tleave\\")
+            .backend(CoordKind::ZkSmall)
+            .trace(LoadTrace::spike(10, 20, 5 * SECOND, 15 * SECOND))
+            .action(3 * SECOND, ScaleAction::add_in(2, RegionId(1)))
+            .action(
+                4 * SECOND,
+                ScaleAction::RemoveNodes {
+                    victims: vec![NodeId(3)],
+                },
+            )
+            .action(5 * SECOND, ScaleAction::add(1))
+            .faults(vec![
+                (2 * SECOND, Fault::Crash(NodeId(1))),
+                (
+                    6 * SECOND,
+                    Fault::RegionPartition {
+                        region: RegionId(1),
+                        until: 8 * SECOND,
+                    },
+                ),
+                (
+                    7 * SECOND,
+                    Fault::RegionLatencySpike {
+                        region: RegionId(0),
+                        extra: 5_000_000,
+                        until: 9 * SECOND,
+                    },
+                ),
+                (8 * SECOND, Fault::ProvisionLeadJitter { extra: 2 * SECOND }),
+            ])
+            .manifest_json();
+        assert_eq!(
+            manifest,
+            r#"{"name":"say \"hi\"\nand\tleave\\","backend":"zk-small","granules":1000,"initial_nodes":2,"regions":1,"horizon_ms":30000,"control_interval_ms":1000,"provision_lead_ms":0,"seed":42,"policy":false,"trace":[[0,10],[5000,20],[15000,10]],"script":[[3000,"add 2 @r1"],[4000,"remove 1"],[5000,"add 1"]],"faults":[[2000,"crash n1"],[6000,"partition r1 until 8000ms"],[7000,"latency_spike r0 +5ms until 9000ms"],[8000,"lead_jitter +2000ms"]]}"#
+        );
+        let v = json::parse_json(&manifest).expect("the manifest parses");
+        let faults = v
+            .get("faults")
+            .and_then(json::Json::as_arr)
+            .expect("faults");
+        assert_eq!(faults.len(), 4);
+        assert_eq!(
+            faults[3].as_arr().and_then(|f| f[1].as_str()),
+            Some("lead_jitter +2000ms")
+        );
     }
 
     #[test]

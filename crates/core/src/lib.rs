@@ -19,8 +19,10 @@
 //!   implements Algorithm 2 (MarlinCommit), [`drivers::reconfig`]
 //!   implements the five reconfiguration transactions of Table 1 /
 //!   Algorithm 1. Drivers emit [`drivers::Effect`]s and consume
-//!   [`drivers::Input`]s, so the synchronous runtime (tests, examples) and
-//!   the discrete-event cluster simulator drive the *same* protocol code.
+//!   [`drivers::Input`]s; the synchronous runtime (tests, examples)
+//!   fulfills them against `marlin-storage`. The discrete-event cluster
+//!   simulator does not run the drivers: it models the protocol's
+//!   timeline itself and takes only [`LsnTracker`] from this crate.
 //! - [`node`] — per-node coordination state: MTable/GTable caches with
 //!   validity flags, the LSN tracker, and the user-transaction ownership
 //!   guard (Algorithm 1 lines 1–6).

@@ -25,6 +25,7 @@ pub mod config;
 pub mod lexer;
 pub mod rules;
 
+use marlin_telemetry::json;
 use std::fmt;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -53,16 +54,25 @@ pub struct Diagnostic {
     pub severity: Severity,
 }
 
-impl fmt::Display for Diagnostic {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let tag = match self.severity {
+impl Severity {
+    fn name(self) -> &'static str {
+        match self {
             Severity::Error => "error",
             Severity::Warn => "warn",
-        };
+        }
+    }
+}
+
+impl fmt::Display for Diagnostic {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{}:{}: {tag}[{}] {}",
-            self.file, self.line, self.rule, self.message
+            "{}:{}: {}[{}] {}",
+            self.file,
+            self.line,
+            self.severity.name(),
+            self.rule,
+            self.message
         )
     }
 }
@@ -93,60 +103,34 @@ impl LintReport {
             && self.panic_findings as u64 <= self.panic_budget
     }
 
-    /// Serialize to JSON (hand-rolled; the build has no serde).
+    /// Serialize to JSON.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"ok\": {},\n", self.ok()));
-        out.push_str(&format!("  \"files_scanned\": {},\n", self.files_scanned));
-        out.push_str(&format!(
-            "  \"panic_budget\": {{\"findings\": {}, \"budget\": {}}},\n",
-            self.panic_findings, self.panic_budget
-        ));
-        for (key, list) in [("violations", &self.violations), ("waived", &self.waived)] {
-            out.push_str(&format!("  \"{key}\": [\n"));
-            for (i, d) in list.iter().enumerate() {
-                let sev = match d.severity {
-                    Severity::Error => "error",
-                    Severity::Warn => "warn",
-                };
-                out.push_str(&format!(
-                    "    {{\"rule\": {}, \"file\": {}, \"line\": {}, \"severity\": \"{sev}\", \"message\": {}}}{}\n",
-                    json_str(&d.rule),
-                    json_str(&d.file),
-                    d.line,
-                    json_str(&d.message),
-                    if i + 1 == list.len() { "" } else { "," }
-                ));
+        let mut out = String::new();
+        json::object(&mut out, |o| {
+            o.field("ok", self.ok())
+                .field("files_scanned", self.files_scanned)
+                .obj("panic_budget", |o| {
+                    o.field("findings", self.panic_findings)
+                        .field("budget", self.panic_budget);
+                });
+            for (key, list) in [("violations", &self.violations), ("waived", &self.waived)] {
+                o.arr(key, |a| {
+                    for d in list {
+                        a.obj(|o| {
+                            o.field("rule", &d.rule)
+                                .field("file", &d.file)
+                                .field("line", d.line)
+                                .field("severity", d.severity.name())
+                                .field("message", &d.message);
+                        });
+                    }
+                });
             }
-            out.push_str(if key == "violations" {
-                "  ],\n"
-            } else {
-                "  ]\n"
-            });
-        }
-        out.push('}');
+        });
         out.push('\n');
         out
     }
-}
-
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// Load the configuration for `root` (`<root>/lint.toml`; a missing

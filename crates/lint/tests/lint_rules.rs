@@ -3,6 +3,7 @@
 //! budget ratchet trips, and the real workspace scans clean.
 
 use marlin_lint::{load_config, run, LintReport, Severity};
+use marlin_telemetry::json::{parse_json, Json};
 use std::path::{Path, PathBuf};
 
 fn fixture_root() -> PathBuf {
@@ -187,16 +188,24 @@ fn fixture_gate_fails_overall() {
 fn json_output_is_well_formed_and_complete() {
     let report = fixture_report();
     let json = report.to_json();
-    assert!(json.contains("\"ok\": false"));
-    assert!(json.contains("\"rule\": \"no-hash-collections\""));
-    assert!(json.contains("\"file\": \"crates/core/src/forks.rs\""));
-    assert!(json.contains("\"panic_budget\": {\"findings\": 3, \"budget\": 2}"));
-    // Balanced braces/brackets as a cheap structural check (the repo has
-    // no JSON parser dependency to round-trip with).
-    let opens = json.matches('{').count();
-    let closes = json.matches('}').count();
-    assert_eq!(opens, closes, "unbalanced braces in:\n{json}");
-    assert_eq!(json.matches('[').count(), json.matches(']').count());
+    assert!(json.contains("\"rule\":\"no-hash-collections\""));
+    assert!(json.contains("\"file\":\"crates/core/src/forks.rs\""));
+    let v = parse_json(&json).unwrap_or_else(|e| panic!("{e} in:\n{json}"));
+    assert_eq!(v.get("ok"), Some(&Json::Bool(false)));
+    let budget = v.get("panic_budget").expect("panic_budget");
+    assert_eq!(budget.get("findings"), Some(&Json::Num(3.0)));
+    assert_eq!(budget.get("budget"), Some(&Json::Num(2.0)));
+    let violations = v
+        .get("violations")
+        .and_then(Json::as_arr)
+        .expect("violations");
+    assert_eq!(violations.len(), report.violations.len());
+    assert!(violations.iter().any(|d| {
+        d.get("rule").and_then(Json::as_str) == Some("no-hash-collections")
+            && d.get("severity").and_then(Json::as_str) == Some("error")
+    }));
+    let waived = v.get("waived").and_then(Json::as_arr).expect("waived");
+    assert_eq!(waived.len(), report.waived.len());
 }
 
 /// The load-bearing check: the real workspace lints clean. This is the

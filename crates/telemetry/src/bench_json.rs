@@ -2,8 +2,8 @@
 //! emits when `MARLIN_BENCH_JSON=<dir>` is set, so successive PRs can
 //! compare wall-time and virtual-throughput against a recorded baseline.
 
+use crate::json;
 use crate::profile::ProfileSummary;
-use crate::{json_escape, json_f64};
 
 /// One measured section of a bench target — typically one scenario run.
 #[derive(Clone, Debug, Default)]
@@ -26,6 +26,32 @@ pub struct BenchSection {
 }
 
 impl BenchSection {
+    fn write_json(&self, o: &mut json::Obj<'_>) {
+        o.field("name", &self.name)
+            .field("wall_ns", self.wall_nanos)
+            .field("virtual_ns", self.virtual_nanos)
+            .field("virtual_per_wall", self.virtual_per_wall());
+        if self.wall_bounded {
+            o.field("wall_bounded", true);
+        }
+        if let Some(p) = &self.profile {
+            o.obj("profile", |o| {
+                o.field("total_wall_ns", p.total_wall_nanos)
+                    .field("events", p.events)
+                    .field("queue_depth_mean", p.queue_depth_mean)
+                    .field("queue_depth_max", p.queue_depth_max);
+                p.write_phases(o);
+            });
+        }
+        if !self.values.is_empty() {
+            o.obj("values", |o| {
+                for (k, v) in &self.values {
+                    o.field(k, v);
+                }
+            });
+        }
+    }
+
     /// Virtual-seconds simulated per wall-second — the sim's speedup
     /// over real time (0 when nothing was simulated or measured).
     #[must_use]
@@ -61,66 +87,19 @@ impl BenchReport {
         }
     }
 
-    /// Serialize to JSON (hand-rolled; no serde in the offline build).
+    /// Serialize to JSON.
     #[must_use]
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(512 + 256 * self.sections.len());
-        out.push_str("{\"target\":");
-        out.push_str(&json_escape(&self.target));
-        out.push_str(&format!(",\"scale\":{}", self.scale));
-        out.push_str(",\"sections\":[");
-        for (i, s) in self.sections.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"name\":");
-            out.push_str(&json_escape(&s.name));
-            out.push_str(&format!(
-                ",\"wall_ns\":{},\"virtual_ns\":{},\"virtual_per_wall\":{}",
-                s.wall_nanos,
-                s.virtual_nanos,
-                json_f64(s.virtual_per_wall())
-            ));
-            if s.wall_bounded {
-                out.push_str(",\"wall_bounded\":true");
-            }
-            if let Some(p) = &s.profile {
-                out.push_str(&format!(
-                    ",\"profile\":{{\"total_wall_ns\":{},\"events\":{},\
-                     \"queue_depth_mean\":{},\"queue_depth_max\":{},\"phases\":[",
-                    p.total_wall_nanos,
-                    p.events,
-                    json_f64(p.queue_depth_mean),
-                    p.queue_depth_max
-                ));
-                for (j, ph) in p.phases.iter().enumerate() {
-                    if j > 0 {
-                        out.push(',');
-                    }
-                    out.push_str(&format!(
-                        "{{\"name\":{},\"wall_ns\":{},\"calls\":{}}}",
-                        json_escape(ph.name),
-                        ph.wall_nanos,
-                        ph.calls
-                    ));
+        json::object(&mut out, |o| {
+            o.field("target", &self.target).field("scale", self.scale);
+            o.arr("sections", |a| {
+                for s in &self.sections {
+                    a.obj(|o| s.write_json(o));
                 }
-                out.push_str("]}");
-            }
-            if !s.values.is_empty() {
-                out.push_str(",\"values\":{");
-                for (j, (k, v)) in s.values.iter().enumerate() {
-                    if j > 0 {
-                        out.push(',');
-                    }
-                    out.push_str(&json_escape(k));
-                    out.push(':');
-                    out.push_str(&json_f64(*v));
-                }
-                out.push('}');
-            }
-            out.push('}');
-        }
-        out.push_str("]}\n");
+            });
+        });
+        out.push('\n');
         out
     }
 
@@ -153,6 +132,7 @@ impl BenchReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::{parse_json, Json};
     use crate::profile::PhaseStat;
 
     #[test]
@@ -183,8 +163,27 @@ mod tests {
             "\"phases\":[{\"name\":\"event:client_txn\",\"wall_ns\":1500000,\"calls\":42}]"
         ));
         assert!(j.contains("\"values\":{\"overhead_pct\":0.4}"));
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
-        assert_eq!(j.matches('[').count(), j.matches(']').count());
+        let v = parse_json(&j).expect("the artifact parses");
+        assert_eq!(
+            v.get("target").and_then(Json::as_str),
+            Some("micro \"quoted\"")
+        );
+        let section = &v.get("sections").and_then(Json::as_arr).expect("sections")[0];
+        assert_eq!(
+            section.get("values").and_then(|x| x.get("overhead_pct")),
+            Some(&Json::Num(0.4))
+        );
+        r.sections.push(BenchSection {
+            name: "plain".into(),
+            wall_nanos: 10,
+            wall_bounded: true,
+            ..BenchSection::default()
+        });
+        assert_eq!(
+            r.to_json(),
+            r#"{"target":"micro \"quoted\"","scale":100,"sections":[{"name":"ycsb/Marlin","wall_ns":2000000,"virtual_ns":4000000,"virtual_per_wall":2,"profile":{"total_wall_ns":1900000,"events":43,"queue_depth_mean":3.5,"queue_depth_max":9,"phases":[{"name":"event:client_txn","wall_ns":1500000,"calls":42}]},"values":{"overhead_pct":0.4}},{"name":"plain","wall_ns":10,"virtual_ns":0,"virtual_per_wall":0,"wall_bounded":true}]}
+"#
+        );
     }
 
     #[test]
@@ -199,5 +198,10 @@ mod tests {
         assert!(!j.contains("\"profile\""));
         assert!(!j.contains("\"values\""));
         assert!(j.contains("\"virtual_per_wall\":0"));
+        assert_eq!(
+            j,
+            r#"{"target":"t","scale":1,"sections":[{"name":"plain","wall_ns":10,"virtual_ns":0,"virtual_per_wall":0}]}
+"#
+        );
     }
 }

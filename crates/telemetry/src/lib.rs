@@ -30,6 +30,9 @@
 //! - [`LatencyHist`] — a deterministic log-bucketed latency histogram
 //!   (mergeable, ≤ 1/32 relative error, exact below a small-count
 //!   threshold) backing p99 derivation at cohort scale.
+//! - [`json`] — the one JSON codec: the writer every artifact above (and
+//!   the run report, scenario manifest, lint report and `bench-diff`
+//!   verdict) is emitted through, and the reader that loads them back.
 //!
 //! The crate is dependency-free and knows nothing about the simulator;
 //! the cluster crate owns the instrumentation points.
@@ -39,6 +42,7 @@
 mod bench_json;
 mod coord;
 mod hist;
+pub mod json;
 mod profile;
 mod series;
 mod trace;
@@ -54,44 +58,17 @@ pub use trace::{TraceEvent, TracePhase, Tracer, DEFAULT_TRACE_CAPACITY};
 /// the telemetry crate stays dependency-free).
 pub type Nanos = u64;
 
-/// Minimal JSON string escaping, quotes included, shared by the exporters,
-/// the run report and the scenario manifest (no serde in the offline
-/// build).
-#[must_use]
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
+/// Integer nanoseconds written as a JSON number of decimal microseconds
+/// (`ts`/`dur` in the Chrome trace-event format) without going through
+/// floating point, so the exported trace is bit-stable: `1234567 ns` →
+/// `1234.567`.
+struct Micros(Nanos);
 
-/// Finite floats print as-is; NaN/inf become `null` (JSON has neither).
-#[must_use]
-pub fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".into()
+impl json::ToJson for Micros {
+    fn write_json(&self, out: &mut String) {
+        use std::fmt::Write as _;
+        let _ = write!(out, "{}.{:03}", self.0 / 1_000, self.0 % 1_000);
     }
-}
-
-/// Format integer nanoseconds as decimal microseconds (`ts`/`dur` in the
-/// Chrome trace-event format) without going through floating point, so
-/// the exported trace is bit-stable: `1234567 ns` → `"1234.567"`.
-#[must_use]
-pub fn nanos_as_micros(ns: Nanos) -> String {
-    format!("{}.{:03}", ns / 1_000, ns % 1_000)
 }
 
 #[cfg(test)]
@@ -100,6 +77,11 @@ mod tests {
 
     #[test]
     fn micros_formatting_is_integer_only() {
+        let nanos_as_micros = |ns| {
+            let mut out = String::new();
+            json::ToJson::write_json(&Micros(ns), &mut out);
+            out
+        };
         assert_eq!(nanos_as_micros(0), "0.000");
         assert_eq!(nanos_as_micros(999), "0.999");
         assert_eq!(nanos_as_micros(1_000), "1.000");
@@ -108,7 +90,13 @@ mod tests {
 
     #[test]
     fn escaping_covers_quotes_and_control_chars() {
+        let json_escape = |s: &str| {
+            let mut out = String::new();
+            json::ToJson::write_json(s, &mut out);
+            out
+        };
         assert_eq!(json_escape("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
         assert_eq!(json_escape("\u{1}"), "\"\\u0001\"");
+        assert_eq!(json_escape("\u{1f}é\r"), "\"\\u001fé\\r\"");
     }
 }

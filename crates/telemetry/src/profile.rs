@@ -1,6 +1,7 @@
 //! The sim self-profiler: wall-clock time per subsystem phase, event-queue
 //! depth stats, and virtual-seconds-per-wall-second.
 
+use crate::json;
 use std::time::Instant;
 
 /// Accumulated wall time for one named phase.
@@ -36,6 +37,20 @@ impl ProfileSummary {
     #[must_use]
     pub fn phase(&self, name: &str) -> Option<&PhaseStat> {
         self.phases.iter().find(|p| p.name == name)
+    }
+
+    /// Write the `"phases"` member, `[{"name","wall_ns","calls"}, ...]`:
+    /// the one rendering the bench artifact and the run report share.
+    pub fn write_phases(&self, o: &mut json::Obj<'_>) {
+        o.arr("phases", |a| {
+            for p in &self.phases {
+                a.obj(|o| {
+                    o.field("name", p.name)
+                        .field("wall_ns", p.wall_nanos)
+                        .field("calls", p.calls);
+                });
+            }
+        });
     }
 }
 

@@ -13,7 +13,7 @@
 //! the exported `MARLIN_METRICS` timeline is byte-identical for a fixed
 //! (Scenario, seed) across runs, machines, and runners.
 
-use crate::{json_escape, json_f64, Nanos};
+use crate::{json, Nanos};
 
 /// Default ring capacity (rows) when `MARLIN_METRICS` enables the
 /// recorder without an explicit `MARLIN_METRICS_TICKS` override. §6
@@ -216,38 +216,32 @@ impl MetricsSeries {
     #[must_use]
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(64 + 256 * self.rows.len());
-        out.push_str("{\"ticks\":");
-        out.push_str(&self.recorded.to_string());
-        out.push_str(",\"dropped\":");
-        out.push_str(&self.dropped().to_string());
-        out.push_str(",\"rows\":[");
-        for (i, row) in self.rows().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"at_ns\":");
-            out.push_str(&row.at.to_string());
-            out.push_str(",\"points\":[");
-            for (j, p) in row.points.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
+        json::object(&mut out, |o| {
+            o.field("ticks", self.recorded)
+                .field("dropped", self.dropped());
+            o.arr("rows", |a| {
+                for row in self.rows() {
+                    a.obj(|o| {
+                        o.field("at_ns", row.at);
+                        o.arr("points", |a| {
+                            for p in &row.points {
+                                a.obj(|o| {
+                                    o.field("name", p.name);
+                                    if let Some(r) = p.region {
+                                        o.field("region", r);
+                                    }
+                                    match p.value {
+                                        PointValue::Int(v) => o.field("value", v),
+                                        PointValue::Float(v) => o.field("value", v),
+                                    };
+                                });
+                            }
+                        });
+                    });
                 }
-                out.push_str("{\"name\":");
-                out.push_str(&json_escape(p.name));
-                if let Some(r) = p.region {
-                    out.push_str(",\"region\":");
-                    out.push_str(&r.to_string());
-                }
-                out.push_str(",\"value\":");
-                match p.value {
-                    PointValue::Int(v) => out.push_str(&v.to_string()),
-                    PointValue::Float(v) => out.push_str(&json_f64(v)),
-                }
-                out.push('}');
-            }
-            out.push_str("]}");
-        }
-        out.push_str("]}\n");
+            });
+        });
+        out.push('\n');
         out
     }
 }
@@ -255,6 +249,7 @@ impl MetricsSeries {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::{parse_json, Json};
 
     #[test]
     fn disabled_series_records_nothing_and_never_allocates() {
@@ -315,18 +310,32 @@ mod tests {
             s.counter("commits", 1234);
             s.gauge("slo_burn_rate", 0.75);
             s.counter_region("region_commits", 1, 617);
+            s.gauge("ratio", f64::NAN);
+            s.tick(6_000_000_000);
             s.to_json()
         };
         let j = make();
         assert_eq!(j, make(), "byte-identical across runs");
-        assert!(j.starts_with("{\"ticks\":1,\"dropped\":0,\"rows\":["));
+        assert!(j.starts_with("{\"ticks\":2,\"dropped\":0,\"rows\":["));
         assert!(j.contains("\"at_ns\":5000000000"));
         assert!(j.contains("{\"name\":\"commits\",\"value\":1234}"));
         assert!(j.contains("{\"name\":\"slo_burn_rate\",\"value\":0.75}"));
         assert!(j.contains("{\"name\":\"region_commits\",\"region\":1,\"value\":617}"));
         assert!(j.ends_with("]}\n"));
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
-        assert_eq!(j.matches('[').count(), j.matches(']').count());
+        let v = parse_json(&j).expect("the timeline parses");
+        let rows = v.get("rows").and_then(Json::as_arr).expect("rows");
+        assert_eq!(rows.len(), 2);
+        let points = rows[0]
+            .get("points")
+            .and_then(Json::as_arr)
+            .expect("points");
+        assert_eq!(points[2].get("region"), Some(&Json::Num(1.0)));
+        assert_eq!(points[3].get("value"), Some(&Json::Null));
+        assert_eq!(
+            j,
+            r#"{"ticks":2,"dropped":0,"rows":[{"at_ns":5000000000,"points":[{"name":"commits","value":1234},{"name":"slo_burn_rate","value":0.75},{"name":"region_commits","region":1,"value":617},{"name":"ratio","value":null}]},{"at_ns":6000000000,"points":[]}]}
+"#
+        );
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The structured tracer: virtual-time spans and instants in a
 //! preallocated ring buffer, exported as Chrome trace-event JSON.
 
-use crate::{json_escape, nanos_as_micros, Nanos};
+use crate::{json, Micros, Nanos};
 
 /// Default ring capacity when `MARLIN_TRACE` enables tracing without an
 /// explicit `MARLIN_TRACE_EVENTS` override (~256k events, a few MB).
@@ -210,45 +210,38 @@ impl Tracer {
     #[must_use]
     pub fn to_chrome_json(&self) -> String {
         let mut out = String::with_capacity(64 + 128 * self.buf.len());
-        out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
-        for (i, ev) in self.events().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"name\":");
-            out.push_str(&json_escape(ev.name));
-            out.push_str(",\"cat\":");
-            out.push_str(&json_escape(ev.cat));
-            match ev.phase {
-                TracePhase::Span => {
-                    out.push_str(",\"ph\":\"X\",\"ts\":");
-                    out.push_str(&nanos_as_micros(ev.start));
-                    out.push_str(",\"dur\":");
-                    out.push_str(&nanos_as_micros(ev.dur));
+        json::object(&mut out, |o| {
+            o.field("displayTimeUnit", "ms");
+            o.arr("traceEvents", |a| {
+                for ev in self.events() {
+                    a.obj(|o| {
+                        o.field("name", ev.name).field("cat", ev.cat);
+                        match ev.phase {
+                            TracePhase::Span => {
+                                o.field("ph", "X")
+                                    .field("ts", Micros(ev.start))
+                                    .field("dur", Micros(ev.dur));
+                            }
+                            TracePhase::Instant => {
+                                o.field("ph", "i")
+                                    .field("s", "g")
+                                    .field("ts", Micros(ev.start));
+                            }
+                        }
+                        o.field("pid", 1u8).field("tid", 1u8);
+                        let mut used = ev.args.iter().filter(|(k, _)| !k.is_empty()).peekable();
+                        if used.peek().is_some() {
+                            o.obj("args", |o| {
+                                for (k, v) in used {
+                                    o.field(k, v);
+                                }
+                            });
+                        }
+                    });
                 }
-                TracePhase::Instant => {
-                    out.push_str(",\"ph\":\"i\",\"s\":\"g\",\"ts\":");
-                    out.push_str(&nanos_as_micros(ev.start));
-                }
-            }
-            out.push_str(",\"pid\":1,\"tid\":1");
-            let used: Vec<&(&'static str, i64)> =
-                ev.args.iter().filter(|(k, _)| !k.is_empty()).collect();
-            if !used.is_empty() {
-                out.push_str(",\"args\":{");
-                for (j, (k, v)) in used.iter().enumerate() {
-                    if j > 0 {
-                        out.push(',');
-                    }
-                    out.push_str(&json_escape(k));
-                    out.push(':');
-                    out.push_str(&v.to_string());
-                }
-                out.push('}');
-            }
-            out.push('}');
-        }
-        out.push_str("]}\n");
+            });
+        });
+        out.push('\n');
         out
     }
 }
@@ -256,6 +249,7 @@ impl Tracer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::{parse_json, Json};
 
     #[test]
     fn disabled_tracer_records_nothing_and_never_allocates() {
@@ -319,10 +313,22 @@ mod tests {
         let j = t.to_chrome_json();
         assert!(j.starts_with("{\"displayTimeUnit\":\"ms\",\"traceEvents\":["));
         assert!(j.ends_with("]}\n"));
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
-        assert_eq!(j.matches('[').count(), j.matches(']').count());
-        // Exactly the three surviving events, oldest first, comma-separated.
-        assert_eq!(j.matches("\"name\":\"ev\"").count(), 3);
+        // Exactly the three surviving events, oldest first.
+        let v = parse_json(&j).expect("the trace parses");
+        let events = v.get("traceEvents").and_then(Json::as_arr).expect("events");
+        assert_eq!(events.len(), 3);
+        assert!(events
+            .iter()
+            .all(|e| e.get("name").and_then(Json::as_str) == Some("ev")));
+        assert_eq!(
+            events[0].get("args").and_then(|a| a.get("i")),
+            Some(&Json::Num(7.0))
+        );
+        assert_eq!(
+            j,
+            r#"{"displayTimeUnit":"ms","traceEvents":[{"name":"ev","cat":"cat","ph":"X","ts":0.700,"dur":0.050,"pid":1,"tid":1,"args":{"i":7}},{"name":"ev","cat":"cat","ph":"X","ts":0.800,"dur":0.050,"pid":1,"tid":1,"args":{"i":8}},{"name":"ev","cat":"cat","ph":"X","ts":0.900,"dur":0.050,"pid":1,"tid":1,"args":{"i":9}}]}
+"#
+        );
         assert!(j.contains("\"ts\":0.700"));
         assert!(j.contains("\"ts\":0.900"));
         assert!(!j.contains(",,"), "no empty elements from the wrap seam");
@@ -348,7 +354,14 @@ mod tests {
         assert!(j.contains("\"ph\":\"X\",\"ts\":1.000,\"dur\":1.500"));
         assert!(j.contains("\"args\":{\"granule\":7}"));
         assert!(j.contains("\"ph\":\"i\",\"s\":\"g\",\"ts\":3.000"));
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
-        assert_eq!(j.matches('[').count(), j.matches(']').count());
+        let v = parse_json(&j).expect("the trace parses");
+        let events = v.get("traceEvents").and_then(Json::as_arr).expect("events");
+        assert_eq!(events[0].get("dur").and_then(Json::as_f64), Some(1.5));
+        assert_eq!(events[1].get("args"), None);
+        assert_eq!(
+            j,
+            r#"{"displayTimeUnit":"ms","traceEvents":[{"name":"migrate","cat":"migration","ph":"X","ts":1.000,"dur":1.500,"pid":1,"tid":1,"args":{"granule":7}},{"name":"commit","cat":"membership","ph":"i","s":"g","ts":3.000,"pid":1,"tid":1}]}
+"#
+        );
     }
 }

@@ -14,8 +14,7 @@
 
 use std::borrow::Borrow;
 use std::fmt;
-use std::hash::{Hash, Hasher};
-use std::ops::{Deref, DerefMut};
+use std::ops::Deref;
 use std::sync::Arc;
 
 /// A cheaply cloneable, immutable, contiguous slice of memory.
@@ -81,18 +80,6 @@ impl Bytes {
         &self.data[self.start as usize..self.end as usize]
     }
 
-    /// A zero-copy sub-slice `[at, len)`; `self` keeps `[0, at)`.
-    pub fn split_to(&mut self, at: usize) -> Bytes {
-        assert!(at <= self.len(), "split_to out of bounds");
-        let head = Bytes {
-            data: Arc::clone(&self.data),
-            start: self.start,
-            end: self.start + at as u32,
-        };
-        self.start += at as u32;
-        head
-    }
-
     /// A zero-copy slice of the buffer.
     #[must_use]
     pub fn slice(&self, range: std::ops::Range<usize>) -> Bytes {
@@ -133,65 +120,12 @@ impl From<Vec<u8>> for Bytes {
     }
 }
 
-impl From<&'static [u8]> for Bytes {
-    fn from(s: &'static [u8]) -> Self {
-        Bytes::from_static(s)
-    }
-}
-
-impl From<&'static str> for Bytes {
-    fn from(s: &'static str) -> Self {
-        Bytes::from_static(s.as_bytes())
-    }
-}
-
-impl From<BytesMut> for Bytes {
-    fn from(m: BytesMut) -> Self {
-        m.freeze()
-    }
-}
-
 impl PartialEq for Bytes {
     fn eq(&self, other: &Self) -> bool {
         self.as_slice() == other.as_slice()
     }
 }
 impl Eq for Bytes {}
-
-impl PartialEq<[u8]> for Bytes {
-    fn eq(&self, other: &[u8]) -> bool {
-        self.as_slice() == other
-    }
-}
-
-impl PartialEq<&[u8]> for Bytes {
-    fn eq(&self, other: &&[u8]) -> bool {
-        self.as_slice() == *other
-    }
-}
-
-impl PartialEq<Vec<u8>> for Bytes {
-    fn eq(&self, other: &Vec<u8>) -> bool {
-        self.as_slice() == other.as_slice()
-    }
-}
-
-impl PartialOrd for Bytes {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Bytes {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.as_slice().cmp(other.as_slice())
-    }
-}
-
-impl Hash for Bytes {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        self.as_slice().hash(state);
-    }
-}
 
 fn fmt_byte_string(bytes: &[u8], f: &mut fmt::Formatter<'_>) -> fmt::Result {
     write!(f, "b\"")?;
@@ -208,12 +142,6 @@ fn fmt_byte_string(bytes: &[u8], f: &mut fmt::Formatter<'_>) -> fmt::Result {
 impl fmt::Debug for Bytes {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         fmt_byte_string(self.as_slice(), f)
-    }
-}
-
-impl FromIterator<u8> for Bytes {
-    fn from_iter<T: IntoIterator<Item = u8>>(iter: T) -> Self {
-        Bytes::from_vec(iter.into_iter().collect())
     }
 }
 
@@ -255,27 +183,6 @@ impl BytesMut {
     pub fn freeze(self) -> Bytes {
         Bytes::from_vec(self.buf)
     }
-
-    /// The content as a slice.
-    #[must_use]
-    pub fn as_slice(&self) -> &[u8] {
-        &self.buf
-    }
-
-    /// Ensure room for `additional` more bytes.
-    pub fn reserve(&mut self, additional: usize) {
-        self.buf.reserve(additional);
-    }
-
-    /// Clear the content, keeping the allocation.
-    pub fn clear(&mut self) {
-        self.buf.clear();
-    }
-
-    /// Append a slice.
-    pub fn extend_from_slice(&mut self, extend: &[u8]) {
-        self.buf.extend_from_slice(extend);
-    }
 }
 
 impl From<&[u8]> for BytesMut {
@@ -287,18 +194,6 @@ impl From<&[u8]> for BytesMut {
 impl Deref for BytesMut {
     type Target = [u8];
     fn deref(&self) -> &[u8] {
-        &self.buf
-    }
-}
-
-impl DerefMut for BytesMut {
-    fn deref_mut(&mut self) -> &mut [u8] {
-        &mut self.buf
-    }
-}
-
-impl AsRef<[u8]> for BytesMut {
-    fn as_ref(&self) -> &[u8] {
         &self.buf
     }
 }

@@ -23,14 +23,6 @@ impl<T> Mutex<T> {
             inner: sync::Mutex::new(value),
         }
     }
-
-    /// Consume the mutex, returning the inner value.
-    pub fn into_inner(self) -> T {
-        match self.inner.into_inner() {
-            Ok(v) => v,
-            Err(p) => p.into_inner(),
-        }
-    }
 }
 
 impl<T: ?Sized> Mutex<T> {
@@ -38,23 +30,6 @@ impl<T: ?Sized> Mutex<T> {
     pub fn lock(&self) -> MutexGuard<'_, T> {
         match self.inner.lock() {
             Ok(g) => g,
-            Err(p) => p.into_inner(),
-        }
-    }
-
-    /// Try to acquire the lock without blocking.
-    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        match self.inner.try_lock() {
-            Ok(g) => Some(g),
-            Err(sync::TryLockError::Poisoned(p)) => Some(p.into_inner()),
-            Err(sync::TryLockError::WouldBlock) => None,
-        }
-    }
-
-    /// Mutable access without locking (requires exclusive borrow).
-    pub fn get_mut(&mut self) -> &mut T {
-        match self.inner.get_mut() {
-            Ok(v) => v,
             Err(p) => p.into_inner(),
         }
     }
@@ -78,14 +53,6 @@ impl<T> RwLock<T> {
             inner: sync::RwLock::new(value),
         }
     }
-
-    /// Consume the lock, returning the inner value.
-    pub fn into_inner(self) -> T {
-        match self.inner.into_inner() {
-            Ok(v) => v,
-            Err(p) => p.into_inner(),
-        }
-    }
 }
 
 impl<T: ?Sized> RwLock<T> {
@@ -104,14 +71,6 @@ impl<T: ?Sized> RwLock<T> {
             Err(p) => p.into_inner(),
         }
     }
-
-    /// Mutable access without locking (requires exclusive borrow).
-    pub fn get_mut(&mut self) -> &mut T {
-        match self.inner.get_mut() {
-            Ok(v) => v,
-            Err(p) => p.into_inner(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -123,7 +82,6 @@ mod tests {
         let m = Mutex::new(1);
         *m.lock() += 1;
         assert_eq!(*m.lock(), 2);
-        assert!(m.try_lock().is_some());
     }
 
     #[test]

@@ -104,14 +104,6 @@ pub trait Strategy {
     {
         Map { inner: self, f }
     }
-
-    /// Erase the concrete strategy type.
-    fn boxed(self) -> BoxedStrategy<Self::Value>
-    where
-        Self: Sized + 'static,
-    {
-        Box::new(self)
-    }
 }
 
 /// A type-erased strategy (used by [`prop_oneof!`]).
@@ -212,29 +204,9 @@ pub mod arbitrary {
             rng.next_u64() as u8
         }
     }
-    impl Arbitrary for u16 {
-        fn arbitrary(rng: &mut TestRng) -> u16 {
-            rng.next_u64() as u16
-        }
-    }
-    impl Arbitrary for u32 {
-        fn arbitrary(rng: &mut TestRng) -> u32 {
-            rng.next_u64() as u32
-        }
-    }
     impl Arbitrary for u64 {
         fn arbitrary(rng: &mut TestRng) -> u64 {
             rng.next_u64()
-        }
-    }
-    impl Arbitrary for usize {
-        fn arbitrary(rng: &mut TestRng) -> usize {
-            rng.next_u64() as usize
-        }
-    }
-    impl Arbitrary for i64 {
-        fn arbitrary(rng: &mut TestRng) -> i64 {
-            rng.next_u64() as i64
         }
     }
 
@@ -424,8 +396,8 @@ pub mod prelude {
     pub use crate::arbitrary::any;
     pub use crate::collection;
     pub use crate::{
-        prop_assert, prop_assert_eq, prop_assert_ne, prop_oneof, proptest, BoxedStrategy, Just,
-        ProptestConfig, Strategy,
+        prop_assert, prop_assert_eq, prop_oneof, proptest, BoxedStrategy, Just, ProptestConfig,
+        Strategy,
     };
 }
 
@@ -447,12 +419,6 @@ macro_rules! prop_assert {
 #[macro_export]
 macro_rules! prop_assert_eq {
     ($($tt:tt)*) => { assert_eq!($($tt)*) };
-}
-
-/// Assert inequality inside a property.
-#[macro_export]
-macro_rules! prop_assert_ne {
-    ($($tt:tt)*) => { assert_ne!($($tt)*) };
 }
 
 /// Define property tests: each `fn name(binding in strategy, ...) { .. }`

@@ -293,3 +293,64 @@ fn recovery_vs_migration_race_has_one_winner() {
         .owned_granules()
         .contains(&GranuleId(0)));
 }
+
+/// Every control character, both characters JSON must escape, and
+/// non-ASCII from two- to four-byte UTF-8.
+const HARD_CHARS: &str = "\u{0}\u{1}\u{2}\u{3}\u{4}\u{5}\u{6}\u{7}\u{8}\t\n\u{b}\u{c}\r\u{e}\u{f}\
+     \u{10}\u{11}\u{12}\u{13}\u{14}\u{15}\u{16}\u{17}\u{18}\u{19}\u{1a}\u{1b}\u{1c}\u{1d}\u{1e}\u{1f}\
+     \"\\é€😀\u{7f}";
+
+fn json_char() -> impl Strategy<Value = char> {
+    let from = |lo: u32, hi: u32| (lo..hi).prop_map(|c| char::from_u32(c).unwrap_or('?'));
+    prop_oneof![
+        from(0, 0x20),
+        Just('"'),
+        Just('\\'),
+        from(0x20, 0x7f),
+        from(0x80, 0xd800),
+        from(0xe000, 0x11_0000),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+    /// The codec reads back what it writes: any string exactly, any
+    /// finite float bit for bit, and NaN/±inf as `null`.
+    #[test]
+    fn json_codec_round_trips_strings_and_floats(
+        chars in proptest::collection::vec(json_char(), 0..24),
+        bits in any::<u64>(),
+        scaled in (0u64..2_000_000_000, 0u32..12),
+    ) {
+        use marlin_telemetry::json::{object, parse_json, Json};
+        let text = format!("{HARD_CHARS}{}", chars.iter().collect::<String>());
+        let floats = [
+            f64::from_bits(bits),
+            (scaled.0 as f64 - 1e9) / 10f64.powi(scaled.1 as i32),
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        let mut doc = String::new();
+        object(&mut doc, |o| {
+            o.field(&text, text.as_str());
+            o.arr("floats", |a| {
+                for f in floats {
+                    a.item(f);
+                }
+            });
+        });
+        let back = parse_json(&doc).unwrap_or_else(|e| panic!("{e} in {doc:?}"));
+        prop_assert_eq!(back.get(&text).and_then(Json::as_str), Some(text.as_str()));
+        let read = back.get("floats").and_then(Json::as_arr).expect("floats");
+        prop_assert_eq!(read.len(), floats.len());
+        for (f, r) in floats.iter().zip(read) {
+            if f.is_finite() {
+                prop_assert_eq!(r.as_f64().map(f64::to_bits), Some(f.to_bits()), "{} in {}", f, doc);
+            } else {
+                prop_assert_eq!(r, &Json::Null);
+            }
+        }
+    }
+}

@@ -4,93 +4,60 @@
 //! provisioning takes real time (`SimParams::provision_lead_time` in the
 //! simulator), a policy that reacts *after* the watermark breach eats the
 //! whole lead time as an SLO violation: the queue builds while the new
-//! nodes boot. This module supplies the other half of the trade —
-//! forecasters that extrapolate the demand signal, so a
+//! nodes boot. This module supplies the other half of the trade — a
+//! forecaster that extrapolates the demand signal, so a
 //! [`PredictivePolicy`] can order capacity `lead_time` *before* the
 //! breach.
 //!
 //! The pieces:
 //!
-//! - [`Forecaster`] — the model trait: feed it the demand series one
-//!   observation at a time ([`Forecaster::observe`]), ask it for the
-//!   demand `lead` nanoseconds ahead ([`Forecaster::forecast`]). Three
-//!   models ship: [`NaiveForecaster`] (last value — the baseline every
-//!   paper makes its models beat), [`LinearTrendForecaster`] (rolling
-//!   least-squares trend, the ramp-anticipator), and
-//!   [`HoltWintersForecaster`] (additive Holt-Winters with a seasonal
-//!   ring, for periodic demand like the diurnal curve). All three are
-//!   deterministic arithmetic over the sample stream — no RNG, no clock.
+//! - [`LinearTrendForecaster`] — the demand model: a rolling
+//!   least-squares trend fed one observation at a time
+//!   ([`LinearTrendForecaster::observe`]) and asked for the demand `lead`
+//!   nanoseconds ahead ([`LinearTrendForecaster::forecast`]).
+//!   Deterministic arithmetic over the sample stream — no RNG, no clock.
 //! - [`ErrorTracker`] — rolling forecast-error accounting (MAPE and
 //!   signed bias over a bounded window of *matured* predictions). The
 //!   predictive policy reads it as a trust signal: when rolling MAPE
 //!   exceeds a guard threshold the policy falls back to its inner
 //!   reactive policy, so a mis-modeled workload degrades to reactive
 //!   behavior instead of to confidently wrong scaling.
-//! - [`backtest()`] — replay any [`LoadTrace`] through a forecaster on a
-//!   fixed cadence and score it offline, before wiring it into a live
-//!   control loop.
 //! - [`PredictivePolicy`] — the [`ScalingPolicy`] that ties it together:
 //!   sizes the cluster for the forecast demand at `now + lead_time`,
 //!   logs forecast-vs-actual into every decision record, and composes
 //!   with [`RegionalPolicy`] for per-region prediction.
 //!
-//! Demand is measured in node-capacity units — the same offered-load
-//! quantity every sizing policy reads via
-//! [`Observation::offered_load`](crate::observe::Observation::offered_load),
+//! Demand is measured in node-capacity units: the utilization sum
+//! [`Observation::demand_signal`](crate::observe::Observation::demand_signal),
 //! so a forecast of demand is directly a forecast of the neutral cluster
 //! size times the target utilization.
 //!
-//! [`LoadTrace`]: marlin_workload::LoadTrace
 //! [`ScalingPolicy`]: crate::policy::ScalingPolicy
 //! [`RegionalPolicy`]: crate::regional::RegionalPolicy
 
-pub mod backtest;
 pub mod models;
 pub mod predictive;
 
-pub use backtest::{backtest, BacktestConfig, BacktestReport};
-pub use models::{HoltWintersForecaster, LinearTrendForecaster, NaiveForecaster};
+pub use models::LinearTrendForecaster;
 pub use predictive::{PredictiveConfig, PredictivePolicy};
 
 use marlin_common::RegionId;
 use marlin_sim::Nanos;
 use std::collections::VecDeque;
 
-/// A demand-forecasting model.
-///
-/// Implementations are pure over the sample stream: the same sequence of
-/// [`Forecaster::observe`] calls always yields the same forecasts
-/// (determinism is pinned by `tests/forecast.rs`). Samples are expected
-/// at a roughly uniform cadence — the control interval in live loops,
-/// the backtest cadence offline; models that need a step count for a
-/// time horizon derive it from the observed inter-sample spacing.
-pub trait Forecaster {
-    /// Short model name for reports and logs.
-    fn name(&self) -> &'static str;
-
-    /// Record one demand sample (node-capacity units) observed at `at`.
-    /// Timestamps must be non-decreasing.
-    fn observe(&mut self, at: Nanos, demand: f64);
-
-    /// Forecast the demand `lead` nanoseconds after the last observed
-    /// sample, or `None` while the model is still warming up (callers
-    /// fall back to reactive behavior until a forecast exists).
-    fn forecast(&self, lead: Nanos) -> Option<f64>;
-}
-
 /// Relative-error floor: forecast errors are normalized by
 /// `max(actual, MAPE_FLOOR)` so a near-idle trace (demand ~0 node-units)
 /// cannot blow MAPE up to infinity on rounding noise. Public so every
 /// scorer of [`ForecastSample`]s (the harness report's end-of-run
 /// accuracy included) uses the same floor as the in-policy
-/// [`ErrorTracker`] and [`backtest()`].
+/// [`ErrorTracker`].
 pub const MAPE_FLOOR: f64 = 0.25;
 
 /// The one scoring rule every forecast scorer applies: signed relative
 /// error `(predicted - actual) / max(actual, MAPE_FLOOR)`. Shared by the
-/// in-policy [`ErrorTracker`], the offline [`backtest()`], and the
-/// harness report's end-of-run accuracy, so the three views of "how
-/// wrong was the model" can never drift apart.
+/// in-policy [`ErrorTracker`] and the harness report's end-of-run
+/// accuracy, so the two views of "how wrong was the model" can never
+/// drift apart.
 #[must_use]
 pub fn relative_error(predicted: f64, actual: f64) -> f64 {
     (predicted - actual) / actual.max(MAPE_FLOOR)

@@ -1,63 +1,8 @@
-//! The shipped [`Forecaster`] models: naive, linear trend, Holt-Winters.
-//!
-//! All three are deterministic arithmetic over the sample stream. They
-//! assume a roughly uniform sample cadence (the control interval in live
-//! loops); where a model needs to convert a time horizon into a step
-//! count it uses the spacing of the last two samples.
+//! [`LinearTrendForecaster`]: the demand model behind
+//! [`PredictivePolicy`](crate::forecast::PredictivePolicy).
 
-use crate::forecast::Forecaster;
 use marlin_sim::Nanos;
 use std::collections::VecDeque;
-
-/// Convert a lead time into forecast steps given the observed sample
-/// spacing (≥1 step; a lead shorter than one interval still predicts the
-/// next sample).
-fn steps_for(lead: Nanos, interval: Nanos) -> u64 {
-    if interval == 0 {
-        return 1;
-    }
-    lead.div_ceil(interval).max(1)
-}
-
-// ---------------------------------------------------------------------------
-// Naive (last value)
-
-/// The last-value baseline: tomorrow looks exactly like right now.
-///
-/// Every forecasting claim is measured against this model — a fancier
-/// forecaster that cannot beat persistence on a workload adds risk
-/// without adding information. Under a provisioning lead time the naive
-/// model behaves like a reactive policy that acts one observation
-/// earlier: no anticipation of ramps, but also no model error.
-#[derive(Clone, Debug, Default)]
-pub struct NaiveForecaster {
-    last: Option<f64>,
-}
-
-impl NaiveForecaster {
-    /// A cold naive model.
-    #[must_use]
-    pub fn new() -> Self {
-        NaiveForecaster::default()
-    }
-}
-
-impl Forecaster for NaiveForecaster {
-    fn name(&self) -> &'static str {
-        "naive"
-    }
-
-    fn observe(&mut self, _at: Nanos, demand: f64) {
-        self.last = Some(demand);
-    }
-
-    fn forecast(&self, _lead: Nanos) -> Option<f64> {
-        self.last
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Linear trend (rolling least squares)
 
 /// Rolling least-squares trend extrapolation — the ramp anticipator.
 ///
@@ -66,7 +11,12 @@ impl Forecaster for NaiveForecaster {
 /// edge of a diurnal curve) the slope term is exactly the information a
 /// reactive policy lacks: demand `lead` ahead is above demand now, so
 /// capacity is ordered before the watermark breach. On flat demand the
-/// slope fits to ~0 and the model degrades gracefully to the naive one.
+/// slope fits to ~0 and the forecast is the current level.
+///
+/// The model is pure arithmetic over the sample stream — no RNG, no
+/// clock — so the same sequence of [`observe`](Self::observe) calls
+/// always yields bitwise the same forecasts (pinned by
+/// `tests/forecast.rs`).
 #[derive(Clone, Debug)]
 pub struct LinearTrendForecaster {
     /// `(t, demand)` samples, oldest first, bounded to `window`.
@@ -84,28 +34,31 @@ impl LinearTrendForecaster {
             window,
         }
     }
-}
 
-impl Forecaster for LinearTrendForecaster {
-    fn name(&self) -> &'static str {
-        "linear-trend"
-    }
-
-    fn observe(&mut self, at: Nanos, demand: f64) {
+    /// Record one demand sample (node-capacity units) observed at `at`.
+    /// Timestamps must be non-decreasing.
+    pub fn observe(&mut self, at: Nanos, demand: f64) {
         self.samples.push_back((at, demand));
         while self.samples.len() > self.window {
             self.samples.pop_front();
         }
     }
 
-    fn forecast(&self, lead: Nanos) -> Option<f64> {
-        if self.samples.len() < 2 {
+    /// Forecast the demand `lead` nanoseconds after the last observed
+    /// sample, or `None` below two samples (callers fall back to reactive
+    /// behavior until a forecast exists).
+    #[must_use]
+    pub fn forecast(&self, lead: Nanos) -> Option<f64> {
+        let (Some(&(t0, _)), Some(&(newest, _)), 2..) = (
+            self.samples.front(),
+            self.samples.back(),
+            self.samples.len(),
+        ) else {
             return None;
-        }
+        };
         // Ordinary least squares over the window, with time re-based to
         // the window start in seconds so the normal equations stay well
         // conditioned at nanosecond magnitudes.
-        let t0 = self.samples.front().expect("non-empty").0;
         let n = self.samples.len() as f64;
         let (mut st, mut sd, mut stt, mut std_) = (0.0, 0.0, 0.0, 0.0);
         for &(at, d) in &self.samples {
@@ -116,8 +69,7 @@ impl Forecaster for LinearTrendForecaster {
             std_ += t * d;
         }
         let denom = n * stt - st * st;
-        let newest = self.samples.back().expect("non-empty");
-        let horizon = (newest.0 - t0) as f64 / 1e9 + lead as f64 / 1e9;
+        let horizon = (newest - t0) as f64 / 1e9 + lead as f64 / 1e9;
         if denom.abs() < 1e-12 {
             // Degenerate (all samples at one instant): fall back to the
             // window mean.
@@ -141,132 +93,10 @@ impl Forecaster for LinearTrendForecaster {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Holt-Winters (additive seasonal)
-
-/// Additive Holt-Winters triple exponential smoothing — the periodic
-/// demand model (diurnal curves, §6 scenario shapes).
-///
-/// State: a level, a trend, and a ring of `season_len` additive seasonal
-/// offsets (one per observation slot in the season). The first full
-/// season seeds the state (level = season mean, seasonal = deviation
-/// from it, trend = 0); forecasts exist only after seeding, so a cold
-/// model reports `None` and the predictive policy stays reactive through
-/// the first cycle. Entirely deterministic — no RNG, no wall clock —
-/// which is what makes the proptest invariants (constant-trace
-/// convergence, bitwise run-to-run reproducibility) pinnable.
-#[derive(Clone, Debug)]
-pub struct HoltWintersForecaster {
-    alpha: f64,
-    beta: f64,
-    gamma: f64,
-    season_len: usize,
-    /// Seeding buffer (first season's samples), then unused.
-    seed: Vec<f64>,
-    level: f64,
-    trend: f64,
-    seasonal: Vec<f64>,
-    /// Seasonal slot of the *next* sample.
-    slot: usize,
-    /// Spacing of the last two samples (steps-per-lead conversion).
-    last_at: Option<Nanos>,
-    interval: Nanos,
-    warm: bool,
-}
-
-impl HoltWintersForecaster {
-    /// An additive Holt-Winters model with `season_len` observation
-    /// slots per season and smoothing factors `alpha` (level), `beta`
-    /// (trend), `gamma` (seasonal), each in `(0, 1)`.
-    #[must_use]
-    pub fn new(season_len: usize, alpha: f64, beta: f64, gamma: f64) -> Self {
-        assert!(season_len >= 2, "a season needs at least two slots");
-        for (name, v) in [("alpha", alpha), ("beta", beta), ("gamma", gamma)] {
-            assert!(
-                (0.0..1.0).contains(&v) && v > 0.0,
-                "{name} must be in (0,1)"
-            );
-        }
-        HoltWintersForecaster {
-            alpha,
-            beta,
-            gamma,
-            season_len,
-            seed: Vec::with_capacity(season_len),
-            level: 0.0,
-            trend: 0.0,
-            seasonal: vec![0.0; season_len],
-            slot: 0,
-            last_at: None,
-            interval: 0,
-            warm: false,
-        }
-    }
-
-    /// The paper-preset smoothing: responsive level (0.5), damped trend
-    /// (0.1), slow seasonal adaptation (0.2).
-    #[must_use]
-    pub fn paper_default(season_len: usize) -> Self {
-        HoltWintersForecaster::new(season_len, 0.5, 0.1, 0.2)
-    }
-}
-
-impl Forecaster for HoltWintersForecaster {
-    fn name(&self) -> &'static str {
-        "holt-winters"
-    }
-
-    fn observe(&mut self, at: Nanos, demand: f64) {
-        if let Some(last) = self.last_at {
-            self.interval = at.saturating_sub(last).max(1);
-        }
-        self.last_at = Some(at);
-        if !self.warm {
-            self.seed.push(demand);
-            if self.seed.len() == self.season_len {
-                let mean = self.seed.iter().sum::<f64>() / self.season_len as f64;
-                self.level = mean;
-                self.trend = 0.0;
-                for (i, &d) in self.seed.iter().enumerate() {
-                    self.seasonal[i] = d - mean;
-                }
-                self.slot = 0; // the next sample is season slot 0 again
-                self.warm = true;
-            }
-            return;
-        }
-        let s_prev = self.seasonal[self.slot];
-        let level_prev = self.level;
-        self.level =
-            self.alpha * (demand - s_prev) + (1.0 - self.alpha) * (self.level + self.trend);
-        self.trend = self.beta * (self.level - level_prev) + (1.0 - self.beta) * self.trend;
-        self.seasonal[self.slot] = self.gamma * (demand - self.level) + (1.0 - self.gamma) * s_prev;
-        self.slot = (self.slot + 1) % self.season_len;
-    }
-
-    fn forecast(&self, lead: Nanos) -> Option<f64> {
-        if !self.warm {
-            return None;
-        }
-        let k = steps_for(lead, self.interval);
-        let seasonal = self.seasonal[(self.slot + (k - 1) as usize) % self.season_len];
-        Some((self.level + k as f64 * self.trend + seasonal).max(0.0))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use marlin_sim::SECOND;
-
-    #[test]
-    fn naive_repeats_the_last_sample() {
-        let mut f = NaiveForecaster::new();
-        assert_eq!(f.forecast(SECOND), None, "cold model has no opinion");
-        f.observe(0, 3.0);
-        f.observe(SECOND, 5.0);
-        assert_eq!(f.forecast(10 * SECOND), Some(5.0));
-    }
 
     #[test]
     fn linear_trend_extrapolates_a_ramp() {
@@ -288,46 +118,5 @@ mod tests {
             f.observe(i * SECOND, 2.0 - 1.0 * i as f64);
         }
         assert_eq!(f.forecast(60 * SECOND), Some(0.0));
-    }
-
-    #[test]
-    fn holt_winters_is_cold_for_exactly_one_season() {
-        let mut f = HoltWintersForecaster::paper_default(4);
-        for i in 0..3u64 {
-            f.observe(i * SECOND, 5.0);
-            assert_eq!(f.forecast(SECOND), None, "sample {i} still seeding");
-        }
-        f.observe(3 * SECOND, 5.0);
-        assert!(f.forecast(SECOND).is_some(), "one full season seeds it");
-    }
-
-    #[test]
-    fn holt_winters_learns_a_periodic_shape() {
-        // Period-4 sawtooth: 2, 4, 6, 4. After a few seasons the model's
-        // one-step forecast should track the next slot's value closely.
-        let wave = [2.0, 4.0, 6.0, 4.0];
-        let mut f = HoltWintersForecaster::paper_default(4);
-        let mut t = 0;
-        for cycle in 0..6 {
-            for (i, &d) in wave.iter().enumerate() {
-                if cycle >= 4 {
-                    let pred = f.forecast(SECOND).expect("warm");
-                    assert!(
-                        (pred - d).abs() < 0.8,
-                        "cycle {cycle} slot {i}: predicted {pred}, actual {d}"
-                    );
-                }
-                f.observe(t, d);
-                t += SECOND;
-            }
-        }
-    }
-
-    #[test]
-    fn steps_round_up_and_never_hit_zero() {
-        assert_eq!(steps_for(SECOND, 2 * SECOND), 1);
-        assert_eq!(steps_for(2 * SECOND, 2 * SECOND), 1);
-        assert_eq!(steps_for(3 * SECOND, 2 * SECOND), 2);
-        assert_eq!(steps_for(SECOND, 0), 1);
     }
 }

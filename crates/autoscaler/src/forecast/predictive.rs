@@ -21,7 +21,7 @@
 //!
 //! [`ScalingPolicy::forecasts`]: crate::policy::ScalingPolicy::forecasts
 
-use crate::forecast::{ErrorTracker, ForecastSample, Forecaster};
+use crate::forecast::{ErrorTracker, ForecastSample, LinearTrendForecaster};
 use crate::observe::Observation;
 use crate::policy::{ScaleAction, ScalingPolicy, SizeBounds};
 use marlin_common::NodeId;
@@ -97,7 +97,7 @@ impl PredictiveConfig {
 /// trusted.
 pub struct PredictivePolicy {
     cfg: PredictiveConfig,
-    forecaster: Box<dyn Forecaster>,
+    forecaster: LinearTrendForecaster,
     inner: Box<dyn ScalingPolicy>,
     tracker: ErrorTracker,
     /// Consecutive decide ticks with `desired < live` (scale-in gate).
@@ -114,7 +114,7 @@ impl PredictivePolicy {
     #[must_use]
     pub fn new(
         cfg: PredictiveConfig,
-        forecaster: Box<dyn Forecaster>,
+        forecaster: LinearTrendForecaster,
         inner: Box<dyn ScalingPolicy>,
     ) -> Self {
         assert!(cfg.target_utilization > 0.0 && cfg.target_utilization < 1.0);
@@ -132,26 +132,13 @@ impl PredictivePolicy {
         }
     }
 
-    /// The wrapped fallback policy.
-    #[must_use]
-    pub fn inner(&self) -> &dyn ScalingPolicy {
-        self.inner.as_ref()
-    }
-
-    /// The model's name (for composed report labels).
-    #[must_use]
-    pub fn forecaster_name(&self) -> &'static str {
-        self.forecaster.name()
-    }
-
     /// Feed the demand sample into the forecaster and error tracker, and
     /// refresh `last_sample`. Idempotent per observation timestamp.
     ///
     /// The signal is [`Observation::demand_signal`] — the raw
-    /// utilization sum, *not* the backlog-corrected
-    /// [`Observation::offered_load`]: backlog spikes are consequences of
-    /// sizing mistakes, and a forecaster fed its own policy's mistakes
-    /// amplifies them instead of predicting demand.
+    /// utilization sum, with no backlog term: backlog spikes are
+    /// consequences of sizing mistakes, and a forecaster fed its own
+    /// policy's mistakes amplifies them instead of predicting demand.
     fn ingest(&mut self, obs: &Observation) -> (f64, Option<f64>, bool) {
         let demand = obs.demand_signal();
         if self.last_ingested_at == Some(obs.at) {
@@ -284,7 +271,6 @@ impl ScalingPolicy for PredictivePolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::forecast::{LinearTrendForecaster, NaiveForecaster};
     use crate::policy::{ReactiveConfig, ReactivePolicy};
     use marlin_sim::SECOND;
 
@@ -293,7 +279,7 @@ mod tests {
         cfg.cooldown = 0;
         PredictivePolicy::new(
             cfg,
-            Box::new(LinearTrendForecaster::new(4)),
+            LinearTrendForecaster::new(4),
             Box::new(ReactivePolicy::new(ReactiveConfig {
                 cooldown: 0,
                 ..ReactiveConfig::paper_default(min, max)
@@ -380,14 +366,15 @@ mod tests {
 
     #[test]
     fn bad_forecasts_trip_the_guard_back_to_reactive() {
-        // A naive forecaster on a hard alternating signal: every matured
-        // prediction is ~100% wrong, so the rolling MAPE blows through
-        // the guard and the policy must report fallback.
+        // A trend model on a hard alternating signal fits a line through
+        // the middle of the swings, so every matured prediction misses
+        // its sample by far more than the guard allows and the policy
+        // must report fallback.
         let mut cfg = PredictiveConfig::paper_default(SECOND, 2, 8);
         cfg.cooldown = 0;
         let mut p = PredictivePolicy::new(
             cfg,
-            Box::new(NaiveForecaster::new()),
+            LinearTrendForecaster::new(5),
             Box::new(ReactivePolicy::new(ReactiveConfig {
                 cooldown: 0,
                 ..ReactiveConfig::paper_default(2, 8)

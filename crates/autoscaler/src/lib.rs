@@ -5,8 +5,8 @@
 //! scripts used to hard-code: instead of replaying scale events at fixed
 //! timestamps, a controller observes the running cluster and emits the
 //! same reconfiguration transactions (`AddNodeTxn`, `MigrationTxn`,
-//! `DeleteNodeTxn`) the scripts did — now as a function of measured load
-//! and spend.
+//! `DeleteNodeTxn`) the scripts did — now as a function of measured
+//! load.
 //!
 //! ## The observe → decide → actuate loop
 //!
@@ -27,17 +27,17 @@
 //!   utilization, queue depth, the current $/hour burn rate (from the
 //!   §6.1.5 cost model), and sampled per-granule heat.
 //! - **Decide** — a [`ScalingPolicy`] maps the observation to at most one
-//!   [`ScaleAction`] per tick. Shipped policies: reactive thresholds with
-//!   hysteresis + cooldown ([`ReactivePolicy`]), a PI-style utilization
-//!   tracker ([`TargetUtilizationPolicy`]), a hard budget decorator
-//!   ([`CostBoundedPolicy`]), a per-region decorator
-//!   ([`RegionalPolicy`]) that runs an inner sizing policy per placement
-//!   domain and emits region-targeted actions with region-local victim
-//!   selection, and a *proactive* sizing policy ([`PredictivePolicy`])
-//!   that forecasts the demand signal (see [`forecast`]) and sizes the
-//!   cluster for demand a provisioning-lead-time ahead, falling back to
-//!   its inner reactive policy when the rolling forecast error exceeds a
-//!   guard threshold. On quiet ticks the optional
+//!   [`ScaleAction`] per tick. Every scenario composes one stack from
+//!   four policies: [`HoldPolicy`] (never scale; scripted runs) or
+//!   reactive thresholds with hysteresis + cooldown ([`ReactivePolicy`]),
+//!   optionally wrapped by a per-region decorator ([`RegionalPolicy`])
+//!   that runs an inner sizing policy per placement domain and emits
+//!   region-targeted actions with region-local victim selection, and/or
+//!   by a *proactive* sizing policy ([`PredictivePolicy`]) that
+//!   forecasts the demand signal with a linear trend (see [`forecast`])
+//!   and sizes the cluster for demand a provisioning-lead-time ahead,
+//!   falling back to its inner reactive policy when the rolling forecast
+//!   error exceeds a guard threshold. On quiet ticks the optional
 //!   [`RebalancePlanner`] proposes hot-granule `MigrationTxn`s instead.
 //! - **Actuate** — the [`Controller`] dispatches the action to an
 //!   [`Actuator`]. The [`LocalHarness`] actuator executes synchronously
@@ -64,9 +64,8 @@
 //! [`ScalingPolicy`]: policy::ScalingPolicy
 //! [`Actuator`]: controller::Actuator
 //! [`Controller`]: controller::Controller
+//! [`HoldPolicy`]: policy::HoldPolicy
 //! [`ReactivePolicy`]: policy::ReactivePolicy
-//! [`TargetUtilizationPolicy`]: policy::TargetUtilizationPolicy
-//! [`CostBoundedPolicy`]: policy::CostBoundedPolicy
 //! [`RegionalPolicy`]: regional::RegionalPolicy
 //! [`PredictivePolicy`]: forecast::PredictivePolicy
 //! [`RebalancePlanner`]: rebalance::RebalancePlanner
@@ -87,16 +86,14 @@ pub mod regional;
 
 pub use controller::{Actuator, Controller};
 pub use forecast::{
-    backtest, relative_error, BacktestConfig, BacktestReport, ErrorTracker, ForecastSample,
-    Forecaster, HoltWintersForecaster, LinearTrendForecaster, NaiveForecaster, PredictiveConfig,
+    relative_error, ErrorTracker, ForecastSample, LinearTrendForecaster, PredictiveConfig,
     PredictivePolicy, MAPE_FLOOR,
 };
 pub use invariant::{InvariantId, InvariantViolation};
 pub use local::LocalHarness;
 pub use observe::{GranuleLoad, NodeLoad, Observation, RegionLoad};
 pub use policy::{
-    CostBoundedPolicy, HoldPolicy, ReactiveConfig, ReactivePolicy, ScaleAction, ScalingPolicy,
-    SizeBounds, TargetUtilizationConfig, TargetUtilizationPolicy,
+    HoldPolicy, ReactiveConfig, ReactivePolicy, ScaleAction, ScalingPolicy, SizeBounds,
 };
 pub use rebalance::{validate_moves, GranuleMove, RebalanceConfig, RebalancePlanner};
 pub use regional::RegionalPolicy;

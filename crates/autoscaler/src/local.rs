@@ -41,7 +41,7 @@ pub struct LocalHarness {
     /// load always comes from its home region's demand no matter which
     /// node currently serves it.
     granule_home: Vec<RegionId>,
-    /// $/hour per node, for cost-bounded policies.
+    /// $/hour per node, priced into each observation's burn rate.
     pub node_hourly: f64,
 }
 

@@ -159,60 +159,19 @@ impl Default for NodeLoad {
 }
 
 impl Observation {
-    /// Offered load in node-capacity units — the demand signal sizing
-    /// policies (and forecasters) read: the sum of the raw per-node
-    /// utilizations, plus whatever backlog `queue_depth` reports
-    /// *beyond* what those utilizations already explain.
-    ///
-    /// The correction term is what keeps both observation dialects
-    /// honest without double counting. Under the analytic CPU model
-    /// utilizations exceed 1 under overload and `queue_depth` is
-    /// exactly their mean excess — the subtraction cancels it to
-    /// zero and the sum alone is the demand signal (adding
-    /// `queue_depth` on top would count every unit of backlog twice
-    /// and overshoot). Under the per-request model completions gate
-    /// arrivals, so measured utilizations self-limit near 1 while
-    /// the real backlog rides only in `queue_depth` — there the
-    /// excess is ~0 and the correction injects the full queue, so a
-    /// deep backlog still reads as demand instead of being invisible
-    /// to the sum.
-    ///
-    /// The summary-field fallback (no per-node loads) clamps the
-    /// mean before adding `queue_depth * live` for the same reason.
-    #[must_use]
-    pub fn offered_load(&self) -> f64 {
-        if self.node_loads.iter().any(|n| n.alive) {
-            let alive: Vec<f64> = self
-                .node_loads
-                .iter()
-                .filter(|n| n.alive)
-                .map(|n| n.utilization.max(0.0))
-                .collect();
-            let explained_excess =
-                alive.iter().map(|u| (u - 1.0).max(0.0)).sum::<f64>() / alive.len() as f64;
-            let unexplained_queue = (self.queue_depth - explained_excess).max(0.0);
-            alive.iter().sum::<f64>() + unexplained_queue * alive.len() as f64
-        } else {
-            let live = f64::from(self.live_nodes);
-            self.mean_utilization.min(1.0) * live + self.queue_depth * live
-        }
-    }
-
     /// The *forecasting* demand signal, in node-capacity units: the sum
     /// of the raw per-node utilizations of the live members, with no
     /// backlog correction.
     ///
-    /// This deliberately differs from [`Observation::offered_load`] —
-    /// the sizing plant model — by excluding the unexplained-queue term.
-    /// Backlog is demand that *already arrived* and is waiting; adding
-    /// it back (times the node count) makes the series spike 5–10× the
-    /// moment a queue forms, which poisons any trend or seasonal fit and
-    /// trips the predictive policy's error guard exactly when prediction
-    /// matters most. The utilization sum tracks the exogenous demand
-    /// curve smoothly in both CPU-model dialects (the analytic EMA
-    /// reports overload as utilization above 1; the per-request station
-    /// measures offered work directly), which is what makes it
-    /// forecastable.
+    /// Backlog is left out on purpose: it is demand that *already
+    /// arrived* and is waiting; adding it back (times the node count)
+    /// makes the series spike 5–10× the moment a queue forms, which
+    /// poisons the trend fit and trips the predictive policy's error
+    /// guard exactly when prediction matters most. The utilization sum
+    /// tracks the exogenous demand curve smoothly in both CPU-model
+    /// dialects (the analytic EMA reports overload as utilization above
+    /// 1; the per-request station measures offered work directly), which
+    /// is what makes it forecastable.
     #[must_use]
     pub fn demand_signal(&self) -> f64 {
         self.node_loads

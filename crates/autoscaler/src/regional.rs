@@ -1,7 +1,6 @@
 //! Region-aware scaling: run an inner sizing policy per placement domain.
 //!
-//! [`RegionalPolicy`] is a decorator in the spirit of
-//! [`CostBoundedPolicy`](crate::policy::CostBoundedPolicy): it owns one
+//! [`RegionalPolicy`] is a decorator: it owns one
 //! independent instance of an inner [`ScalingPolicy`] per region and, on
 //! every tick, shows each instance a [region view] of the observation —
 //! the same summary fields a region-blind policy reads, restricted to the

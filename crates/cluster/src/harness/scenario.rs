@@ -342,7 +342,7 @@ impl Scenario {
                 cooldown: 3 * self.control_interval,
                 ..PredictiveConfig::paper_default(lead, min_nodes, max_nodes)
             },
-            Box::new(LinearTrendForecaster::new(5)),
+            LinearTrendForecaster::new(5),
             self.slo_reactive_policy(min_nodes, max_nodes, Self::PRESET_P99_CEILING),
         ))
     }
@@ -368,7 +368,7 @@ impl Scenario {
                         cooldown,
                         ..PredictiveConfig::paper_default(lead, min_nodes, max_nodes)
                     },
-                    Box::new(LinearTrendForecaster::new(5)),
+                    LinearTrendForecaster::new(5),
                     self.slo_reactive_policy(min_nodes, max_nodes, Self::PRESET_P99_CEILING),
                 ))
             })

@@ -172,9 +172,6 @@ pub struct RunMetrics {
     pub user_aborts: RateSeries,
     /// Committed user transaction latency (Figure 14d).
     pub user_latency: Histogram,
-    /// Latency of committed transactions bucketed over time (for the
-    /// real-time latency panel).
-    pub latency_over_time: TimeSeries,
     /// Migration transaction completions per bucket (Figures 8, 14a).
     pub migrations: RateSeries,
     /// Migration transaction latency (Figure 10a).
@@ -213,7 +210,6 @@ impl RunMetrics {
             user_commits: RateSeries::new(bucket),
             user_aborts: RateSeries::new(bucket),
             user_latency: Histogram::new(),
-            latency_over_time: TimeSeries::new(),
             migrations: RateSeries::new(bucket),
             migration_latency: Histogram::new(),
             migration_retries: 0,

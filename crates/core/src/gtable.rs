@@ -209,6 +209,15 @@ impl GTablePartition {
         self.pending.keys().copied().collect()
     }
 
+    /// The granules `txn`'s `Prepared` record swaps while it awaits its
+    /// decision (empty for a transaction with no pending record).
+    #[must_use]
+    pub(crate) fn pending_granules(&self, txn: TxnId) -> Vec<GranuleId> {
+        self.pending
+            .get(&txn)
+            .map_or_else(Vec::new, |swaps| swaps.iter().map(|s| s.granule).collect())
+    }
+
     /// Number of entries.
     #[must_use]
     pub fn len(&self) -> usize {

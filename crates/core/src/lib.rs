@@ -32,7 +32,6 @@
 //! - [`failure`] — ring-based heartbeat failure detection (§4.4.2).
 //! - [`router`] — client-side routing cache with `WrongNode` redirect
 //!   handling and `ScanGTableTxn` refresh.
-//! - [`warmup`] — Squall-style cache warm-up planning after migration.
 //! - [`invariants`] — executable checks of invariants I0–I4 (§4.5).
 //! - [`model`] — an exhaustive state-space explorer mirroring the TLA+
 //!   specification in Appendix B (NoDualOwnership, HasOneOwnership).
@@ -48,7 +47,6 @@ pub mod node;
 pub mod records;
 pub mod router;
 pub mod runtime;
-pub mod warmup;
 
 pub use gtable::{GTablePartition, GranuleMeta};
 pub use lsn_tracker::LsnTracker;

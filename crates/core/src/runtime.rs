@@ -573,7 +573,7 @@ impl LocalCluster {
                 // The CAS failure invalidated the own-partition cache (the
                 // driver emitted ClearMetaCache). Refresh and drop rows of
                 // granules that moved away (Figure 7 step 3).
-                self.refresh_and_evict(node);
+                self.refresh_and_evict(node, &[]);
                 // `execute_effect` observed the LSN the failed CAS
                 // returned into the tracker.
                 let log = conflict.unwrap_or(LogId::GLog(node));
@@ -741,29 +741,26 @@ impl LocalCluster {
         if self.nodes[&id].marlin.gtable_valid() {
             return;
         }
-        self.refresh_and_evict(id);
+        self.refresh_and_evict(id, &[]);
     }
 
     /// Refresh `id`'s own-partition cache and drop the rows of the granules
-    /// it lost (Figure 7 step 3). The partition keeps a forwarding row for
-    /// each, which names the table the rows live under.
-    fn refresh_and_evict(&mut self, id: NodeId) {
-        let lost = self.refresh_own_gtable(id);
+    /// it lost (Figure 7 step 3), except those in `shipping`: the granules
+    /// of a just-committed `MigrationTxn`, whose rows `migrate()` moves to
+    /// the destination next. The partition keeps a forwarding row for each
+    /// lost granule, which names the table the rows live under.
+    fn refresh_and_evict(&mut self, id: NodeId, shipping: &[GranuleId]) {
+        let log = self.storage.log(LogId::GLog(id)).expect("glog");
         let rt = self.node_mut(id);
-        for g in lost {
+        let suffix = log.read_after(rt.marlin.gtable().applied_lsn());
+        let lost = rt
+            .marlin
+            .refresh_own_gtable(suffix.into_iter().map(|r| (r.lsn, r.payload)));
+        for g in lost.into_iter().filter(|g| !shipping.contains(g)) {
             if let Some(meta) = rt.marlin.gtable().get(g) {
                 rt.data.remove(meta.table, g);
             }
         }
-    }
-
-    /// Refresh a node's own-partition cache; returns granules lost.
-    pub fn refresh_own_gtable(&mut self, id: NodeId) -> Vec<GranuleId> {
-        let log = self.storage.log(LogId::GLog(id)).expect("glog");
-        let node = self.node_mut(id);
-        let suffix = log.read_after(node.marlin.gtable().applied_lsn());
-        node.marlin
-            .refresh_own_gtable(suffix.into_iter().map(|r| (r.lsn, r.payload)))
     }
 
     /// Refresh `viewer`'s cached copy of `target`'s partition.
@@ -907,7 +904,7 @@ impl LocalCluster {
                 self.refresh_mtable(coordinator);
             }
             LogId::GLog(owner) if owner == coordinator => {
-                self.refresh_own_gtable(coordinator);
+                self.refresh_and_evict(coordinator, &[]);
             }
             LogId::GLog(owner) => {
                 self.refresh_foreign(coordinator, owner);
@@ -981,7 +978,7 @@ impl LocalCluster {
                 // previously advanced the log; skipping records would
                 // silently lose their GTable effects.
                 let _ = out;
-                self.refresh_own_gtable(to);
+                self.refresh_and_evict(to, &[]);
                 Input::VoteResp {
                     from: to,
                     yes: true,
@@ -1018,15 +1015,20 @@ impl LocalCluster {
             .expect("own glog");
         let rt = self.node_mut(to);
         rt.marlin.tracker.observe(log, out.new_lsn);
+        // Rows of granules a committed migration moves away are not
+        // evicted: the migrate() wrapper ships them to the destination
+        // right after the commit.
+        let shipping = if commit {
+            rt.marlin.gtable().pending_granules(txn)
+        } else {
+            Vec::new()
+        };
         // Apply via the suffix so any records this node has not yet seen
         // (e.g. a recovery that wrote to this log while it was slow) are
         // materialized too — a tail-skip would advance the watermark past
         // them and permanently hide their GTable effects.
-        self.refresh_own_gtable(to);
-        let rt = self.node_mut(to);
-        rt.locks.release_all(txn);
-        // Rows of granules that migrated away are transferred by the
-        // migrate() wrapper (warm-up shipping) after the commit.
+        self.refresh_and_evict(to, &shipping);
+        self.node_mut(to).locks.release_all(txn);
     }
 
     /// Remote side of `ReadOwnersRemote`: lock + read the GTable entries.

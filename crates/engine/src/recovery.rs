@@ -88,13 +88,6 @@ pub fn recover_granule_from_log(
     g
 }
 
-/// Convenience: the rows of `granule` as `(key, value)` pairs for warm-up
-/// shipping (Squall-style scan, §4.4.1).
-#[must_use]
-pub fn scan_for_warmup(granule: &Granule) -> Vec<(u64, Bytes)> {
-    granule.rows.iter().map(|(k, v)| (*k, v.clone())).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -238,15 +231,5 @@ mod tests {
         )
         .unwrap();
         assert_eq!(g.rows[&10], Bytes::from_static(b"end2end"));
-    }
-
-    #[test]
-    fn warmup_scan_lists_rows() {
-        let mut g = Granule::new(KeyRange::new(0, 10));
-        g.rows.insert(2, Bytes::from_static(b"b"));
-        g.rows.insert(1, Bytes::from_static(b"a"));
-        let scan = scan_for_warmup(&g);
-        assert_eq!(scan.len(), 2);
-        assert_eq!(scan[0].0, 1);
     }
 }

@@ -82,7 +82,7 @@ impl DataStore {
         self.granules.get_mut(&(table, id))
     }
 
-    /// Scan all rows of a granule in key order (cache warm-up uses this).
+    /// Scan all rows of a granule in key order.
     #[must_use]
     pub fn scan(&self, table: TableId, id: GranuleId) -> Vec<(u64, Bytes)> {
         self.granules

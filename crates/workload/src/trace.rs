@@ -111,8 +111,8 @@ impl LoadTrace {
         LoadTrace::steps(points)
     }
 
-    /// Active clients at time `t` — the *single* step-lookup used by the
-    /// runners' client activation and the forecaster's backtester alike.
+    /// Active clients at time `t` — the *single* step-lookup the
+    /// runners' client activation uses.
     #[must_use]
     pub fn clients_at(&self, t: Nanos) -> u32 {
         match self.points.binary_search_by_key(&t, |&(at, _)| at) {

@@ -12,8 +12,8 @@
 //!   (`MARLIN_BENCH_JSON`).
 //! - [`storage`] — disaggregated storage: shared logs with conditional
 //!   append (`Append@LSN`), page store (`GetPage@LSN`), log replay.
-//! - [`engine`] — per-node database engine: 2PL `NO_WAIT` locking, clock
-//!   cache, granule store, group commit, WAL codec.
+//! - [`engine`] — per-node database engine: 2PL `NO_WAIT` locking, the
+//!   granule row store, the WAL codec, and row recovery from storage.
 //! - [`core`] — the paper's contribution: MTable/GTable system tables,
 //!   MarlinCommit, the five reconfiguration transactions, failure
 //!   detection, routing, invariants, and an executable model checker.
@@ -21,10 +21,11 @@
 //!   services used as evaluation baselines.
 //! - [`workload`] — YCSB and TPC-C workload generators, plus load traces
 //!   for the closed-loop autoscaling scenarios.
-//! - [`autoscaler`] — the closed-loop autoscaling controller: pluggable
-//!   scaling policies (reactive hysteresis, target-utilization PI,
-//!   cost-bounded) and a hot-granule rebalance planner, actuated through
-//!   the reconfiguration drivers on both runners.
+//! - [`autoscaler`] — the closed-loop autoscaling controller: one policy
+//!   stack (hold or reactive hysteresis, optionally per region and/or
+//!   predictive over a linear-trend forecaster) and a hot-granule
+//!   rebalance planner, actuated through the reconfiguration drivers on
+//!   both runners.
 //! - [`fuzz`] — deterministic scenario fuzzer (`docs/TESTING.md`):
 //!   seed → randomized fault/load/churn scenario, swarm execution
 //!   (`MARLIN_FUZZ_SEEDS`), automatic shrinking, and replayable repro

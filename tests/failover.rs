@@ -377,3 +377,67 @@ fn recovery_of_already_recovered_granule_fails_effectiveness_check() {
         .unwrap_err();
     assert!(matches!(err, CoordError::WrongOwner { .. }), "got {err}");
 }
+
+/// A stale node learns of a recovery through whichever own-GLog refresh
+/// reaches it first, and every such refresh drops the rows of the
+/// granules it lost. Here the recovered node 2 first votes NO as the
+/// source of a migration (its TryLog conflicts) and applies the abort
+/// decision, then coordinates a migration as the destination whose
+/// prepared record lands on its own GLog. Neither path goes through the
+/// next-request refetch of `ensure_gtable_fresh`.
+#[test]
+fn own_glog_refreshes_evict_the_rows_of_recovered_granules() {
+    let mut cluster = LocalCluster::bootstrap(&config(3, 9));
+    for key in [650, 750, 850] {
+        cluster
+            .user_txn(NodeId(2), TABLE, &[], &[(key, Bytes::from_static(b"v"))])
+            .unwrap();
+    }
+    let holds =
+        |cluster: &LocalCluster, g: u64| cluster.node(NodeId(2)).data.holds(TABLE, GranuleId(g));
+
+    // Granule 6 is recovered while N2 is away; the abort decision of a
+    // migration out of N2 is the refresh that reveals it.
+    cluster.kill(NodeId(2));
+    cluster
+        .recovery_migrate(NodeId(1), NodeId(2), vec![GranuleId(6)])
+        .unwrap();
+    cluster.revive(NodeId(2));
+    assert!(holds(&cluster, 6), "stale rows before any refresh");
+    let err = cluster
+        .migrate(NodeId(2), NodeId(0), TABLE, vec![GranuleId(8)])
+        .unwrap_err();
+    assert!(matches!(err, CoordError::Aborted(_)), "got {err}");
+    assert!(!holds(&cluster, 6), "the abort decision's refresh evicts");
+    assert!(
+        holds(&cluster, 7) && holds(&cluster, 8),
+        "kept granules keep rows"
+    );
+
+    // Granule 7 is recovered next. N2's first migration in as the
+    // destination conflicts on its own GLog (tracker catches up, cache
+    // invalidated); the retry's prepared append succeeds and refreshes.
+    cluster.kill(NodeId(2));
+    cluster
+        .recovery_migrate(NodeId(1), NodeId(2), vec![GranuleId(7)])
+        .unwrap();
+    cluster.revive(NodeId(2));
+    assert!(cluster
+        .migrate(NodeId(0), NodeId(2), TABLE, vec![GranuleId(0)])
+        .is_err());
+    assert!(holds(&cluster, 7), "a failed append refreshes nothing");
+    cluster
+        .migrate(NodeId(0), NodeId(2), TABLE, vec![GranuleId(0)])
+        .unwrap();
+    assert!(!holds(&cluster, 7), "the own-GLog append's refresh evicts");
+    assert!(holds(&cluster, 0) && holds(&cluster, 8));
+    assert_eq!(
+        cluster.node(NodeId(2)).marlin.owned_granules(),
+        vec![GranuleId(0), GranuleId(8)]
+    );
+    let reads = cluster
+        .user_txn(NodeId(1), TABLE, &[650, 750], &[])
+        .unwrap();
+    assert_eq!(reads, vec![Some(Bytes::from_static(b"v")); 2]);
+    cluster.assert_invariants();
+}

@@ -1,6 +1,6 @@
 //! The forecasting subsystem end to end: provisioning lead time in the
 //! simulator, the predictive policy against its reactive twin, regional
-//! composition, and the forecaster invariants (proptest shim).
+//! composition, and the forecaster's determinism (proptest shim).
 //!
 //! The headline pin mirrors the predictive presets at test scale: on a
 //! diurnal ramp with a real provisioning lead, the identical
@@ -11,10 +11,7 @@
 //! breaches it — react-after-breach structurally eats the whole lead as
 //! queue build-up.
 
-use marlin::autoscaler::{
-    backtest, BacktestConfig, Forecaster, HoltWintersForecaster, LinearTrendForecaster,
-    NaiveForecaster, ScaleAction,
-};
+use marlin::autoscaler::{LinearTrendForecaster, ScaleAction};
 use marlin::cluster::harness::{run, RunReport, Scenario, SimRunner};
 use marlin::cluster::params::{CoordKind, CpuModel};
 use marlin::cluster::sim::Workload;
@@ -245,30 +242,10 @@ fn regional_predictive_targets_only_the_ramping_region() {
 }
 
 // ---------------------------------------------------------------------------
-// Forecaster invariants (proptest shim)
+// Forecaster invariant (proptest shim)
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
-
-    /// Holt-Winters on a constant trace converges to the constant.
-    #[test]
-    fn holt_winters_converges_on_constant_traces(
-        level in 1u32..2_000,
-        season in 3usize..24,
-    ) {
-        let mut f = HoltWintersForecaster::paper_default(season);
-        let mut t = 0;
-        for _ in 0..season * 6 {
-            f.observe(t, f64::from(level));
-            t += SECOND;
-        }
-        let predicted = f.forecast(5 * SECOND).expect("long warm model");
-        let err = (predicted - f64::from(level)).abs();
-        prop_assert!(
-            err < f64::from(level) * 1e-6 + 1e-6,
-            "constant {level} forecast {predicted}"
-        );
-    }
 
     /// Forecasts are deterministic: the same sample stream yields
     /// bitwise-identical forecasts on every run.
@@ -279,17 +256,11 @@ proptest! {
     ) {
         let runs: Vec<Vec<Option<f64>>> = (0..2)
             .map(|_| {
-                let mut models: Vec<Box<dyn Forecaster>> = vec![
-                    Box::new(NaiveForecaster::new()),
-                    Box::new(LinearTrendForecaster::new(5)),
-                    Box::new(HoltWintersForecaster::paper_default(4)),
-                ];
+                let mut model = LinearTrendForecaster::new(5);
                 let mut out = Vec::new();
                 for (i, &s) in samples.iter().enumerate() {
-                    for m in &mut models {
-                        m.observe(i as u64 * SECOND, f64::from(s));
-                        out.push(m.forecast(lead_s * SECOND));
-                    }
+                    model.observe(i as u64 * SECOND, f64::from(s));
+                    out.push(model.forecast(lead_s * SECOND));
                 }
                 out
             })
@@ -300,48 +271,4 @@ proptest! {
         };
         prop_assert_eq!(bits(&runs[0]), bits(&runs[1]));
     }
-
-    /// MAPE is exactly 0 when the trace is perfectly predictable by the
-    /// model: a constant trace under the naive forecaster.
-    #[test]
-    fn mape_is_zero_for_a_perfectly_predicted_trace(
-        clients in 1u32..5_000,
-        lead_s in 1u64..60,
-    ) {
-        let trace = LoadTrace::constant(clients);
-        let report = backtest(
-            &mut NaiveForecaster::new(),
-            &trace,
-            BacktestConfig {
-                cadence: 2 * SECOND,
-                lead: lead_s * SECOND,
-                horizon: 300 * SECOND,
-            },
-        );
-        prop_assert!(report.samples > 0);
-        prop_assert_eq!(report.mape, 0.0);
-        prop_assert_eq!(report.bias, 0.0);
-        prop_assert_eq!(report.worst_abs_error, 0.0);
-    }
-}
-
-/// The backtester ranks models the way the motivation claims: trend
-/// beats naive on the preset diurnal ramp (the quantity
-/// `predictive_policy` relies on).
-#[test]
-fn backtest_ranks_trend_above_naive_on_the_preset_diurnal() {
-    let trace = LoadTrace::paper_diurnal();
-    let cfg = BacktestConfig {
-        cadence: 2 * SECOND,
-        lead: 12 * SECOND,
-        horizon: 240 * SECOND,
-    };
-    let naive = backtest(&mut NaiveForecaster::new(), &trace, cfg);
-    let trend = backtest(&mut LinearTrendForecaster::new(5), &trace, cfg);
-    assert!(
-        trend.mape < naive.mape,
-        "trend {:.4} vs naive {:.4}",
-        trend.mape,
-        naive.mape
-    );
 }

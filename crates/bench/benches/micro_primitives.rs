@@ -1,16 +1,20 @@
-//! Three measured sections of the primitives the simulator leans on,
+//! Four measured sections of the primitives the simulator leans on,
 //! each asserting what it is named for and landing in
 //! `BENCH_micro_primitives.json`: the per-request station under the
 //! deep calendars the simulator really builds, one control tick's
-//! `observe()` on a 200 k-granule cluster, and the telemetry overhead
-//! guard (disabled instrumentation must cost <2% of a run and leave
-//! decision logs bit-identical). The protocol primitives themselves
-//! (conditional append, commit driver, lock table, GTable apply) are
-//! timed by the probes of the `e2e` benchmark.
+//! `observe()` on a 200 k-granule cluster, one `MigrationDriver` round
+//! as the simulator's effect pricer runs it per migration, and the
+//! telemetry overhead guard (disabled instrumentation must cost <2% of a
+//! run and leave decision logs bit-identical). The storage-side protocol
+//! primitives (conditional append, lock table, GTable apply) are timed
+//! by the probes of the `e2e` benchmark.
 
 use marlin_cluster::harness::{run, RunReport, Runner, Scenario, SimRunner};
 use marlin_cluster::params::CoordKind;
 use marlin_cluster::PerRequestStation;
+use marlin_common::{GranuleId, KeyRange, LogId, Lsn, NodeId, TableId, TxnId};
+use marlin_core::drivers::{Effect, Input, MigrationDriver};
+use marlin_core::{GranuleMeta, LsnTracker};
 use marlin_sim::{DetRng, Nanos, SECOND};
 use marlin_telemetry::{BenchReport, BenchSection, Profiler, Tracer, DEFAULT_TRACE_CAPACITY};
 use std::hint::black_box;
@@ -274,10 +278,76 @@ fn observe_tick() -> BenchSection {
     }
 }
 
+/// One `MigrationDriver` round, the protocol work the simulator's effect
+/// pricer adds to every Marlin migration: `new` → `OwnersAt` →
+/// `AppendOk` → `VoteResp`, the 2PC `CommitDriver` inside it included.
+/// Only the driver is timed (no pricing); every round must commit and
+/// end on its two decisions. `virtual_ns` counts one nominal ns per
+/// round, so bench-diff's virtual-per-wall floor is a floor on rounds
+/// per wall ns.
+fn migration_driver_round() -> BenchSection {
+    const ROUNDS: u64 = 200_000;
+    let (src, dst) = (NodeId(0), NodeId(1));
+    let tracker = LsnTracker::new();
+    let round = |r: u64| {
+        let g = GranuleId(r);
+        let meta = GranuleMeta {
+            table: TableId(0),
+            range: KeyRange::new(r, r + 1),
+            owner: src,
+        };
+        let (mut driver, read) = MigrationDriver::new(TxnId(r), src, dst, vec![g]);
+        let owners = Some(vec![(g, meta)]);
+        let phase_one = driver.on_input(Input::OwnersAt { from: src, owners }, &tracker);
+        let appended = Input::AppendOk {
+            log: LogId::GLog(dst),
+            new_lsn: Lsn(r + 1),
+        };
+        driver.on_input(appended, &tracker);
+        let decisions = driver.on_input(
+            Input::VoteResp {
+                from: src,
+                yes: true,
+            },
+            &tracker,
+        );
+        assert_eq!(driver.result(), Some(&Ok(())), "every round commits");
+        read.len() + phase_one.len() + decisions.len()
+    };
+    for r in 0..ROUNDS / 10 {
+        black_box(round(r));
+    }
+    let timer = Instant::now();
+    let mut effects = 0;
+    for r in 0..ROUNDS {
+        effects += black_box(round(r));
+    }
+    let wall_nanos = timer.elapsed().as_nanos() as u64;
+    // One owner read, a prepared append and a vote request, then an
+    // append and a message carrying the decision.
+    assert_eq!(effects, 5 * ROUNDS as usize, "a round is five effects");
+    let (_, read) = MigrationDriver::new(TxnId(0), src, dst, vec![GranuleId(0)]);
+    assert!(matches!(read[..], [Effect::ReadOwnersRemote { .. }]));
+    let ns_per_round = wall_nanos as f64 / ROUNDS as f64;
+    println!("migration driver: {ns_per_round:.0} ns/round ({ROUNDS} rounds)");
+    BenchSection {
+        name: "migration_driver_round".into(),
+        wall_nanos,
+        virtual_nanos: ROUNDS,
+        wall_bounded: false,
+        profile: None,
+        values: vec![
+            ("ns_per_round".into(), ns_per_round),
+            ("rounds".into(), ROUNDS as f64),
+        ],
+    }
+}
+
 fn main() {
     let mut bench = BenchReport::new("micro_primitives", marlin_bench::scale());
     bench.sections.push(station_deep_calendar());
     bench.sections.push(observe_tick());
+    bench.sections.push(migration_driver_round());
     bench.sections.push(telemetry_overhead());
     bench.maybe_write();
 }

@@ -18,12 +18,14 @@
 //! - [`sim`] — the cluster simulator, one `ClusterSim` over the layers
 //!   it contains: `sim/mod.rs` (state, construction, event dispatch),
 //!   `sim/station.rs` (per-node CPU queueing), `sim/walk.rs` (the one
-//!   transaction timeline — routing, NO_WAIT, hops, cold-cache fetches,
-//!   group commit, log CAS — its booking, and the closed-loop exact
-//!   clients), `sim/cohort.rs` (cohort clients over the same walk),
+//!   transaction timeline — routing, hops, cold-cache fetches, group
+//!   commit, log CAS — its booking, and the closed-loop exact clients),
+//!   `sim/cohort.rs` (cohort clients over the same walk),
 //!   `sim/migration.rs` (actuation, plans, migration threads; Marlin's
-//!   log CAS vs the ZooKeeper/FDB service), `sim/membership.rs` (the
-//!   Figure 15 stress), `sim/observe.rs` (what the autoscaler sees).
+//!   `MigrationDriver` vs the ZooKeeper/FDB service),
+//!   `sim/membership.rs` (the Figure 15 stress), `sim/protocol.rs` (the
+//!   effect pricer that runs `marlin_core`'s drivers in virtual time),
+//!   `sim/observe.rs` (what the autoscaler sees).
 //! - [`harness`] — the unified experiment API: declarative
 //!   [`Scenario`]s (every §6 figure is a preset), the [`Runner`] trait
 //!   implemented by both the simulator and the synchronous

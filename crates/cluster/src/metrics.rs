@@ -24,8 +24,8 @@ pub struct Blame {
     /// interference windows) — separated from `network` so overlay
     /// pressure is visible in the tail.
     pub network_overlay: Nanos,
-    /// Time lost to migration-induced aborts: NO_WAIT conflicts against
-    /// migration locks and the misroute window after an ownership move.
+    /// Time lost to migration-induced aborts: the misroute window after
+    /// an ownership move.
     pub migration_stall: Nanos,
     /// Queue wait accrued while a scale-out was ordered but its nodes
     /// had not yet joined (the provisioning lead): backlog the policy

@@ -1,7 +1,11 @@
-//! The Figure 15 membership stress: virtual members CAS-appending to the
-//! SysLog, or writing through the external coordination service.
+//! The Figure 15 membership stress: virtual members joining and leaving
+//! through `AddNodeDriver`/`DeleteNodeDriver` on the SysLog, or writing
+//! through the external coordination service.
 
+use super::protocol::Coordinator;
 use super::*;
+use marlin_common::TxnId;
+use marlin_core::drivers::{AddNodeDriver, DeleteNodeDriver};
 
 impl ClusterSim {
     /// Configure the Figure 15 membership stress: `members` virtual nodes
@@ -26,41 +30,39 @@ impl ClusterSim {
     }
 
     pub(super) fn handle_membership(&mut self, now: Nanos, member: u32) {
-        // One membership update: Marlin CAS-appends to the SysLog with the
-        // member's tracker (retrying through refreshes on conflicts);
-        // baselines write through the service.
+        // One membership update: under Marlin the member alternates
+        // between joining and leaving, each an `AddNodeTxn` or
+        // `DeleteNodeTxn` CAS-appending to the SysLog with the member's
+        // tracker (retrying through refreshes on conflicts); baselines
+        // write through the service.
         let m = member as usize;
+        let node = NodeId(10_000 + member);
         let started = *self.membership_starts[m].get_or_insert(now);
         let done = match &mut self.backend {
             CoordBackend::Marlin => {
-                let expected = self.member_trackers[m].get(LogId::SysLog);
-                self.metrics.coord.membership_cas_attempts += 1;
-                match self.syslog.conditional_append(expected) {
-                    Ok(new_lsn) => {
-                        self.member_trackers[m].observe(LogId::SysLog, new_lsn);
-                        let svc = self.jittered(self.params.append_service);
-                        let arrive = now + self.params.storage_rtt / 2;
-                        let station_done = arrive + self.syslog_station.charge(arrive, svc);
-                        Some(station_done + self.params.storage_rtt / 2)
-                    }
-                    Err(current) => {
-                        // TryLog failure: refresh the MTable cache and
-                        // retry after backoff (the OCC contention path of
-                        // Figure 15).
-                        self.member_trackers[m].observe(LogId::SysLog, current);
-                        self.metrics.coord.membership_cas_retries += 1;
-                        self.metrics.membership_retries += 1;
-                        let retry = self.params.storage_rtt
-                            + self.params.mtable_refresh
-                            + self.rng.range(0, 4 * self.params.storage_rtt);
-                        self.queue
-                            .schedule(retry, ActorId(0), Event::MembershipTick { member });
-                        None
-                    }
+                let txn = TxnId::new(node, self.next_txn_seq());
+                let (mtable, tracker) = (&self.mtable, &self.member_trackers[m]);
+                let coord = Coordinator::Member(m);
+                let (result, at) = if mtable.exists(node) {
+                    let started = DeleteNodeDriver::new(txn, node, node, mtable, tracker);
+                    self.run_driver(coord, started, now)
+                } else {
+                    let started = AddNodeDriver::new(txn, node, String::new(), mtable, tracker);
+                    self.run_driver(coord, started, now)
+                };
+                if let Some(Ok(())) = result {
+                    Some(at)
+                } else {
+                    // TryLog failure: the MTable cache was refreshed;
+                    // retry after the backoff (the OCC contention path of
+                    // Figure 15).
+                    self.metrics.membership_retries += 1;
+                    self.queue
+                        .schedule_at(at, ActorId(0), Event::MembershipTick { member });
+                    None
                 }
             }
             CoordBackend::Service(svc) => {
-                let node = NodeId(10_000 + member);
                 let req = if member.is_multiple_of(2) {
                     CoordRequest::AddNode { node }
                 } else {

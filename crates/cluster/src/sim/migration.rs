@@ -1,8 +1,13 @@
 //! Reconfiguration: actuating controller decisions, migration plans
 //! (scale-out join slots and balanced task lists, drains), the migration
-//! worker's `MigrationTxn` timeline, and releasing drained nodes.
+//! worker — Marlin's `MigrationTxn` is `MigrationDriver`, run by the
+//! effect pricer; the baselines write through their service — and
+//! releasing drained nodes.
 
+use super::protocol::Coordinator;
 use super::*;
+use marlin_common::{CoordError, TxnId};
+use marlin_core::drivers::MigrationDriver;
 
 /// A migration work item: move `granule` from `src` to `dst`.
 #[derive(Clone, Copy, Debug)]
@@ -13,6 +18,28 @@ pub struct MigrationTask {
     pub src: u32,
     /// Destination node index.
     pub dst: u32,
+}
+
+/// What a migration's data-effectiveness read finds at the source.
+pub(super) enum SourceCheck {
+    /// Another node owns the granule now: plans from different control
+    /// ticks may overlap, and the task is stale.
+    Moved(u32),
+    /// A user transaction holds the granule: NO_WAIT aborts the
+    /// migration.
+    Busy,
+    /// The source owns the granule and nothing holds it.
+    Free,
+}
+
+/// How one migration task's attempt ended, and when.
+enum MigrationEnd {
+    /// The ownership change committed.
+    Committed(Nanos),
+    /// The granule had moved: skip the task.
+    Stale(Nanos),
+    /// Aborted: retry the task after the granule's lock horizon.
+    Retry(Nanos),
 }
 
 /// A migration plan: tasks partitioned over destination-side worker
@@ -148,7 +175,7 @@ impl ClusterSim {
                         let g = m.granule.0 as usize;
                         g < self.granules.len()
                             && self.granules[g].owner == m.src.0
-                            && !self.granules[g].migrating
+                            && m.dst != m.src
                             && (m.dst.0 as usize) < self.nodes.len()
                             && self.nodes[m.dst.0 as usize].alive
                     })
@@ -450,106 +477,56 @@ impl ClusterSim {
         }
         let task = queue_tasks[cursor];
         let g = task.granule as usize;
-
-        // Data-effectiveness + NO_WAIT lock acquisition at the source:
-        // one node-to-node round trip plus CPU on both sides.
-        let src = task.src as usize;
-        let dst = task.dst as usize;
-        let src_region = self.nodes[src].region;
-        let dst_region = self.nodes[dst].region;
-        let mut t = now + 2 * self.one_way(dst_region, src_region);
-        let svc = self.jittered(self.params.migration_service);
-        t += self.nodes[src].cpu.charge(now, t, svc);
-        let svc = self.jittered(self.params.migration_service);
-        t += self.nodes[dst].cpu.charge(now, t, svc);
-
-        // Data-effectiveness re-check: plans from different control ticks
-        // may overlap (a rebalance planner can propose a granule that an
-        // earlier, still-running plan is about to move). The MigrationTxn
-        // protocol aborts such stale tasks at the source — skip them.
-        if self.granules[g].migrating || self.granules[g].owner != task.src {
-            self.workers[w].1 += 1;
-            self.queue
-                .schedule_at(t, ActorId(0), Event::MigWorker { worker });
-            return;
-        }
-        // NO_WAIT: an active user transaction on the granule aborts us.
-        if self.granules[g].busy_until > t {
-            self.metrics.migration_retries += 1;
-            let retry = self.granules[g].busy_until - t + self.rng.range(0, 2_000_000);
-            self.queue
-                .schedule_at(t + retry, ActorId(0), Event::MigWorker { worker });
-            return;
-        }
-        // The granule lock is held from the effectiveness check through
-        // the metadata commit — the window in which user transactions
-        // NO_WAIT-abort against the migration (Figure 6 step 2/4).
-        self.granules[g].migrating = true;
-
-        // Metadata commit.
-        let commit_done = match &mut self.backend {
-            CoordBackend::Marlin => {
-                // Two prepared Append@LSN CAS ops (src + dst GLogs). Both
-                // succeed here — the granule lock serializes writers — but
-                // they are coordination ops all the same.
-                self.metrics.coord.migration_cas_attempts += 2;
-                // MarlinCommit 2PC: prepared appends on both GLogs in
-                // parallel (the vote request to src rides the RPC already
-                // made); decisions are asynchronous (off the latency path).
-                let d_src = {
-                    self.nodes[src]
-                        .append_at_tracked_lsn(src)
-                        .expect("src GLog CAS: src is the sole writer under its lock");
-                    // The VOTE-REQ/response legs to the source ride the
-                    // network (Algorithm 2 line 10).
-                    let vote_rtt = 2 * self.one_way(dst_region, src_region);
-                    self.storage_append_done(src, t + vote_rtt / 2).0 + vote_rtt / 2
-                };
-                let d_dst = {
-                    self.nodes[dst]
-                        .append_at_tracked_lsn(dst)
-                        .expect("dst GLog CAS: dst is the sole writer");
-                    self.storage_append_done(dst, t).0
-                };
-                // Async decisions still consume storage bandwidth.
-                let decide_at = d_src.max(d_dst);
-                let n_src = self.nodes[src].glog.append();
-                let n_dst = self.nodes[dst].glog.append();
-                let _ = self.storage_append_done(src, decide_at);
-                let _ = self.storage_append_done(dst, decide_at);
-                self.nodes[src]
-                    .tracker
-                    .observe(LogId::GLog(NodeId(src as u32)), n_src);
-                self.nodes[dst]
-                    .tracker
-                    .observe(LogId::GLog(NodeId(dst as u32)), n_dst);
-                decide_at
+        let end = if matches!(self.backend, CoordBackend::Marlin) {
+            // MigrationTxn over MarlinCommit, coordinated by the
+            // destination (§4.4.1), run by the pricer.
+            let txn = TxnId::new(NodeId(task.dst), self.next_txn_seq());
+            let started = MigrationDriver::new(
+                txn,
+                NodeId(task.src),
+                NodeId(task.dst),
+                vec![GranuleId(task.granule)],
+            );
+            match self.run_driver(Coordinator::Node(task.dst as usize), started, now) {
+                (Some(Ok(())), at) => MigrationEnd::Committed(at),
+                (Some(Err(CoordError::WrongOwner { .. })), at) => MigrationEnd::Stale(at),
+                // NO_WAIT at the source; a lost CAS or a NO vote, which
+                // no run produces today, retries the same way.
+                (_, at) => MigrationEnd::Retry(at),
             }
-            CoordBackend::Service(svc) => {
-                self.metrics.coord.service_writes += 1;
-                let req = CoordRequest::UpdateOwner {
-                    granule: GranuleId(task.granule),
-                    from: NodeId(task.src),
-                    to: NodeId(task.dst),
-                };
-                // The coordination service lives in region 0.
-                let svc_region = RegionId(0);
-                let to_svc = self.params.regions.link(dst_region, svc_region).mean()
-                    * u64::from(svc.client_round_trips(&req))
-                    * 2;
-                let completion = svc.submit(t + to_svc / 2, &req, &mut self.rng);
-                debug_assert_eq!(completion.reply, CoordReply::Updated);
-                completion.done_at + to_svc / 2
+        } else {
+            let t = self.owner_read_done(now, task.src as usize, task.dst as usize);
+            match self.source_check(g, task.src, t) {
+                SourceCheck::Moved(_) => MigrationEnd::Stale(t),
+                SourceCheck::Busy => MigrationEnd::Retry(t),
+                SourceCheck::Free => MigrationEnd::Committed(self.service_update_owner(t, task)),
+            }
+        };
+        let commit_done = match end {
+            MigrationEnd::Committed(at) => at,
+            MigrationEnd::Stale(at) => {
+                self.workers[w].1 += 1;
+                self.queue
+                    .schedule_at(at, ActorId(0), Event::MigWorker { worker });
+                return;
+            }
+            MigrationEnd::Retry(at) => {
+                self.metrics.migration_retries += 1;
+                let retry =
+                    self.granules[g].busy_until.saturating_sub(at) + self.rng.range(0, 2_000_000);
+                self.queue
+                    .schedule_at(at + retry, ActorId(0), Event::MigWorker { worker });
+                return;
             }
         };
 
         // Ownership flips; the granule is cold at the destination until
         // the Squall-style warm-up finishes (same strategy for all
         // systems, §6.1.2).
+        let (src, dst) = (task.src as usize, task.dst as usize);
         self.granules[g].owner = task.dst;
         self.owned[src] -= 1;
         self.owned[dst] += 1;
-        self.granules[g].migrating = false;
         self.granules[g].cold_left = self.params.cold_misses_per_granule;
         self.queue.schedule_at(
             commit_done + self.params.warmup_per_granule,
@@ -581,6 +558,56 @@ impl ClusterSim {
         self.workers[w].1 += 1;
         self.queue
             .schedule_at(commit_done, ActorId(0), Event::MigWorker { worker });
+    }
+
+    /// The data-effectiveness read (Algorithm 1 lines 20–21) the
+    /// destination `dst` issues at `now` to the source `src`: one
+    /// node-to-node round trip plus CPU on both sides. Returns when the
+    /// answer is back.
+    pub(super) fn owner_read_done(&mut self, now: Nanos, src: usize, dst: usize) -> Nanos {
+        let (src_region, dst_region) = (self.nodes[src].region, self.nodes[dst].region);
+        let mut t = now + 2 * self.one_way(dst_region, src_region);
+        let svc = self.jittered(self.params.migration_service);
+        t += self.nodes[src].cpu.charge(now, t, svc);
+        let svc = self.jittered(self.params.migration_service);
+        t += self.nodes[dst].cpu.charge(now, t, svc);
+        t
+    }
+
+    /// What the source finds for `granule` when the read reaches it at
+    /// `t`, checked in this order for every backend.
+    pub(super) fn source_check(&self, granule: usize, src: u32, t: Nanos) -> SourceCheck {
+        let gran = &self.granules[granule];
+        if gran.owner != src {
+            SourceCheck::Moved(gran.owner)
+        } else if gran.busy_until > t {
+            SourceCheck::Busy
+        } else {
+            SourceCheck::Free
+        }
+    }
+
+    /// The baselines' ownership update through the external coordination
+    /// service, sent at `t`; returns when it is acknowledged (at once
+    /// under Marlin, which never calls this).
+    fn service_update_owner(&mut self, t: Nanos, task: MigrationTask) -> Nanos {
+        let CoordBackend::Service(svc) = &mut self.backend else {
+            return t;
+        };
+        self.metrics.coord.service_writes += 1;
+        let req = CoordRequest::UpdateOwner {
+            granule: GranuleId(task.granule),
+            from: NodeId(task.src),
+            to: NodeId(task.dst),
+        };
+        // The coordination service lives in region 0.
+        let dst_region = self.nodes[task.dst as usize].region;
+        let to_svc = self.params.regions.link(dst_region, RegionId(0)).mean()
+            * u64::from(svc.client_round_trips(&req))
+            * 2;
+        let completion = svc.submit(t + to_svc / 2, &req, &mut self.rng);
+        debug_assert_eq!(completion.reply, CoordReply::Updated);
+        completion.done_at + to_svc / 2
     }
 
     pub(super) fn release_drained(&mut self, now: Nanos) {

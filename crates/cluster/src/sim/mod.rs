@@ -5,13 +5,18 @@
 //!
 //! - Every node owns the CAS state of its GLog (which doubles as its
 //!   data WAL) — the log's LSN, compared and advanced exactly as
-//!   `SharedLog::conditional_append` does — and a real `LsnTracker`;
-//!   Marlin's metadata commits and the membership stress test perform
-//!   actual conditional appends against it, so CAS conflicts, retries,
-//!   and the Figure 15 contention collapse *emerge* from the protocol
-//!   rather than being scripted. What is not kept is the records:
-//!   payloads are not modeled and nothing reads a simulated log back,
-//!   so a log is its LSN and memory does not grow with a run's commits.
+//!   `SharedLog::conditional_append` does — and a real `LsnTracker`.
+//!   Marlin's reconfigurations run `marlin_core`'s own drivers against
+//!   it: each migration is a `MigrationDriver` and each membership
+//!   update an `AddNodeDriver`/`DeleteNodeDriver`, their effects
+//!   fulfilled and priced by `protocol`. So CAS conflicts, retries and
+//!   the Figure 15 contention collapse on the SysLog *emerge* from the
+//!   protocol rather than being scripted. A GLog CAS cannot fail in the
+//!   simulator today: each GLog is appended only under its owner's own
+//!   tracker (user commits, and a migration's prepared record and vote
+//!   on the two nodes' own logs). What is not kept is the records:
+//!   nothing reads a simulated log back, so a log is its LSN and memory
+//!   does not grow with a run's commits.
 //! - Network hops, CPU service, storage appends, page reads, and the
 //!   baseline coordination services are priced through latency models and
 //!   queueing stations ([`marlin_sim`]).
@@ -20,9 +25,9 @@
 //! computes its full timeline (16 request round trips through the node's
 //! CPU station, cold-page fetches, group commit, log CAS) in one event and
 //! schedules its own completion; NO_WAIT conflicts are enforced through
-//! per-granule busy windows and migration marks. This keeps 100K-migration
-//! scale-outs tractable while preserving queueing behavior (stations are
-//! work-conserving across interleaved offers).
+//! per-granule busy windows, which a migration's owner read checks. This
+//! keeps 100K-migration scale-outs tractable while preserving queueing
+//! behavior (stations are work-conserving across interleaved offers).
 //!
 //! This file holds the state, `new`, the accessors, `run*` and the event
 //! dispatch; the layers are child modules (so every field stays private):
@@ -31,7 +36,9 @@
 //! `walk` — the one transaction timeline, its commit/abort booking, the
 //! exact client engine; `cohort` — the cohort engine over the same walk;
 //! `migration` — actuation, plans, the migration worker; `membership` —
-//! the Figure 15 stress; `observe` — what the autoscaler sees.
+//! the Figure 15 stress; `protocol` — the effect pricer that runs the
+//! reconfiguration drivers in virtual time; `observe` — what the
+//! autoscaler sees.
 
 use crate::cost::CostModel;
 use crate::metrics::{Blame, RunMetrics, TailExemplar, TailExemplars};
@@ -39,7 +46,7 @@ use crate::params::{ClientEngine, CoordKind, CpuModel, SimParams};
 use marlin_autoscaler::{GranuleLoad, NodeLoad, Observation, ScaleAction};
 use marlin_baselines::{CoordReply, CoordRequest, CoordinationService};
 use marlin_common::{GranuleId, LogId, Lsn, NodeId, RegionId};
-use marlin_core::LsnTracker;
+use marlin_core::{LsnTracker, MTable};
 use marlin_sim::sketch::SKETCH_MIN_KEYS;
 use marlin_sim::{ActorId, DetRng, EventQueue, HeatTracker, Nanos, TimeSeries, SECOND};
 use marlin_telemetry::{CoordBreakdown, CoordOps, LatencyHist, ProfileSummary, Profiler, Tracer};
@@ -51,6 +58,7 @@ mod cohort;
 mod membership;
 mod migration;
 mod observe;
+mod protocol;
 mod station;
 mod walk;
 
@@ -136,8 +144,6 @@ impl NodeSim {
 struct GranuleSim {
     /// Authoritative owner (node index).
     owner: u32,
-    /// A migration transaction currently holds this granule.
-    migrating: bool,
     /// Latest completion time of any user transaction touching it
     /// (NO_WAIT lock horizon).
     busy_until: Nanos,
@@ -247,6 +253,11 @@ pub struct ClusterSim {
     syslog_station: CpuStation,
     /// Per-virtual-member SysLog trackers (membership stress test).
     member_trackers: Vec<LsnTracker>,
+    /// The membership the SysLog holds: every SysLog CAS that wins is
+    /// applied here, and membership drivers check against it.
+    mtable: MTable,
+    /// Sequence number of the last driver transaction started.
+    txn_seq: u32,
     membership_latency_sum: Nanos,
     /// Membership stress cadence and per-member tick origins.
     membership_period: Nanos,
@@ -383,7 +394,6 @@ fn initial_blocks(count: u64, nodes: u32) -> Vec<GranuleSim> {
             block_end(owner),
             GranuleSim {
                 owner,
-                migrating: false,
                 busy_until: 0,
                 cold_left: 0,
             },
@@ -533,6 +543,8 @@ impl ClusterSim {
             syslog: SimLog::default(),
             syslog_station: CpuStation::new(1),
             member_trackers: Vec::new(),
+            mtable: MTable::new(),
+            txn_seq: 0,
             membership_latency_sum: 0,
             membership_period: SECOND,
             membership_origins: Vec::new(),
@@ -1745,6 +1757,128 @@ mod tests {
             );
             assert_eq!(coord.service_reads, 0);
         }
+    }
+
+    // -- the effect pricer: Marlin's reconfigurations run the drivers -----
+
+    /// A Marlin cluster with no clients, so nothing but the test touches
+    /// the granules.
+    fn quiet_marlin(nodes: u32) -> ClusterSim {
+        ClusterSim::new(
+            SimParams::default(),
+            CoordKind::Marlin,
+            &Workload::ycsb(64),
+            nodes,
+            0,
+            10 * SECOND,
+        )
+    }
+
+    #[test]
+    fn a_task_whose_granule_moved_is_skipped_through_wrong_owner() {
+        let mut sim = quiet_marlin(3);
+        // The first task moves granule 0 off node 0; the second was
+        // planned against the old owner and runs after the move.
+        let move_to = |dst| MigrationTask {
+            granule: 0,
+            src: 0,
+            dst,
+        };
+        sim.start_workers(MigrationPlan {
+            queues: vec![vec![move_to(1), move_to(2)]],
+        });
+        sim.run_until(SECOND);
+        assert_eq!(sim.granules[0].owner, 1);
+        assert_eq!(sim.workers[0].1, 2, "both tasks are done");
+        assert_eq!(sim.metrics.migrations.total(), 1);
+        assert_eq!(sim.metrics.migration_retries, 0);
+        // The stale task ended at the owner read: no CAS ran for it.
+        assert_eq!(sim.metrics.coord.migration_cas_attempts, 2);
+    }
+
+    #[test]
+    fn a_task_on_a_busy_granule_aborts_no_wait_and_commits_on_retry() {
+        let mut sim = quiet_marlin(2);
+        // A user transaction holds granule 0 until 1 s.
+        sim.granules[0].busy_until = SECOND;
+        sim.start_workers(MigrationPlan {
+            queues: vec![vec![MigrationTask {
+                granule: 0,
+                src: 0,
+                dst: 1,
+            }]],
+        });
+        sim.run_until(SECOND / 2);
+        assert_eq!(sim.metrics.migration_retries, 1);
+        assert_eq!(sim.granules[0].owner, 0, "the abort left ownership alone");
+        assert_eq!(sim.metrics.coord.migration_cas_attempts, 0);
+        sim.run_until(2 * SECOND);
+        assert_eq!(sim.metrics.migration_retries, 1);
+        assert_eq!(sim.metrics.migrations.total(), 1);
+        assert_eq!(sim.granules[0].owner, 1);
+        assert!(sim
+            .metrics
+            .migration_window
+            .is_some_and(|(at, _)| at > SECOND));
+    }
+
+    #[test]
+    fn every_marlin_migration_runs_two_glog_cas() {
+        let mut sim = ClusterSim::new(
+            SimParams::default(),
+            CoordKind::Marlin,
+            &Workload::ycsb(256),
+            2,
+            8,
+            5 * SECOND,
+        );
+        sim.schedule_scale_out(SECOND, 2, 2);
+        sim.run();
+        let migrations = sim.metrics.migrations.total();
+        assert!(migrations >= 100, "only {migrations} migrations");
+        let coord = sim.metrics.coord;
+        assert_eq!(coord.migration_cas_attempts, 2 * migrations);
+        assert_eq!(coord.migration_cas_retries, 0);
+    }
+
+    #[test]
+    fn membership_cas_attempts_are_commits_plus_retries() {
+        let mut sim = quiet_marlin(2);
+        sim.schedule_membership_stress(2, SECOND / 100);
+        sim.run_until(3 * SECOND);
+        let coord = sim.metrics.coord;
+        let commits = sim.metrics.membership_commits;
+        assert!(commits > 0);
+        assert!(
+            coord.membership_cas_retries >= 1,
+            "two members never collided"
+        );
+        assert_eq!(
+            coord.membership_cas_attempts,
+            commits + coord.membership_cas_retries
+        );
+        // One SysLog record per commit, each applied to the MTable: a
+        // member joins on its odd commits and leaves on its even ones.
+        assert_eq!(sim.syslog.0, Lsn(commits));
+        assert_eq!(sim.mtable.applied_lsn(), Lsn(commits));
+        assert!(sim.mtable.len() <= 2);
+    }
+
+    #[test]
+    fn a_rebalance_move_onto_its_own_source_is_dropped() {
+        use marlin_autoscaler::GranuleMove;
+        let mut sim = quiet_marlin(2);
+        let moves = vec![GranuleMove {
+            granule: GranuleId(0),
+            src: NodeId(0),
+            dst: NodeId(0),
+        }];
+        sim.apply_action(0, &ScaleAction::Rebalance { moves }, 1);
+        assert!(sim.pending_plans.is_empty());
+        sim.run_until(SECOND);
+        assert!(sim.workers.is_empty());
+        assert_eq!(sim.metrics.migrations.total(), 0);
+        assert_eq!(sim.granules[0].owner, 0);
     }
 
     // -- ClusterSim: memory follows the in-flight window, not the run ------

@@ -13,8 +13,6 @@ pub(super) enum WalkEnd {
     Commit,
     /// The routing tier's entry was stale: one redirect round trip (§4.2).
     Misroute,
-    /// NO_WAIT against a granule a migration holds.
-    NoWait,
     /// A participant's `Append@LSN` lost its CAS (the Figure 7 race).
     CasConflict,
 }
@@ -25,8 +23,8 @@ pub(super) enum WalkEnd {
 #[derive(Default)]
 pub(super) struct Walk {
     pub(super) end: WalkEnd,
-    /// When the outcome is observed: a commit's response, a redirect or
-    /// NO_WAIT abort's dispatch, a CAS conflict's slowest append.
+    /// When the outcome is observed: a commit's response, a redirect's
+    /// dispatch, a CAS conflict's slowest append.
     pub(super) at: Nanos,
     /// The closed-loop cycle: dispatch → response for a commit, dispatch
     /// → the retry after backoff for an abort.
@@ -52,7 +50,7 @@ pub(super) struct Walk {
 
 impl ClusterSim {
     /// Price one attempt of `template` issued from `region` at `now` — the
-    /// one timeline both client engines book from: route check, NO_WAIT,
+    /// one timeline both client engines book from: route check,
     /// per-op hops and CPU charges, group commit, the vote leg, a *real*
     /// `Append@LSN` CAS plus the storage append per participant, the
     /// response hop. `strikes` sets the backoff an abort draws. Stations,
@@ -85,30 +83,19 @@ impl ClusterSim {
         let (route, owner) = (self.routes[ag], self.granules[ag].owner);
         walk.home = owner;
 
-        // Routing (stale cache + redirect, §4.2), then NO_WAIT against
-        // in-flight migrations on any touched granule. Either way: one
-        // round trip to learn of it, abort, retry after backoff. The
-        // wasted round trip is migration fallout (the routing tier lags
-        // the ownership move, or the migration holds the lock); the
-        // backoff is the client's own retry throttle.
-        let refusal = if route != owner {
-            Some((WalkEnd::Misroute, route))
-        } else if walk
-            .touched
-            .iter()
-            .any(|&g| self.granules[g as usize].migrating)
-        {
-            Some((WalkEnd::NoWait, owner))
-        } else {
-            None
-        };
-        if let Some((end, asked)) = refusal {
-            let rtt = 2 * self.one_way(region, self.nodes[asked as usize].region);
-            self.routes[ag] = owner; // the redirect's repair; already so on NO_WAIT
+        // Routing (stale cache + redirect, §4.2): one round trip to learn
+        // of it, abort, retry after backoff. The wasted round trip is
+        // migration fallout (the routing tier lags the ownership move);
+        // the backoff is the client's own retry throttle. No attempt
+        // NO_WAIT-aborts against a migration: a `MigrationTxn` commits
+        // within its worker's one event, so no walk sees it in flight.
+        if route != owner {
+            let rtt = 2 * self.one_way(region, self.nodes[route as usize].region);
+            self.routes[ag] = owner; // the redirect's repair
             let backoff = self.backoff(strikes);
             walk.blame.migration_stall = rtt;
             walk.blame.retry_backoff = backoff;
-            (walk.end, walk.at, walk.cycle) = (end, now, rtt + backoff);
+            (walk.end, walk.at, walk.cycle) = (WalkEnd::Misroute, now, rtt + backoff);
             debug_assert_eq!(walk.blame.total(), walk.cycle, "{:?}", walk.end);
             return;
         }
@@ -192,7 +179,8 @@ impl ClusterSim {
         let mut append_split: Option<(Nanos, Nanos)> = None;
         for &p in &walk.participants {
             walk.cas_failures += u64::from(self.nodes[p].append_at_tracked_lsn(p).is_err());
-            let (done, service, sojourn) = self.storage_append_done(p, t);
+            let (done, service, sojourn) =
+                self.storage_append_done(LogId::GLog(NodeId(p as u32)), t);
             if done > commit_done {
                 commit_done = done;
                 append_split = Some((service, sojourn));
@@ -301,15 +289,20 @@ impl ClusterSim {
         }
     }
 
-    /// Storage append completion for node `n`'s log: half RTT out, station
-    /// service, half RTT back. Returns `(done, service, sojourn)` so the
-    /// caller can attribute the append's time: `done - at` is the full
-    /// round trip (`storage_rtt + sojourn`), of which `service` is
-    /// productive and `sojourn - service` is station queueing.
-    pub(super) fn storage_append_done(&mut self, n: usize, at: Nanos) -> (Nanos, Nanos, Nanos) {
+    /// Storage append completion for `log`: half RTT out, service at the
+    /// log's station (a node's own, or the SysLog's), half RTT back.
+    /// Returns `(done, service, sojourn)` so the caller can attribute the
+    /// append's time: `done - at` is the full round trip (`storage_rtt +
+    /// sojourn`), of which `service` is productive and `sojourn - service`
+    /// is station queueing.
+    pub(super) fn storage_append_done(&mut self, log: LogId, at: Nanos) -> (Nanos, Nanos, Nanos) {
         let service = self.jittered(self.params.append_service);
         let out = at + self.params.storage_rtt / 2;
-        let sojourn = self.nodes[n].append_station.charge(out, service);
+        let station = match log {
+            LogId::SysLog => &mut self.syslog_station,
+            LogId::GLog(n) | LogId::DataWal(n) => &mut self.nodes[n.0 as usize].append_station,
+        };
+        let sojourn = station.charge(out, service);
         (
             out + sojourn + self.params.storage_rtt / 2,
             service,

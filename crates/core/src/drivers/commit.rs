@@ -54,13 +54,7 @@ impl Updates {
     fn encode_final(&self, txn: TxnId) -> Option<Bytes> {
         match self {
             Updates::Sys(r) => Some(r.encode()),
-            Updates::Granule(swaps) => Some(
-                GRecord::OnePhase {
-                    txn,
-                    swaps: swaps.clone(),
-                }
-                .encode(),
-            ),
+            Updates::Granule(swaps) => Some(GRecord::encode_one_phase(txn, swaps)),
             Updates::Raw(b) => Some(b.clone()),
             Updates::ReadOnly => None,
         }
@@ -74,14 +68,7 @@ impl Updates {
             Updates::Sys(_) => {
                 unreachable!("membership transactions are single-participant (SysLog only)")
             }
-            Updates::Granule(swaps) => Some(
-                GRecord::Prepared {
-                    txn,
-                    swaps: swaps.clone(),
-                    participants: participants.to_vec(),
-                }
-                .encode(),
-            ),
+            Updates::Granule(swaps) => Some(GRecord::encode_prepared(txn, swaps, participants)),
             Updates::Raw(b) => Some(b.clone()),
             Updates::ReadOnly => None,
         }
@@ -211,9 +198,22 @@ impl CommitDriver {
             .map(|(l, _)| *l)
             .chain(node_parts.iter().map(|(n, _)| LogId::GLog(*n)))
             .collect();
+        // Participants holding the same swaps (MigrationTxn's two GLogs)
+        // carry the same phase-one record: encode it once.
+        let mut last: Option<(Updates, Option<Bytes>)> = None;
+        let mut phase1 = |updates: Updates| {
+            let prepared = match (&last, &updates) {
+                (Some((Updates::Granule(a), bytes)), Updates::Granule(b)) if a == b => {
+                    bytes.clone()
+                }
+                _ => updates.encode_phase1(txn, &all_logs),
+            };
+            last = Some((updates, prepared.clone()));
+            prepared
+        };
         let mut logs = Vec::with_capacity(log_parts.len());
         for (log, updates) in log_parts {
-            let prepared = updates.encode_phase1(txn, &all_logs);
+            let prepared = phase1(updates);
             match &prepared {
                 Some(p) => effects.push(Effect::ConditionalAppend {
                     log,
@@ -234,7 +234,7 @@ impl CommitDriver {
         }
         let mut nodes = Vec::with_capacity(node_parts.len());
         for (node, updates) in node_parts {
-            let payload = updates.encode_phase1(txn, &all_logs).unwrap_or_default();
+            let payload = phase1(updates).unwrap_or_default();
             effects.push(Effect::SendVoteReq {
                 to: node,
                 txn,

@@ -1,11 +1,15 @@
 //! Sans-io protocol drivers.
 //!
 //! Protocol logic is expressed as state machines that emit [`Effect`]s and
-//! consume [`Input`]s. A *runner* — the synchronous [`crate::runtime`] used
-//! by tests/examples, or the discrete-event cluster simulator — fulfills
-//! effects against real storage and network substrates and feeds results
-//! back. Both runners therefore execute the *same* protocol code, so the
-//! protocol being benchmarked is the protocol being tested.
+//! consume [`Input`]s. A *runner* fulfills effects and feeds results back:
+//! the synchronous [`crate::runtime`] used by tests/examples against real
+//! storage, and the discrete-event cluster simulator's effect pricer
+//! against its logs and stations in virtual time. For migration
+//! (`MigrationTxn`) and membership (`AddNodeTxn`/`DeleteNodeTxn`) both
+//! runners execute the *same* protocol code, so the protocol being
+//! benchmarked is the protocol being tested. The simulator still models
+//! a crash as a drain rather than running `RecoveryMigrTxn`, and prices
+//! user commits analytically.
 //!
 //! [`commit`] implements MarlinCommit (Algorithm 2); [`reconfig`]
 //! implements the five reconfiguration transactions (Table 1, Algorithm 1).

@@ -20,9 +20,9 @@
 //!   implements the five reconfiguration transactions of Table 1 /
 //!   Algorithm 1. Drivers emit [`drivers::Effect`]s and consume
 //!   [`drivers::Input`]s; the synchronous runtime (tests, examples)
-//!   fulfills them against `marlin-storage`. The discrete-event cluster
-//!   simulator does not run the drivers: it models the protocol's
-//!   timeline itself and takes only [`LsnTracker`] from this crate.
+//!   fulfills them against `marlin-storage`, and the discrete-event
+//!   cluster simulator prices them in virtual time for its migrations
+//!   and membership updates.
 //! - [`node`] — per-node coordination state: MTable/GTable caches with
 //!   validity flags, the LSN tracker, and the user-transaction ownership
 //!   guard (Algorithm 1 lines 1–6).

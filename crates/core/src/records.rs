@@ -163,6 +163,12 @@ pub enum GRecord {
     Decision { txn: TxnId, commit: bool },
 }
 
+/// Encoded size of one [`OwnershipSwap`].
+const SWAP_LEN: usize = 4 + 8 + 8 + 8 + 4 + 4;
+
+/// Encoded size of a swap list's kind, txn and count.
+const SWAPS_HEADER_LEN: usize = 1 + 8 + 4;
+
 fn put_swap(buf: &mut BytesMut, s: &OwnershipSwap) {
     buf.put_u32_le(s.table.0);
     buf.put_u64_le(s.granule.0);
@@ -173,7 +179,7 @@ fn put_swap(buf: &mut BytesMut, s: &OwnershipSwap) {
 }
 
 fn get_swap(buf: &mut &[u8]) -> Option<OwnershipSwap> {
-    if buf.remaining() < 4 + 8 + 8 + 8 + 4 + 4 {
+    if buf.remaining() < SWAP_LEN {
         return None;
     }
     let table = TableId(buf.get_u32_le());
@@ -220,7 +226,6 @@ impl GRecord {
     /// Encode into a log payload.
     #[must_use]
     pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::new();
         match self {
             GRecord::Install {
                 table,
@@ -228,30 +233,52 @@ impl GRecord {
                 range,
                 owner,
             } => {
+                let mut buf = BytesMut::with_capacity(1 + 4 + 8 + 8 + 8 + 4);
                 buf.put_u8(G_INSTALL);
                 buf.put_u32_le(table.0);
                 buf.put_u64_le(granule.0);
                 buf.put_u64_le(range.lo);
                 buf.put_u64_le(range.hi);
                 buf.put_u32_le(owner.0);
+                buf.freeze()
             }
-            GRecord::OnePhase { txn, swaps } => put_swaps(&mut buf, G_ONE_PHASE, *txn, swaps),
+            GRecord::OnePhase { txn, swaps } => GRecord::encode_one_phase(*txn, swaps),
             GRecord::Prepared {
                 txn,
                 swaps,
                 participants,
-            } => {
-                put_swaps(&mut buf, G_PREPARED, *txn, swaps);
-                buf.put_u32_le(participants.len() as u32);
-                for p in participants {
-                    put_log_id(&mut buf, *p);
-                }
-            }
+            } => GRecord::encode_prepared(*txn, swaps, participants),
             GRecord::Decision { txn, commit } => {
+                let mut buf = BytesMut::with_capacity(1 + 8 + 1);
                 buf.put_u8(G_DECISION);
                 buf.put_u64_le(txn.0);
                 buf.put_u8(u8::from(*commit));
+                buf.freeze()
             }
+        }
+    }
+
+    /// The encoding of `GRecord::OnePhase { txn, swaps }`, from borrowed
+    /// swaps (a commit driver encodes without building the record).
+    pub(crate) fn encode_one_phase(txn: TxnId, swaps: &[OwnershipSwap]) -> Bytes {
+        let mut buf = BytesMut::with_capacity(SWAPS_HEADER_LEN + SWAP_LEN * swaps.len());
+        put_swaps(&mut buf, G_ONE_PHASE, txn, swaps);
+        buf.freeze()
+    }
+
+    /// The encoding of `GRecord::Prepared { txn, swaps, participants }`,
+    /// from borrowed parts.
+    pub(crate) fn encode_prepared(
+        txn: TxnId,
+        swaps: &[OwnershipSwap],
+        participants: &[LogId],
+    ) -> Bytes {
+        let len = SWAPS_HEADER_LEN + SWAP_LEN * swaps.len() + 4 + 5 * participants.len();
+        let mut buf = BytesMut::with_capacity(len);
+        put_swaps(&mut buf, G_PREPARED, txn, swaps);
+        buf.put_u32_le(participants.len() as u32);
+        for p in participants {
+            put_log_id(&mut buf, *p);
         }
         buf.freeze()
     }

@@ -7,7 +7,7 @@
 //! immediately (RPCs become function calls, appends hit the in-memory
 //! storage service). Unit tests, integration tests, and the examples run
 //! against it; the discrete-event simulator in `marlin-cluster` drives the
-//! *same* drivers with virtual-time delays.
+//! *same* migration and membership drivers with virtual-time delays.
 //!
 //! What the runtime implements end-to-end:
 //!

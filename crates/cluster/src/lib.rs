@@ -3,10 +3,10 @@
 //! This crate wires everything together into the evaluation harness: a
 //! discrete-event simulation of the paper's Azure deployment where compute
 //! nodes, clients, the disaggregated storage service, and the baseline
-//! coordination services interact in virtual time, while all coordination
-//! *state* (logs, LSN trackers, ownership, membership) is real — the same
-//! `SharedLog` compare-and-swap and `LsnTracker` machinery that
-//! `marlin-core`'s drivers are tested against.
+//! coordination services (priced write pipelines) interact in virtual
+//! time, while all coordination *state* (logs, LSN trackers, ownership,
+//! membership) is real — the same `SharedLog` compare-and-swap and
+//! `LsnTracker` machinery that `marlin-core`'s drivers are tested against.
 //!
 //! Layout:
 //!
@@ -25,6 +25,8 @@
 //!   `MigrationDriver` vs the ZooKeeper/FDB service),
 //!   `sim/membership.rs` (the Figure 15 stress), `sim/protocol.rs` (the
 //!   effect pricer that runs `marlin_core`'s drivers in virtual time),
+//!   `sim/service.rs` (the ZooKeeper/FDB baselines as the write pipeline
+//!   the simulator prices their updates through),
 //!   `sim/observe.rs` (what the autoscaler sees).
 //! - [`harness`] — the unified experiment API: declarative
 //!   [`Scenario`]s (every §6 figure is a preset), the [`Runner`] trait

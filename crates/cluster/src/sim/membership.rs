@@ -63,16 +63,11 @@ impl ClusterSim {
                 }
             }
             CoordBackend::Service(svc) => {
-                let req = if member.is_multiple_of(2) {
-                    CoordRequest::AddNode { node }
-                } else {
-                    CoordRequest::DeleteNode { node }
-                };
                 self.metrics.coord.service_writes += 1;
                 // One intra-region reply leg per client round trip the
                 // service needs (ZooKeeper 1, FDB 2).
-                let legs = u64::from(svc.client_round_trips(&req)) * self.params.intra_rtt;
-                Some(svc.submit(now, &req, &mut self.rng).done_at + legs)
+                let legs = u64::from(svc.client_round_trips) * self.params.intra_rtt;
+                Some(svc.write(now, &mut self.rng) + legs)
             }
         };
         if let Some(done) = done {

@@ -567,9 +567,9 @@ impl ClusterSim {
     pub(super) fn owner_read_done(&mut self, now: Nanos, src: usize, dst: usize) -> Nanos {
         let (src_region, dst_region) = (self.nodes[src].region, self.nodes[dst].region);
         let mut t = now + 2 * self.one_way(dst_region, src_region);
-        let svc = self.jittered(self.params.migration_service);
+        let svc = self.rng.jittered(self.params.migration_service);
         t += self.nodes[src].cpu.charge(now, t, svc);
-        let svc = self.jittered(self.params.migration_service);
+        let svc = self.rng.jittered(self.params.migration_service);
         t += self.nodes[dst].cpu.charge(now, t, svc);
         t
     }
@@ -595,19 +595,12 @@ impl ClusterSim {
             return t;
         };
         self.metrics.coord.service_writes += 1;
-        let req = CoordRequest::UpdateOwner {
-            granule: GranuleId(task.granule),
-            from: NodeId(task.src),
-            to: NodeId(task.dst),
-        };
         // The coordination service lives in region 0.
         let dst_region = self.nodes[task.dst as usize].region;
         let to_svc = self.params.regions.link(dst_region, RegionId(0)).mean()
-            * u64::from(svc.client_round_trips(&req))
+            * u64::from(svc.client_round_trips)
             * 2;
-        let completion = svc.submit(t + to_svc / 2, &req, &mut self.rng);
-        debug_assert_eq!(completion.reply, CoordReply::Updated);
-        completion.done_at + to_svc / 2
+        svc.write(t + to_svc / 2, &mut self.rng) + to_svc / 2
     }
 
     pub(super) fn release_drained(&mut self, now: Nanos) {

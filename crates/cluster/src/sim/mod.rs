@@ -17,9 +17,10 @@
 //!   on the two nodes' own logs). What is not kept is the records:
 //!   nothing reads a simulated log back, so a log is its LSN and memory
 //!   does not grow with a run's commits.
-//! - Network hops, CPU service, storage appends, page reads, and the
-//!   baseline coordination services are priced through latency models and
-//!   queueing stations ([`marlin_sim`]).
+//! - Network hops, CPU service, storage appends and page reads are priced
+//!   through latency models ([`marlin_sim`]) and queueing stations; the
+//!   baseline coordination services through their write pipelines
+//!   (`service`).
 //!
 //! Transactions are simulated at flow level: each interactive transaction
 //! computes its full timeline (16 request round trips through the node's
@@ -37,14 +38,14 @@
 //! exact client engine; `cohort` — the cohort engine over the same walk;
 //! `migration` — actuation, plans, the migration worker; `membership` —
 //! the Figure 15 stress; `protocol` — the effect pricer that runs the
-//! reconfiguration drivers in virtual time; `observe` — what the
+//! reconfiguration drivers in virtual time; `service` — the ZooKeeper and
+//! FoundationDB baselines' write pipeline; `observe` — what the
 //! autoscaler sees.
 
 use crate::cost::CostModel;
 use crate::metrics::{Blame, RunMetrics, TailExemplar, TailExemplars};
 use crate::params::{ClientEngine, CoordKind, CpuModel, SimParams};
 use marlin_autoscaler::{GranuleLoad, NodeLoad, Observation, ScaleAction};
-use marlin_baselines::{CoordReply, CoordRequest, CoordinationService};
 use marlin_common::{GranuleId, LogId, Lsn, NodeId, RegionId};
 use marlin_core::{LsnTracker, MTable};
 use marlin_sim::sketch::SKETCH_MIN_KEYS;
@@ -59,6 +60,7 @@ mod membership;
 mod migration;
 mod observe;
 mod protocol;
+mod service;
 mod station;
 mod walk;
 
@@ -69,6 +71,7 @@ use station::NodeCpu;
 use walk::{Walk, WalkEnd};
 
 pub use migration::{MigrationPlan, MigrationTask};
+pub(crate) use service::CoordService;
 pub use station::{CpuStation, PerRequestStation};
 
 /// Fork label of the heat sketch's row-seed stream (pure fork: drawing
@@ -188,7 +191,7 @@ struct ClientSim {
 /// The external coordination service, if any.
 enum CoordBackend {
     Marlin,
-    Service(Box<dyn CoordinationService>),
+    Service(CoordService),
 }
 
 /// Simulator events.
@@ -502,16 +505,8 @@ impl ClusterSim {
 
         let (backend, meta_hourly) = match kind.service() {
             None => (CoordBackend::Marlin, 0.0),
-            Some(mut svc) => {
-                // Pre-install ownership metadata (unmetered: the paper
-                // fully warms up before measuring, §6.1.4).
-                for (g, gran) in granules.iter().enumerate() {
-                    svc.preload(&CoordRequest::InstallOwner {
-                        granule: GranuleId(g as u64),
-                        owner: NodeId(gran.owner),
-                    });
-                }
-                let hourly = svc.hourly_rate();
+            Some(svc) => {
+                let hourly = svc.hourly_rate;
                 (CoordBackend::Service(svc), hourly)
             }
         };

@@ -132,14 +132,14 @@ impl ClusterSim {
                 // through the home node to the participant.
                 t += self.hop(home_region, self.nodes[serve_node].region, &mut walk.blame);
             }
-            let service = self.jittered(self.params.req_service);
+            let service = self.rng.jittered(self.params.req_service);
             walk.node_service.push((serve_node, service));
             let sojourn = self.nodes[serve_node].cpu.charge(now, t, service);
             t += sojourn;
             at_station(&mut walk.blame, service, sojourn);
             if self.granules[g].cold_left > 0 {
                 // Cold cache: GetPage@LSN from the page store.
-                let fetch = self.jittered(self.params.get_page_service);
+                let fetch = self.rng.jittered(self.params.get_page_service);
                 t += self.params.storage_rtt + fetch;
                 walk.blame.network = walk.blame.network.saturating_add(self.params.storage_rtt);
                 walk.blame.service = walk.blame.service.saturating_add(fetch);
@@ -153,7 +153,7 @@ impl ClusterSim {
 
         // Commit: group commit wait, then the conditional append on each
         // participant's GLog — a *real* CAS against real LSN state.
-        let gc_wait = self.jittered(self.params.group_commit_wait);
+        let gc_wait = self.rng.jittered(self.params.group_commit_wait);
         t += gc_wait;
         walk.blame.network = walk.blame.network.saturating_add(gc_wait);
         let owners = walk
@@ -280,15 +280,6 @@ impl ClusterSim {
         hop
     }
 
-    pub(super) fn jittered(&mut self, base: Nanos) -> Nanos {
-        let span = base / 5;
-        if span == 0 {
-            base
-        } else {
-            base - span / 2 + self.rng.range(0, span + 1)
-        }
-    }
-
     /// Storage append completion for `log`: half RTT out, service at the
     /// log's station (a node's own, or the SysLog's), half RTT back.
     /// Returns `(done, service, sojourn)` so the caller can attribute the
@@ -296,7 +287,7 @@ impl ClusterSim {
     /// sojourn`), of which `service` is productive and `sojourn - service`
     /// is station queueing.
     pub(super) fn storage_append_done(&mut self, log: LogId, at: Nanos) -> (Nanos, Nanos, Nanos) {
-        let service = self.jittered(self.params.append_service);
+        let service = self.rng.jittered(self.params.append_service);
         let out = at + self.params.storage_rtt / 2;
         let station = match log {
             LogId::SysLog => &mut self.syslog_station,

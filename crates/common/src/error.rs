@@ -111,7 +111,9 @@ pub enum CoordError {
     },
     /// The underlying commit aborted (cross-node modification); retryable.
     Aborted(TxnError),
-    /// The external coordination service rejected the request (baselines).
+    /// A coordination request gave up without a result: `LocalCluster`'s
+    /// membership and scan retries exhausted, or a scan read before it
+    /// finished.
     ServiceError(String),
 }
 

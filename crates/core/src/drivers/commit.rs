@@ -43,7 +43,7 @@ pub enum Updates {
     /// Granule-ownership swaps (GLog participants).
     Granule(Vec<OwnershipSwap>),
     /// Pre-encoded payload (e.g. user data commits produced by the
-    /// engine's WAL codec, batched by group commit).
+    /// engine's page-update payload, batched by group commit).
     Raw(Bytes),
     /// Nothing to write — participate in validation only (`ScanGTableTxn`).
     ReadOnly,

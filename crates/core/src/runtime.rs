@@ -521,10 +521,7 @@ impl LocalCluster {
             self.node_mut(node).locks.release_all(txn);
             return Ok(result_reads);
         }
-        let record = TxnUpdateRecord {
-            txn,
-            writes: row_writes,
-        };
+        let record = TxnUpdateRecord { writes: row_writes };
         let encoded = record.encode_page_updates();
         let (mut driver, effects) = {
             let rt = &self.nodes[&node];

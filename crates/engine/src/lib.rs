@@ -6,9 +6,10 @@
 //!   policy (lock conflict ⇒ immediate abort).
 //! - [`store`] — the fully materialized row store
 //!   ([`store::DataStore`]) of the granules a node owns.
-//! - [`wal`] — the WAL codec whose records the commit path appends.
-//! - [`recovery`] — rebuilding a granule's rows from storage after a
-//!   failover.
+//! - [`wal`] — the page-update payload a commit appends to the WAL, and
+//!   reading rows back from a page's deltas.
+//! - [`recovery`] — rebuilding a granule's rows from the page store after
+//!   a failover.
 //!
 //! The transaction itself is driven elsewhere: `marlin-core`'s
 //! `LocalCluster::user_txn` holds its locks and buffered writes, and the

@@ -2,25 +2,17 @@
 //!
 //! Because compute nodes are stateless (§3.2), a node that takes over a
 //! granule — scale-out migration or failover — reconstructs the granule's
-//! rows from storage. Two paths exist, mirroring the read path of the
-//! paper's LogDB:
-//!
-//! 1. [`recover_granule_from_pages`] — fetch the granule's pages via
-//!    `GetPage@LSN` and fold their delta chains into rows (the normal
-//!    cold-cache path). Replay keeps each delta as a window into its log
-//!    record's payload, and each recovered value is a window into its
-//!    delta, so a recovered row shares its bytes with the log, as a
-//!    committed one does: recovery copies no value.
-//! 2. [`recover_granule_from_log`] — replay the data WAL directly (used
-//!    when the page store lags and the caller prefers log reads, and by
-//!    tests as an oracle for path 1). It copies each value out of its
-//!    record.
+//! rows from storage, through the read path of the paper's LogDB:
+//! [`recover_granule_from_pages`] fetches the granule's pages via
+//! `GetPage@LSN` and folds their delta chains into rows. Replay keeps each
+//! delta as a window into its log record's payload, and each recovered
+//! value is a window into its delta, so a recovered row shares its bytes
+//! with the log, as a committed one does: recovery copies no value.
 
 use crate::store::Granule;
 use crate::wal::TxnUpdateRecord;
-use bytes::Bytes;
 use marlin_common::{GranuleId, KeyRange, LogId, Lsn, PageId, StorageError, TableId};
-use marlin_storage::{PageStore, SharedLog};
+use marlin_storage::PageStore;
 
 /// Rebuild a granule's rows by reading pages from the page store.
 ///
@@ -67,33 +59,14 @@ pub fn recover_granule_from_pages(
     Ok(g)
 }
 
-/// Rebuild a granule's rows by scanning the data WAL from the beginning.
-#[must_use]
-pub fn recover_granule_from_log(
-    log: &SharedLog,
-    table: TableId,
-    granule: GranuleId,
-    range: KeyRange,
-) -> Granule {
-    let mut g = Granule::new(range);
-    for record in log.read_after(Lsn::ZERO) {
-        if let Some(update) = TxnUpdateRecord::decode(&record.payload) {
-            for w in &update.writes {
-                if w.table == table && w.granule == granule {
-                    g.rows.insert(w.key, Bytes::copy_from_slice(w.value));
-                }
-            }
-        }
-    }
-    g
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::wal::RowWrite;
-    use marlin_common::{NodeId, TxnId};
-    use marlin_storage::ReplayService;
+    use bytes::Bytes;
+    use marlin_common::NodeId;
+    use marlin_storage::{ReplayService, SharedLog};
+    use std::collections::BTreeMap;
 
     fn write(key: u64, value: &'static str, page_index: u32) -> RowWrite<'static> {
         RowWrite {
@@ -105,24 +78,40 @@ mod tests {
         }
     }
 
-    fn commit_to_log(log: &SharedLog, seq: u32, writes: Vec<RowWrite<'_>>) {
-        let record = TxnUpdateRecord {
-            txn: TxnId::new(NodeId(0), seq),
-            writes,
-        };
-        // The engine appends the WAL payload; the replay service later
-        // decodes page updates from the same record. Store both encodings
-        // in one payload by encoding page updates (what replay reads) —
-        // the WAL payload itself is what `recover_granule_from_log` reads.
-        log.append(vec![record.encode()]);
+    /// Append each record's commit payload to a fresh GLog, replay the
+    /// log into a page store, and recover granule 0 from the pages.
+    fn recover_through_replay(records: &[TxnUpdateRecord<'_>]) -> Granule {
+        let log = SharedLog::new();
+        let store = PageStore::new();
+        let id = LogId::GLog(NodeId(0));
+        let replay = ReplayService::new(id, log.clone(), store.clone());
+        for r in records {
+            log.append(vec![r.encode_page_updates().payload().clone()]);
+        }
+        replay.replay_until(log.end_lsn());
+        let range = KeyRange::new(0, 100);
+        recover_granule_from_pages(
+            &store,
+            TableId(0),
+            GranuleId(0),
+            range,
+            2,
+            id,
+            log.end_lsn(),
+        )
+        .unwrap()
     }
 
     #[test]
     fn log_recovery_applies_writes_in_order() {
-        let log = SharedLog::new();
-        commit_to_log(&log, 1, vec![write(5, "v1", 0), write(6, "a", 0)]);
-        commit_to_log(&log, 2, vec![write(5, "v2", 0)]);
-        let g = recover_granule_from_log(&log, TableId(0), GranuleId(0), KeyRange::new(0, 100));
+        let g = recover_through_replay(&[
+            TxnUpdateRecord {
+                writes: vec![write(5, "v1", 0), write(6, "a", 0)],
+            },
+            TxnUpdateRecord {
+                writes: vec![write(5, "v2", 0)],
+            },
+        ]);
         assert_eq!(g.rows.len(), 2);
         assert_eq!(g.rows[&5], Bytes::from_static(b"v2"));
         assert_eq!(g.rows[&6], Bytes::from_static(b"a"));
@@ -130,7 +119,6 @@ mod tests {
 
     #[test]
     fn log_recovery_filters_other_granules() {
-        let log = SharedLog::new();
         let other = RowWrite {
             table: TableId(0),
             granule: GranuleId(7),
@@ -138,33 +126,27 @@ mod tests {
             page_index: 0,
             value: b"other",
         };
-        commit_to_log(&log, 1, vec![write(1, "mine", 0), other]);
-        let g = recover_granule_from_log(&log, TableId(0), GranuleId(0), KeyRange::new(0, 100));
+        let g = recover_through_replay(&[TxnUpdateRecord {
+            writes: vec![write(1, "mine", 0), other],
+        }]);
         assert_eq!(g.rows.len(), 1);
         assert!(g.rows.contains_key(&1));
     }
 
     #[test]
     fn page_recovery_matches_log_recovery() {
-        // Page path: replay the WAL's page updates into a page store, then
-        // recover from pages; must agree with the log oracle.
-        let log = SharedLog::new();
+        // Page path: replay the records' page updates into a page store,
+        // then recover from pages; must agree with the last writer of each
+        // key across the records.
         let store = PageStore::new();
         let records = [
             TxnUpdateRecord {
-                txn: TxnId::new(NodeId(0), 1),
                 writes: vec![write(1, "x", 0), write(60, "y", 1)],
             },
             TxnUpdateRecord {
-                txn: TxnId::new(NodeId(0), 2),
                 writes: vec![write(1, "x2", 0)],
             },
         ];
-        for r in &records {
-            log.append(vec![r.encode()]);
-        }
-        // Replay: the storage-side service decodes page updates via the
-        // engine's codec in the real system; emulate that here.
         for (i, r) in records.iter().enumerate() {
             store.apply(
                 LogId::GLog(NodeId(0)),
@@ -182,10 +164,12 @@ mod tests {
             Lsn(2),
         )
         .unwrap();
-        let from_log =
-            recover_granule_from_log(&log, TableId(0), GranuleId(0), KeyRange::new(0, 100));
-        assert_eq!(from_pages.rows, from_log.rows);
-        assert_eq!(from_pages.rows[&1], Bytes::from_static(b"x2"));
+        let mut last_writer = BTreeMap::new();
+        for w in records.iter().flat_map(|r| &r.writes) {
+            last_writer.insert(w.key, Bytes::copy_from_slice(w.value));
+        }
+        assert_eq!(from_pages.rows, last_writer);
+        assert_eq!(last_writer[&1], Bytes::from_static(b"x2"));
     }
 
     #[test]
@@ -212,7 +196,6 @@ mod tests {
         let store = PageStore::new();
         let replay = ReplayService::new(LogId::GLog(NodeId(1)), log.clone(), store.clone());
         let record = TxnUpdateRecord {
-            txn: TxnId::new(NodeId(1), 1),
             writes: vec![write(10, "end2end", 0)],
         };
         // On the wire, the storage layer stores the page-update encoding.

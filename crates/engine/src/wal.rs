@@ -1,29 +1,23 @@
-//! WAL record codec for data transactions.
+//! The WAL payload of a data transaction.
 //!
 //! Upon commit, a transaction sends only its updates to the WAL (§3.2).
-//! A [`TxnUpdateRecord`] carries the transaction ID and its row writes;
-//! [`TxnUpdateRecord::encode`] produces the log payload and
-//! [`TxnUpdateRecord::encode_page_updates`] the page-level deltas the
-//! storage replay service applies (see `marlin-storage::wire`), which is
-//! what a commit appends.
-//!
-//! Framing (little-endian):
+//! A [`TxnUpdateRecord`] carries its row writes, and
+//! [`TxnUpdateRecord::encode_page_updates`] is what a commit appends: the
+//! page-level updates the storage replay service applies, framed by
+//! `marlin-storage::wire`. Each row write is one delta on its page,
+//! little-endian:
 //!
 //! ```text
-//! magic u16 = 0x4D57 ("MW") | txn_id u64 | write_count u32
-//! repeat: table u32 | granule u64 | key u64 | page_index u32 | len u32 | bytes
+//! key u64 | len u32 | bytes
 //! ```
+//!
+//! [`TxnUpdateRecord::rows_from_page_deltas`] reads rows back from a
+//! page's delta chain.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-use marlin_common::{GranuleId, PageId, TableId, TxnId};
+use bytes::{Buf, Bytes};
+use marlin_common::{GranuleId, PageId, TableId};
 use marlin_storage::PageUpdateWriter;
 use std::ops::Range;
-
-const MAGIC: u16 = 0x4D57;
-
-/// Bytes in front of the value in an encoded write:
-/// `table u32 | granule u64 | key u64 | page_index u32 | len u32`.
-const WRITE_HEADER: usize = 4 + 8 + 8 + 4 + 4;
 
 /// Bytes in front of the value in a row delta: `key u64 | len u32`.
 const DELTA_HEADER: usize = 8 + 4;
@@ -54,10 +48,9 @@ impl RowWrite<'_> {
     }
 }
 
-/// The WAL record of one committed transaction.
+/// The WAL record of one committed transaction: its row writes.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TxnUpdateRecord<'a> {
-    pub txn: TxnId,
     pub writes: Vec<RowWrite<'a>>,
 }
 
@@ -85,72 +78,7 @@ impl CommitPayload {
     }
 }
 
-impl<'a> TxnUpdateRecord<'a> {
-    /// Encode into a log payload.
-    #[must_use]
-    pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(
-            16 + self
-                .writes
-                .iter()
-                .map(|w| WRITE_HEADER + w.value.len())
-                .sum::<usize>(),
-        );
-        buf.put_u16_le(MAGIC);
-        buf.put_u64_le(self.txn.0);
-        buf.put_u32_le(self.writes.len() as u32);
-        for w in &self.writes {
-            buf.put_u32_le(w.table.0);
-            buf.put_u64_le(w.granule.0);
-            buf.put_u64_le(w.key);
-            buf.put_u32_le(w.page_index);
-            buf.put_u32_le(w.value.len() as u32);
-            buf.put_slice(w.value);
-        }
-        buf.freeze()
-    }
-
-    /// Decode from a log payload, each value a slice of it; `None` if the
-    /// payload is not a data transaction record (e.g. a coordination
-    /// record).
-    #[must_use]
-    pub fn decode(payload: &'a [u8]) -> Option<Self> {
-        let mut buf = payload;
-        if buf.remaining() < 2 + 8 + 4 || buf.get_u16_le() != MAGIC {
-            return None;
-        }
-        let txn = TxnId(buf.get_u64_le());
-        let count = buf.get_u32_le() as usize;
-        // Reserve only for a count the payload can hold.
-        let mut writes = Vec::with_capacity(count.min(buf.remaining() / WRITE_HEADER));
-        for _ in 0..count {
-            if buf.remaining() < WRITE_HEADER {
-                return None;
-            }
-            let table = TableId(buf.get_u32_le());
-            let granule = GranuleId(buf.get_u64_le());
-            let key = buf.get_u64_le();
-            let page_index = buf.get_u32_le();
-            let len = buf.get_u32_le() as usize;
-            if buf.remaining() < len {
-                return None;
-            }
-            let (value, rest) = buf.split_at(len);
-            buf = rest;
-            writes.push(RowWrite {
-                table,
-                granule,
-                key,
-                page_index,
-                value,
-            });
-        }
-        if buf.has_remaining() {
-            return None;
-        }
-        Some(TxnUpdateRecord { txn, writes })
-    }
-
+impl TxnUpdateRecord<'_> {
     /// The commit payload the replay service materializes: one page
     /// update per row write, a delta on its page carrying
     /// `key u64 | len u32 | value` so a cold-cache reader can reconstruct
@@ -188,6 +116,7 @@ impl<'a> TxnUpdateRecord<'a> {
     /// payload is checked against, and to build recovery logs.
     #[cfg(test)]
     pub(crate) fn to_page_updates(&self) -> Vec<marlin_storage::PageUpdate> {
+        use bytes::{BufMut, BytesMut};
         self.writes
             .iter()
             .map(|w| {
@@ -227,13 +156,11 @@ impl<'a> TxnUpdateRecord<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use marlin_common::NodeId;
     use marlin_storage::PageWrite;
     use proptest::prelude::*;
 
     fn record() -> TxnUpdateRecord<'static> {
         TxnUpdateRecord {
-            txn: TxnId::new(NodeId(2), 17),
             writes: vec![
                 RowWrite {
                     table: TableId(0),
@@ -254,9 +181,8 @@ mod tests {
     }
 
     /// Records over owned values, as the proptests generate them.
-    fn record_of(txn: u64, writes: &[(u32, u64, u64, u32, Vec<u8>)]) -> TxnUpdateRecord<'_> {
+    fn record_of(writes: &[(u32, u64, u64, u32, Vec<u8>)]) -> TxnUpdateRecord<'_> {
         TxnUpdateRecord {
-            txn: TxnId(txn),
             writes: writes
                 .iter()
                 .map(|(t, g, k, p, v)| RowWrite {
@@ -271,18 +197,6 @@ mod tests {
     }
 
     #[test]
-    fn encode_decode_round_trip() {
-        let r = record();
-        assert_eq!(TxnUpdateRecord::decode(&r.encode()), Some(r));
-    }
-
-    #[test]
-    fn non_wal_payloads_are_rejected() {
-        assert_eq!(TxnUpdateRecord::decode(b""), None);
-        assert_eq!(TxnUpdateRecord::decode(b"\x00\x00rest"), None);
-    }
-
-    #[test]
     fn page_updates_target_the_right_pages() {
         let r = record();
         let updates = r.to_page_updates();
@@ -294,7 +208,6 @@ mod tests {
     #[test]
     fn rows_reconstruct_from_deltas_in_order() {
         let r = TxnUpdateRecord {
-            txn: TxnId(1),
             writes: vec![
                 RowWrite {
                     table: TableId(0),
@@ -332,31 +245,18 @@ mod tests {
     }
 
     proptest! {
-        #[test]
-        fn round_trip_arbitrary(
-            txn in any::<u64>(),
-            writes in proptest::collection::vec(
-                (0u32..8, 0u64..100, any::<u64>(), 0u32..16, proptest::collection::vec(any::<u8>(), 0..64)),
-                0..12,
-            )
-        ) {
-            let r = record_of(txn, &writes);
-            prop_assert_eq!(TxnUpdateRecord::decode(&r.encode()), Some(r));
-        }
-
         /// The one-pass commit payload is the two-step encoding byte for
         /// byte — no writes, empty values, several tables and granules —
         /// replay decodes it back to the record's page updates, and each
         /// value window holds its write's value inside the payload.
         #[test]
         fn one_pass_payload_is_the_two_step_encoding(
-            txn in any::<u64>(),
             writes in proptest::collection::vec(
                 (0u32..3, 0u64..4, any::<u64>(), 0u32..16, proptest::collection::vec(any::<u8>(), 0..3)),
                 0..12,
             )
         ) {
-            let r = record_of(txn, &writes);
+            let r = record_of(&writes);
             let encoded = r.encode_page_updates();
             let payload = encoded.payload();
             prop_assert_eq!(payload, &marlin_storage::encode_page_updates(&r.to_page_updates()));

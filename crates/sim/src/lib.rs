@@ -3,9 +3,9 @@
 //! The paper's evaluation runs on Azure VMs with real data-center and
 //! cross-region networks. This crate substitutes that infrastructure with a
 //! deterministic simulator: a virtual clock, a priority event queue, seeded
-//! randomness, latency models (including a cross-region RTT matrix), and
-//! queueing-theoretic service stations used to model bounded-capacity
-//! components such as the ZooKeeper leader. Protocol *logic* stays real —
+//! randomness (with the service-time jitter every priced stage draws),
+//! latency models (including a cross-region RTT matrix), metrics series
+//! and heat sketches. Protocol *logic* stays real —
 //! only time is virtual — so the comparative shapes of the paper's figures
 //! are preserved while runs stay reproducible and laptop-sized.
 
@@ -13,7 +13,6 @@ pub mod latency;
 pub mod metrics;
 pub mod queue;
 pub mod rng;
-pub mod server;
 pub mod sketch;
 pub mod time;
 
@@ -21,6 +20,5 @@ pub use latency::{LatencyModel, RegionMatrix};
 pub use metrics::{Histogram, RateSeries, Summary, TimeSeries};
 pub use queue::{ActorId, EventQueue, ScheduledEvent};
 pub use rng::DetRng;
-pub use server::QueueServer;
 pub use sketch::{CountMinSketch, HeatTracker};
 pub use time::{Nanos, MICROSECOND, MILLISECOND, SECOND};

@@ -124,6 +124,20 @@ impl DetRng {
         lo + (m >> 64) as u64
     }
 
+    /// `base` with ±10 % uniform noise, the simulator's service-time
+    /// jitter: `base − span/2 + U[0, span]` with `span = base/5` (no draw
+    /// when `span` is 0). Inlined across crates: the transaction walk
+    /// calls it on every request.
+    #[inline]
+    pub fn jittered(&mut self, base: u64) -> u64 {
+        let span = base / 5;
+        if span == 0 {
+            base
+        } else {
+            base - span / 2 + self.range(0, span + 1)
+        }
+    }
+
     /// Uniform float in `[0, 1)`.
     pub fn unit(&mut self) -> f64 {
         // 53 high bits → uniform double in [0, 1).
@@ -232,6 +246,17 @@ mod tests {
             let v = r.range(10, 20);
             assert!((10..20).contains(&v));
         }
+    }
+
+    #[test]
+    fn jitter_stays_within_ten_percent_and_tiny_bases_draw_nothing() {
+        let mut r = DetRng::seed(1);
+        for _ in 0..1_000 {
+            assert!((900..=1_100).contains(&r.jittered(1_000)));
+        }
+        let mut twin = r.clone();
+        assert_eq!(r.jittered(4), 4);
+        assert_eq!(r.next_u64(), twin.next_u64());
     }
 
     /// Reference implementation: the historical `range`, which takes the

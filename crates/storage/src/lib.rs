@@ -12,8 +12,8 @@
 //!   retry. Azure implements this with `If-Match` ETags or
 //!   `x-ms-blob-condition-appendpos-equal`; here the atomicity that the
 //!   cloud service guarantees internally is provided by a mutex around the
-//!   log tail. An [`log::ETag`] shadow is maintained to mirror the
-//!   ETag-based port described in §5.
+//!   log tail, and the LSN itself plays the ETag's part: two appends see
+//!   the same tag exactly when they see the same LSN.
 //! - **`GetPage(pageId, LSN)`** (`GetPage@LSN`) — fetch a page that has
 //!   applied all updates up to the given LSN; if the replay service lags,
 //!   the request reports [`marlin_common::StorageError::ReplayLag`] (the
@@ -30,7 +30,7 @@ pub mod replay;
 pub mod service;
 pub mod wire;
 
-pub use log::{AppendOutcome, ETag, LogRecord, SharedLog};
+pub use log::{AppendOutcome, LogRecord, SharedLog};
 pub use page::{Page, PageStore};
 pub use replay::ReplayService;
 pub use service::{LogStats, StorageService};

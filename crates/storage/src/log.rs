@@ -18,13 +18,6 @@ use marlin_common::{Lsn, StorageError};
 use parking_lot::Mutex;
 use std::sync::Arc;
 
-/// Entity tag, mirroring the HTTP `ETag`/`If-Match` mechanism cloud stores
-/// expose for optimistic concurrency (§5). In this implementation the tag
-/// deterministically encodes the log generation and length; equality of
-/// tags is equivalent to equality of LSNs for a given log.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub struct ETag(pub u64);
-
 /// One record in a shared log.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct LogRecord {
@@ -41,8 +34,6 @@ pub struct LogRecord {
 pub struct AppendOutcome {
     /// The log's LSN after the append.
     pub new_lsn: Lsn,
-    /// The new entity tag.
-    pub etag: ETag,
 }
 
 #[derive(Debug, Default)]
@@ -78,12 +69,6 @@ impl SharedLog {
     #[must_use]
     pub fn end_lsn(&self) -> Lsn {
         Lsn(self.inner.lock().records.len() as u64)
-    }
-
-    /// Current entity tag.
-    #[must_use]
-    pub fn etag(&self) -> ETag {
-        ETag(self.end_lsn().0)
     }
 
     /// Unconditional `Append(updates)`: always succeeds, appending each
@@ -124,10 +109,8 @@ impl SharedLog {
             inner.bytes += payload.len() as u64;
             inner.records.push(LogRecord { lsn, payload });
         }
-        let new_lsn = Lsn(inner.records.len() as u64);
         AppendOutcome {
-            new_lsn,
-            etag: ETag(new_lsn.0),
+            new_lsn: Lsn(inner.records.len() as u64),
         }
     }
 
@@ -184,7 +167,6 @@ mod tests {
         let out = log.append(vec![b("a"), b("b")]);
         assert_eq!(out.new_lsn, Lsn(2));
         assert_eq!(log.end_lsn(), Lsn(2));
-        assert_eq!(log.etag(), ETag(2));
     }
 
     #[test]

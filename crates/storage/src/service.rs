@@ -156,13 +156,6 @@ impl StorageService {
         })
     }
 
-    /// Sum of CAS failures across all logs (contention signal, Figure 15).
-    #[must_use]
-    pub fn total_cas_failures(&self) -> u64 {
-        let inner = self.inner.read();
-        inner.logs.values().map(|s| s.log().cas_failures()).sum()
-    }
-
     /// Drive replay to the tail on every log (used by tests and the
     /// synchronous runner; the simulator steps replay with virtual delay).
     pub fn replay_all(&self) {
@@ -239,7 +232,6 @@ mod tests {
         assert_eq!(stats.end_lsn, Lsn(1));
         assert_eq!(stats.bytes_appended, 4);
         assert_eq!(stats.cas_failures, 1);
-        assert_eq!(svc.total_cas_failures(), 1);
     }
 
     #[test]

@@ -13,12 +13,11 @@
 //! - [`storage`] — disaggregated storage: shared logs with conditional
 //!   append (`Append@LSN`), page store (`GetPage@LSN`), log replay.
 //! - [`engine`] — per-node database engine: 2PL `NO_WAIT` locking, the
-//!   granule row store, the WAL codec, and row recovery from storage.
+//!   granule row store, the page-update payload a commit appends, and row
+//!   recovery from the page store.
 //! - [`core`] — the paper's contribution: MTable/GTable system tables,
 //!   MarlinCommit, the five reconfiguration transactions, failure
 //!   detection, routing, invariants, and an executable model checker.
-//! - [`baselines`] — ZooKeeper-style and FoundationDB-style coordination
-//!   services used as evaluation baselines.
 //! - [`workload`] — YCSB and TPC-C workload generators, plus load traces
 //!   for the closed-loop autoscaling scenarios.
 //! - [`autoscaler`] — the closed-loop autoscaling controller: one policy
@@ -30,7 +29,8 @@
 //!   seed → randomized fault/load/churn scenario, swarm execution
 //!   (`MARLIN_FUZZ_SEEDS`), automatic shrinking, and replayable repro
 //!   artifacts (`MARLIN_FUZZ_REPRO`).
-//! - [`cluster`] — the full simulated cloud DBMS testbed plus the
+//! - [`cluster`] — the full simulated cloud DBMS testbed (the ZooKeeper
+//!   and FoundationDB baselines are its priced write pipelines) plus the
 //!   unified experiment harness (`cluster::harness`): declarative
 //!   `Scenario`s, the `Runner` trait over both execution backends, and
 //!   the JSON-serializable `RunReport` behind every figure in the
@@ -41,7 +41,6 @@
 //! control loop, and the CPU-model guidance.
 
 pub use marlin_autoscaler as autoscaler;
-pub use marlin_baselines as baselines;
 pub use marlin_cluster as cluster;
 pub use marlin_common as common;
 pub use marlin_core as core;

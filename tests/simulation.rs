@@ -155,3 +155,57 @@ fn membership_contention_knee() {
         small.membership_mean_latency
     );
 }
+
+/// The external baselines' pricing, pinned: the report digest of three
+/// runs per service (a 2→4→3-node scale-out/in, a 64-member membership
+/// stress, and `geo_autoscale` at 2 000 granules). Every service write's
+/// stage queueing, jitter draw, commit round and client round trips
+/// feeds these bytes, so any drift in how S-ZK, L-ZK or FDB price a
+/// write fails here.
+#[test]
+fn baseline_pricing_digests_are_pinned() {
+    use marlin::common::NodeId;
+    use marlin::fuzz::report_digest;
+    let digest = |scenario: Scenario| {
+        let mut runner = SimRunner::new(&scenario);
+        report_digest(&run(scenario, &mut runner))
+    };
+    let scale_out_in = |kind| {
+        Scenario::new("pin-so2-4-3")
+            .backend(kind)
+            .workload(Workload::ycsb(2_000))
+            .trace(LoadTrace::constant(60))
+            .initial_nodes(2)
+            .threads_per_node(8)
+            .duration(12 * SECOND)
+            .action(2 * SECOND, ScaleAction::add(2))
+            .action(
+                7 * SECOND,
+                ScaleAction::RemoveNodes {
+                    victims: vec![NodeId(3)],
+                },
+            )
+    };
+    let pins: [(CoordKind, [u64; 3]); 3] = [
+        (
+            CoordKind::ZkSmall,
+            [0x493553095a6f770a, 0x119464c85bd8194d, 0x5948a25ffe16f99e],
+        ),
+        (
+            CoordKind::ZkLarge,
+            [0xc13c3a2e7712a0b1, 0xb35841a0ce0992b4, 0xf667ab0ab7ea6855],
+        ),
+        (
+            CoordKind::Fdb,
+            [0xbe5620532f1b674b, 0x18b89f5d16c40949, 0x78a419a6a7be5cd4],
+        ),
+    ];
+    for (kind, want) in pins {
+        let got = [
+            digest(scale_out_in(kind)),
+            digest(Scenario::membership(kind, 64, SECOND, 10 * SECOND)),
+            digest(Scenario::geo_autoscale(kind, 2_000)),
+        ];
+        assert_eq!(got, want, "{}: {got:#018x?}", kind.name());
+    }
+}

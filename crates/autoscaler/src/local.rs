@@ -5,7 +5,11 @@
 //! runtime. Every action executes *real* reconfiguration transactions
 //! through the sans-io drivers in `marlin_core::drivers::reconfig`:
 //! `AddNodeTxn` for scale-out, per-granule `MigrationTxn`s for draining
-//! and rebalancing, and `DeleteNodeTxn` once a victim is empty. Because
+//! and rebalancing, and `DeleteNodeTxn` once a victim is empty. Which
+//! granules move where on scale-out and drain is decided by
+//! [`scale_out_moves`] and [`drain_moves`], the rule the simulator
+//! prices, so both runners end a scripted scaling run with the same
+//! granule→node map. Because
 //! the runtime is synchronous, actions complete before `tick` returns and
 //! invariants can be asserted after every control step — this is the
 //! harness the policy end-to-end tests run against.
@@ -19,7 +23,7 @@
 use crate::controller::Actuator;
 use crate::invariant::InvariantViolation;
 use crate::observe::{GranuleLoad, NodeLoad, Observation};
-use crate::rebalance::GranuleMove;
+use crate::rebalance::{drain_moves, scale_out_moves, GranuleMove};
 use marlin_common::{ClusterConfig, GranuleId, GranuleLayout, KeyRange, NodeId, RegionId, TableId};
 use marlin_core::runtime::LocalCluster;
 use marlin_sim::Nanos;
@@ -119,6 +123,29 @@ impl LocalHarness {
             .get(granule.0 as usize)
             .copied()
             .unwrap_or(RegionId(0))
+    }
+
+    /// Every granule's owner, in granule order, from the live members'
+    /// GTable partitions.
+    #[must_use]
+    pub fn owners(&self) -> BTreeMap<GranuleId, NodeId> {
+        self.members
+            .iter()
+            .flat_map(|&m| {
+                self.cluster
+                    .node(m)
+                    .marlin
+                    .owned_granules()
+                    .into_iter()
+                    .map(move |g| (g, m))
+            })
+            .collect()
+    }
+
+    /// `nodes` with the region each was placed in, as the placement
+    /// rules take them.
+    fn placed(&self, nodes: impl IntoIterator<Item = NodeId>) -> Vec<(NodeId, RegionId)> {
+        nodes.into_iter().map(|m| (m, self.region_of(m))).collect()
     }
 
     /// Granule counts per live member, from the real GTable partitions.
@@ -321,8 +348,8 @@ impl LocalHarness {
         }
     }
 
-    /// The least-loaded live members excluding `not`, round-robin targets
-    /// for drains.
+    /// The live members excluding `not`, least loaded first: `crash`
+    /// recovers onto the first.
     fn survivors(&self, not: &[NodeId]) -> Vec<NodeId> {
         let counts = self.owned_counts();
         let mut survivors: Vec<NodeId> = self
@@ -338,22 +365,18 @@ impl LocalHarness {
 
 impl Actuator for LocalHarness {
     fn add_nodes(&mut self, _at: Nanos, count: u32, region: Option<RegionId>) {
-        // AddNodeTxn for each new member, then a balanced drain of excess
-        // granules from the old members onto the new ones (the same shape
-        // `ClusterSim::schedule_scale_out` uses, executed synchronously).
-        // A region-targeted add drains only from that region's members,
+        // AddNodeTxn for each new member, then one MigrationTxn per move
+        // of `scale_out_moves`, the function the simulator's scale-out
+        // prices. A region-targeted add sheds only that region's members,
         // so the new capacity absorbs the hot region's granules instead
         // of pulling load across regions.
-        let old_members: Vec<NodeId> = match region {
-            Some(r) => self
-                .members
+        let pool = self.placed(
+            self.members
                 .iter()
                 .copied()
-                .filter(|&m| self.region_of(m) == r)
-                .collect(),
-            None => self.members.clone(),
-        };
-        let mut new_members = Vec::new();
+                .filter(|&m| region.is_none_or(|r| self.region_of(m) == r)),
+        );
+        let mut joining = Vec::new();
         for _ in 0..count {
             let id = NodeId(self.next_node);
             self.next_node += 1;
@@ -363,79 +386,45 @@ impl Actuator for LocalHarness {
             self.members.push(id);
             let placed = region.unwrap_or(RegionId(id.0 as u16 % self.num_regions));
             self.regions.insert(id, placed);
-            new_members.push(id);
+            joining.push((id, placed));
         }
-        if new_members.is_empty() || old_members.is_empty() {
-            return;
-        }
-        // Balance within the drained pool: every pool member (old + new)
-        // ends near pool_granules / pool_size.
-        let counts = self.owned_counts();
-        let total: u64 = old_members
-            .iter()
-            .map(|m| counts.get(m).copied().unwrap_or(0))
-            .sum();
-        let target = total / (old_members.len() + new_members.len()) as u64;
-        let mut rr = 0usize;
-        for src in old_members {
-            let src_region = self.region_of(src);
-            let owned = self.cluster.node(src).marlin.owned_granules();
-            let excess = (owned.len() as u64).saturating_sub(target) as usize;
-            for granule in owned.into_iter().rev().take(excess) {
-                // Round-robin over joining nodes, preferring one in the
-                // source's region (the same probe the simulator's
-                // balanced plan uses) so an untargeted geo add never
-                // ships granules out of their home region.
-                let mut pick = None;
-                for probe in 0..new_members.len() {
-                    let cand = (rr + probe) % new_members.len();
-                    if self.region_of(new_members[cand]) == src_region {
-                        pick = Some(cand);
-                        break;
-                    }
-                }
-                let cand = pick.unwrap_or(rr % new_members.len());
-                rr = cand + 1;
-                let dst = new_members[cand];
-                self.cluster
-                    .migrate(src, dst, self.table, vec![granule])
-                    .expect("scale-out migration succeeds between live nodes");
-            }
-        }
+        scale_out_moves(self.owners(), &pool, &joining, |m| {
+            self.cluster
+                .migrate(m.src, m.dst, self.table, vec![m.granule])
+                .expect("scale-out migration succeeds between live nodes");
+        });
     }
 
+    /// Drain `victims` by `drain_moves`, then remove each with a
+    /// `DeleteNodeTxn` coordinated by the first survivor. Non-members
+    /// and repeats are dropped; a removal that would leave no member is
+    /// a no-op.
     fn remove_nodes(&mut self, _at: Nanos, victims: &[NodeId]) {
-        let survivors = self.survivors(victims);
-        assert!(
-            !survivors.is_empty(),
-            "scale-in must leave at least one member"
-        );
-        let mut rr = 0usize;
-        for &victim in victims {
-            if !self.members.contains(&victim) {
-                continue;
-            }
-            // Drains stay region-local where possible: a victim's
-            // granules land on survivors in its own region, falling back
-            // to the whole survivor set only when the drain empties the
-            // region entirely.
-            let local: Vec<NodeId> = survivors
+        let mut victims: Vec<NodeId> = victims
+            .iter()
+            .copied()
+            .filter(|v| self.members.contains(v))
+            .collect();
+        victims.sort_unstable();
+        victims.dedup();
+        let survivors = self.placed(
+            self.members
                 .iter()
                 .copied()
-                .filter(|&s| self.region_of(s) == self.region_of(victim))
-                .collect();
-            let pool: &[NodeId] = if local.is_empty() { &survivors } else { &local };
-            // Drain: one MigrationTxn per granule onto the survivors.
-            for granule in self.cluster.node(victim).marlin.owned_granules() {
-                let dst = pool[rr % pool.len()];
-                rr += 1;
-                self.cluster
-                    .migrate(victim, dst, self.table, vec![granule])
-                    .expect("drain migration succeeds between live nodes");
-            }
-            // DeleteNodeTxn once empty.
+                .filter(|m| !victims.contains(m)),
+        );
+        let Some(&(coordinator, _)) = survivors.first() else {
+            return;
+        };
+        let leaving = self.placed(victims);
+        drain_moves(self.owners(), &leaving, &survivors, |m| {
             self.cluster
-                .delete_node(survivors[0], victim)
+                .migrate(m.src, m.dst, self.table, vec![m.granule])
+                .expect("drain migration succeeds between live nodes");
+        });
+        for (victim, _) in leaving {
+            self.cluster
+                .delete_node(coordinator, victim)
                 .expect("DeleteNodeTxn succeeds for a drained member");
             self.members.retain(|&m| m != victim);
         }

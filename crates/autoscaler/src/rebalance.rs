@@ -1,9 +1,16 @@
-//! The granule rebalance planner: pick hot granules and propose
-//! `MigrationTxn`s that flatten load skew without changing the member
-//! count (the diagonal complement to scale-out/in — see *Diagonal
-//! Scaling* in PAPERS.md).
+//! Granule placement: where granules go when members join or leave,
+//! and the rebalance planner.
 //!
-//! The planner is a pure function from an [`Observation`] to a list of
+//! [`scale_out_moves`] and [`drain_moves`] are the one placement rule
+//! for scale-out and scale-in. Both runners call them: the simulator
+//! prices each [`GranuleMove`] in virtual time, and `LocalHarness` runs
+//! each as a real `MigrationTxn`, so the moves the simulator prices are
+//! the moves the protocol executes.
+//!
+//! The rebalance planner picks hot granules and proposes `MigrationTxn`s
+//! that flatten load skew without changing the member count (the
+//! diagonal complement to scale-out/in — see *Diagonal Scaling* in
+//! PAPERS.md). It is a pure function from an [`Observation`] to a list of
 //! [`GranuleMove`]s with two hard guarantees the reconfiguration layer
 //! depends on:
 //!
@@ -15,7 +22,7 @@
 //!    (invariant I3): each granule's chain of custody stays linear.
 
 use crate::observe::Observation;
-use marlin_common::{GranuleId, NodeId};
+use marlin_common::{GranuleId, NodeId, RegionId};
 use std::collections::BTreeMap;
 
 /// One planned migration.
@@ -27,6 +34,107 @@ pub struct GranuleMove {
     pub src: NodeId,
     /// The destination member.
     pub dst: NodeId,
+}
+
+/// The scale-out placement rule both runners execute: which granules
+/// move when `joining` nodes join `pool`, and where.
+///
+/// Each pool member sheds its highest-id granules down to the target of
+/// (granules the pool owns) / (pool size + joining nodes). The shed
+/// granules are dealt round-robin over `joining`, each to the next
+/// joining node in its source's region when there is one, so an
+/// untargeted geo add never ships a granule out of its home region.
+///
+/// `owners` lists granule owners in granule order (granules owned
+/// outside `pool` are ignored); `pool` and `joining` are `(node, region)`
+/// in ascending id order. Moves are streamed to `emit` rather than
+/// returned: a scale-out of the paper's size is 100 k moves, and
+/// returning them as a `Vec` made `sim_scaleout_exact`'s set-up about
+/// 3x slower through glibc's dynamic mmap threshold, not through the
+/// planner's own work.
+pub fn scale_out_moves(
+    owners: impl IntoIterator<Item = (GranuleId, NodeId)>,
+    pool: &[(NodeId, RegionId)],
+    joining: &[(NodeId, RegionId)],
+    mut emit: impl FnMut(GranuleMove),
+) {
+    if joining.is_empty() {
+        return;
+    }
+    let mut owned: Vec<Vec<GranuleId>> = vec![Vec::new(); pool.len()];
+    for (granule, owner) in owners {
+        if let Ok(i) = pool.binary_search_by_key(&owner, |&(node, _)| node) {
+            owned[i].push(granule);
+        }
+    }
+    let target = owned.iter().map(Vec::len).sum::<usize>() / (pool.len() + joining.len());
+    let mut next = 0usize;
+    for (&(src, region), granules) in pool.iter().zip(&owned) {
+        let excess = granules.len().saturating_sub(target);
+        for &granule in granules.iter().rev().take(excess) {
+            let pick = (0..joining.len())
+                .map(|probe| (next + probe) % joining.len())
+                .find(|&cand| joining[cand].1 == region)
+                .unwrap_or(next % joining.len());
+            next = pick + 1;
+            emit(GranuleMove {
+                granule,
+                src,
+                dst: joining[pick].0,
+            });
+        }
+    }
+}
+
+/// The drain placement rule both runners execute: where the granules of
+/// `victims` go when they leave.
+///
+/// Granules are walked in `owners` order with one round-robin cursor
+/// across all victims. Each lands on the next survivor in its victim's
+/// region, or on the next of all survivors when the drain empties that
+/// region, so a drain never ships data across regions while local
+/// capacity exists.
+///
+/// `owners` lists granule owners in granule order; `survivors` are
+/// `(node, region)` in ascending id order; `victims` may come in any
+/// order and repeat. Moves stream to `emit` for the reason
+/// [`scale_out_moves`] gives. With no survivor nothing moves.
+pub fn drain_moves(
+    owners: impl IntoIterator<Item = (GranuleId, NodeId)>,
+    victims: &[(NodeId, RegionId)],
+    survivors: &[(NodeId, RegionId)],
+    mut emit: impl FnMut(GranuleMove),
+) {
+    if survivors.is_empty() {
+        return;
+    }
+    let pools: Vec<Vec<NodeId>> = victims
+        .iter()
+        .map(|&(_, region)| {
+            let local: Vec<NodeId> = survivors
+                .iter()
+                .filter(|&&(_, r)| r == region)
+                .map(|&(node, _)| node)
+                .collect();
+            if local.is_empty() {
+                survivors.iter().map(|&(node, _)| node).collect()
+            } else {
+                local
+            }
+        })
+        .collect();
+    let mut next = 0usize;
+    for (granule, owner) in owners {
+        if let Some(v) = victims.iter().position(|&(node, _)| node == owner) {
+            let pool = &pools[v];
+            emit(GranuleMove {
+                granule,
+                src: owner,
+                dst: pool[next % pool.len()],
+            });
+            next += 1;
+        }
+    }
 }
 
 /// Configuration of [`RebalancePlanner`].
@@ -87,7 +195,7 @@ impl RebalancePlanner {
         if live.len() < 2 || obs.granule_loads.is_empty() {
             return Vec::new();
         }
-        let region_of: BTreeMap<NodeId, marlin_common::RegionId> = obs
+        let region_of: BTreeMap<NodeId, RegionId> = obs
             .node_loads
             .iter()
             .filter(|n| n.alive)

@@ -19,15 +19,14 @@
 //! region-targeted `AddNodes` place real members into the hot region.
 
 use crate::harness::runner::{Fault, MetricsSnapshot, RegionBreakdown, Runner, TelemetrySection};
-use crate::harness::scenario::Scenario;
+use crate::harness::scenario::{Scenario, OFFERED_PER_CLIENT};
 use crate::metrics::Blame;
 use crate::sim::Workload;
 use marlin_autoscaler::{Actuator, InvariantViolation, LocalHarness, Observation, ScaleAction};
-use marlin_common::{GranuleId, LogId, NodeId, RegionId};
+use marlin_common::{GranuleId, LogId, RegionId};
 use marlin_sim::{Histogram, Nanos, SECOND};
 use marlin_telemetry::{CoordOps, MetricsSeries, ProfileSummary, Tracer, DEFAULT_TRACE_CAPACITY};
 use marlin_workload::LoadTrace;
-use std::collections::BTreeMap;
 
 /// The synchronous runtime wrapped as a [`Runner`].
 pub struct LocalRunner {
@@ -38,7 +37,6 @@ pub struct LocalRunner {
     region_traces: Vec<LoadTrace>,
     /// Placement domains (1 outside geo scenarios).
     regions: u16,
-    offered_per_client: f64,
     /// `Some(theta)` when the workload is Zipfian-skewed YCSB.
     zipf_theta: Option<f64>,
     /// Live node count over (logical) time, mirroring the simulator's
@@ -95,7 +93,6 @@ impl LocalRunner {
             trace: scenario.trace.clone(),
             region_traces: scenario.region_traces.clone(),
             regions,
-            offered_per_client: scenario.offered_per_client,
             zipf_theta,
             node_count: Vec::new(),
             node_time: 0.0,
@@ -120,28 +117,6 @@ impl LocalRunner {
             .push((self.now, self.harness.members().len() as f64));
     }
 
-    fn ownership(&self) -> BTreeMap<GranuleId, NodeId> {
-        self.harness
-            .members()
-            .iter()
-            .flat_map(|&m| {
-                self.harness
-                    .cluster
-                    .node(m)
-                    .marlin
-                    .owned_granules()
-                    .into_iter()
-                    .map(move |g| (g, m))
-            })
-            .collect()
-    }
-
-    /// Granule owners as a map (for tests asserting heat moved).
-    #[must_use]
-    pub fn owners(&self) -> BTreeMap<GranuleId, NodeId> {
-        self.ownership()
-    }
-
     /// Offered load per region at the current time, in node-capacity
     /// units: the per-region traces when the scenario carries them, else
     /// the global trace split by each region's granule-weight share
@@ -153,13 +128,13 @@ impl LocalRunner {
         Some(
             self.region_traces
                 .iter()
-                .map(|t| f64::from(t.clients_at(self.now)) * self.offered_per_client)
+                .map(|t| f64::from(t.clients_at(self.now)) * OFFERED_PER_CLIENT)
                 .collect(),
         )
     }
 
     fn offered_now(&self) -> f64 {
-        f64::from(self.trace.clients_at(self.now)) * self.offered_per_client
+        f64::from(self.trace.clients_at(self.now)) * OFFERED_PER_CLIENT
     }
 
     /// Turn on the tracer explicitly (tests prefer this over mutating the
@@ -267,7 +242,7 @@ impl Runner for LocalRunner {
     }
 
     fn actuate(&mut self, action: &ScaleAction) {
-        let before = self.ownership();
+        let before = self.harness.owners();
         let cas_before = self.cas_totals();
         if self.tracer.is_enabled() {
             let (name, n): (&'static str, i64) = match action {
@@ -305,7 +280,7 @@ impl Runner for LocalRunner {
         // ownership — the I0–I4 safety net, checked on every step.
         // Violations are collected, not panicked on (see `violations`).
         self.check_invariants();
-        let after = self.ownership();
+        let after = self.harness.owners();
         self.migrations += before
             .iter()
             .filter(|(g, owner)| after.get(g).is_some_and(|now| now != *owner))
@@ -316,7 +291,7 @@ impl Runner for LocalRunner {
     fn inject(&mut self, fault: &Fault) {
         match fault {
             Fault::Crash(node) => {
-                let before = self.ownership();
+                let before = self.harness.owners();
                 let cas_before = self.cas_totals();
                 if self.tracer.is_enabled() {
                     self.tracer.instant_args(
@@ -329,7 +304,7 @@ impl Runner for LocalRunner {
                 self.harness.crash(*node);
                 self.account_cas(cas_before);
                 self.check_invariants();
-                let after = self.ownership();
+                let after = self.harness.owners();
                 self.migrations += before
                     .iter()
                     .filter(|(g, owner)| after.get(g).is_some_and(|now| now != *owner))

@@ -450,7 +450,7 @@ mod tests {
         let report = run(scenario, &mut runner);
         assert_eq!(report.metrics.live_nodes, 2);
         assert!(
-            !runner.owners().values().any(|&o| o == NodeId(1)),
+            !runner.harness().owners().values().any(|&o| o == NodeId(1)),
             "the dead node's granules were recovered"
         );
         assert!(

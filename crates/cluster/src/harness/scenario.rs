@@ -53,8 +53,6 @@ pub struct Scenario {
     pub horizon: Nanos,
     /// Migration worker threads per new/drained node.
     pub threads_per_node: u32,
-    /// Node-capacity units one client offers (synchronous runtime only).
-    pub offered_per_client: f64,
     /// Simulator constants (including the seed; both runners are
     /// deterministic functions of the scenario).
     pub params: SimParams,
@@ -88,7 +86,6 @@ impl Scenario {
             observe_window: 2 * SECOND,
             horizon: 30 * SECOND,
             threads_per_node: 4,
-            offered_per_client: OFFERED_PER_CLIENT,
             params: SimParams::default(),
             policy: None,
             planner: None,
@@ -197,13 +194,6 @@ impl Scenario {
     #[must_use]
     pub fn threads_per_node(mut self, threads: u32) -> Self {
         self.threads_per_node = threads;
-        self
-    }
-
-    /// Set node-capacity units per client (synchronous runtime).
-    #[must_use]
-    pub fn offered_per_client(mut self, per: f64) -> Self {
-        self.offered_per_client = per;
         self
     }
 

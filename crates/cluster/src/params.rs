@@ -253,8 +253,6 @@ pub struct SimParams {
     pub warmup_per_granule: Nanos,
 
     // -- client behavior ----------------------------------------------------------
-    /// Requests per YCSB transaction (paper: 16).
-    pub reqs_per_txn: usize,
     /// Exponential backoff floor after an abort.
     pub backoff_base: Nanos,
     /// Backoff cap (paper: 100 ms).
@@ -313,7 +311,6 @@ impl Default for SimParams {
             get_page_service: 150 * MICROSECOND,
             cold_misses_per_granule: 4,
             warmup_per_granule: 400 * MICROSECOND,
-            reqs_per_txn: 16,
             backoff_base: MILLISECOND,
             backoff_cap: 100 * MILLISECOND,
             route_broadcast_delay: 200 * MILLISECOND,

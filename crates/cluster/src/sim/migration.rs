@@ -6,19 +6,9 @@
 
 use super::protocol::Coordinator;
 use super::*;
+use marlin_autoscaler::rebalance::{drain_moves, scale_out_moves};
 use marlin_common::{CoordError, TxnId};
 use marlin_core::drivers::MigrationDriver;
-
-/// A migration work item: move `granule` from `src` to `dst`.
-#[derive(Clone, Copy, Debug)]
-pub struct MigrationTask {
-    /// The granule to move.
-    pub granule: u64,
-    /// Source node index (must own the granule when the task runs).
-    pub src: u32,
-    /// Destination node index.
-    pub dst: u32,
-}
 
 /// What a migration's data-effectiveness read finds at the source.
 pub(super) enum SourceCheck {
@@ -42,27 +32,14 @@ enum MigrationEnd {
     Retry(Nanos),
 }
 
-/// A migration plan: tasks partitioned over destination-side worker
+/// A migration plan: moves partitioned over destination-side worker
 /// threads ("the number of concurrent migration transactions is increased
-/// as the number of compute nodes increases", §6.1.4).
+/// as the number of compute nodes increases", §6.1.4). A move's `src`
+/// must own its granule when the move runs; otherwise it is stale.
 #[derive(Clone, Debug, Default)]
 pub struct MigrationPlan {
     /// One queue per worker thread.
-    pub queues: Vec<Vec<MigrationTask>>,
-}
-
-impl MigrationPlan {
-    /// Total tasks in the plan.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.queues.iter().map(Vec::len).sum()
-    }
-
-    /// Whether the plan is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
+    pub queues: Vec<Vec<GranuleMove>>,
 }
 
 /// A scheduled-but-not-yet-started migration plan.
@@ -78,13 +55,9 @@ impl MigrationPlan {
 /// check skips them as stale), leaving the join under-balanced and a
 /// subset of old nodes hot for the rest of the run.
 pub(super) enum PendingPlan {
-    /// Tasks already built (drain-less rebalances, prepared plans).
-    Built {
-        /// The task queues to run when the plan starts.
-        plan: MigrationPlan,
-        /// Node slots to activate when the plan starts.
-        activate: Vec<u32>,
-    },
+    /// A plan already built (a rebalance): the queues to run when it
+    /// starts.
+    Built(MigrationPlan),
     /// A scale-out whose rebalance tasks are built at start time.
     ScaleOut {
         /// Reserved node slots that join when the lead elapses.
@@ -101,10 +74,7 @@ pub(super) enum PendingPlan {
 
 impl Default for PendingPlan {
     fn default() -> Self {
-        PendingPlan::Built {
-            plan: MigrationPlan::default(),
-            activate: Vec::new(),
-        }
+        PendingPlan::Built(MigrationPlan::default())
     }
 }
 
@@ -113,7 +83,7 @@ impl PendingPlan {
     /// another plan, and observations report them as pending capacity).
     pub(super) fn reserved_slots(&self) -> &[u32] {
         match self {
-            PendingPlan::Built { activate, .. } => activate,
+            PendingPlan::Built(_) => &[],
             PendingPlan::ScaleOut { slots, .. } => slots,
         }
     }
@@ -169,7 +139,7 @@ impl ClusterSim {
                 }
             }
             ScaleAction::Rebalance { moves } => {
-                let tasks: Vec<MigrationTask> = moves
+                let moves: Vec<GranuleMove> = moves
                     .iter()
                     .filter(|m| {
                         let g = m.granule.0 as usize;
@@ -179,25 +149,20 @@ impl ClusterSim {
                             && (m.dst.0 as usize) < self.nodes.len()
                             && self.nodes[m.dst.0 as usize].alive
                     })
-                    .map(|m| MigrationTask {
-                        granule: m.granule.0,
-                        src: m.src.0,
-                        dst: m.dst.0,
-                    })
+                    .copied()
                     .collect();
-                if tasks.is_empty() {
+                if moves.is_empty() {
                     return;
                 }
                 // One worker thread per distinct destination.
-                let mut dsts: Vec<u32> = tasks.iter().map(|t| t.dst).collect();
+                let mut dsts: Vec<NodeId> = moves.iter().map(|m| m.dst).collect();
                 dsts.sort_unstable();
                 dsts.dedup();
-                let mut queues: Vec<Vec<MigrationTask>> = vec![Vec::new(); dsts.len()];
-                for task in tasks {
-                    let d = dsts.binary_search(&task.dst).expect("dst indexed");
-                    queues[d].push(task);
-                }
-                self.schedule_plan(at, MigrationPlan { queues }, Vec::new());
+                let queues = dsts
+                    .iter()
+                    .map(|&dst| moves.iter().filter(|m| m.dst == dst).copied().collect())
+                    .collect();
+                self.schedule_plan(at, MigrationPlan { queues });
             }
         }
     }
@@ -316,141 +281,82 @@ impl ClusterSim {
     /// moment any other migration commits during the lead, and stale
     /// tasks are skipped — leaving the join under-balanced.
     ///
-    /// With a `target_region`, only that region's live members shed
-    /// granules, so a hot region's scale-out never drags another region's
-    /// data across the WAN.
+    /// The moves are [`scale_out_moves`]'s, with the live nodes as the
+    /// pool; with a `target_region`, only that region's live members
+    /// shed granules, so a hot region's scale-out never drags another
+    /// region's data across the WAN. Each destination slot gets
+    /// `threads_per` worker queues, filled in turn.
     pub(super) fn balanced_tasks_onto(
-        &mut self,
+        &self,
         slots: &[u32],
         threads_per: u32,
         target_region: Option<RegionId>,
     ) -> MigrationPlan {
-        let live: Vec<u32> = (0..self.nodes.len() as u32)
+        let pool: Vec<(NodeId, RegionId)> = (0..self.nodes.len() as u32)
             .filter(|&i| {
                 self.nodes[i as usize].alive
                     && target_region.is_none_or(|r| self.nodes[i as usize].region == r)
             })
+            .map(|i| self.placed(i))
             .collect();
-        let total = (live.len() + slots.len()) as u64;
-        // Target: every pool node ends with pool_granules/total granules;
-        // move the excess from each live pool member to the joining ones,
-        // preferring same-region destinations (the geo setting migrates
-        // within regions). The pool is the whole table for an untargeted
-        // add, and the target region's owned granules for a targeted one.
-        let mut tasks: Vec<MigrationTask> = Vec::new();
-        let pool_granules = match target_region {
-            None => self.granules.len() as u64,
-            Some(_) => live.iter().map(|&i| self.owned[i as usize]).sum(),
-        };
-        let per_node_target = pool_granules / total.max(1);
-        let mut surplus: std::collections::BTreeMap<u32, Vec<u64>> =
-            live.iter().map(|&i| (i, Vec::new())).collect();
-        for (g, gran) in self.granules.iter().enumerate() {
-            if let Some(list) = surplus.get_mut(&gran.owner) {
-                list.push(g as u64);
+        let joining: Vec<(NodeId, RegionId)> = slots.iter().map(|&s| self.placed(s)).collect();
+        let threads_per = threads_per as usize;
+        let mut queues = vec![Vec::new(); (slots.len() * threads_per).max(1)];
+        let mut cursor = vec![0usize; slots.len()];
+        scale_out_moves(self.owner_list(), &pool, &joining, |m| {
+            if let Some(d) = slots.iter().position(|&s| s == m.dst.0) {
+                queues[d * threads_per + cursor[d] % threads_per].push(m);
+                cursor[d] += 1;
             }
-        }
-        let mut next_new = 0usize;
-        for (&owner, granules) in &surplus {
-            let excess = (granules.len() as u64).saturating_sub(per_node_target);
-            for g in granules.iter().rev().take(excess as usize) {
-                // Round-robin over joining nodes in the same region if any.
-                let src_region = self.nodes[owner as usize].region;
-                let mut dst = None;
-                for probe in 0..slots.len() {
-                    let cand = (next_new + probe) % slots.len();
-                    if self.nodes[slots[cand] as usize].region == src_region {
-                        dst = Some(cand);
-                        break;
-                    }
-                }
-                let dst = dst.unwrap_or(next_new % slots.len());
-                next_new = dst + 1;
-                tasks.push(MigrationTask {
-                    granule: *g,
-                    src: owner,
-                    dst: slots[dst],
-                });
-            }
-        }
-        // Partition tasks into per-thread queues grouped by destination.
-        let threads_total = slots.len() * threads_per as usize;
-        let mut queues: Vec<Vec<MigrationTask>> = vec![Vec::new(); threads_total.max(1)];
-        let mut dst_cursor = vec![0usize; slots.len()];
-        for task in tasks {
-            let d = slots
-                .iter()
-                .position(|&s| s == task.dst)
-                .expect("dst is a slot");
-            let thread = d * threads_per as usize + dst_cursor[d] % threads_per as usize;
-            dst_cursor[d] += 1;
-            queues[thread].push(task);
-        }
+        });
         MigrationPlan { queues }
     }
 
     /// Build a drain plan that empties `victims` (node indices) onto the
-    /// remaining live nodes. Drains stay region-local: each victim's
-    /// granules land on survivors in its own region, falling back to the
-    /// full survivor set only when the drain empties the region (so the
-    /// geo setting never ships a drained granule across the WAN while
-    /// local capacity exists).
+    /// remaining live nodes, by [`drain_moves`]: drains stay
+    /// region-local, so the geo setting never ships a drained granule
+    /// across the WAN while local capacity exists. Each victim gets
+    /// `threads_per_victim` worker queues, filled in turn; a victim named
+    /// twice queues by its first position, and the repeat's queues stay
+    /// empty (they still fix the workers' event order).
     #[must_use]
     pub fn drain_plan(&self, victims: &[u32], threads_per_victim: u32) -> MigrationPlan {
-        let survivors: Vec<u32> = (0..self.nodes.len() as u32)
+        let survivors: Vec<(NodeId, RegionId)> = (0..self.nodes.len() as u32)
             .filter(|i| self.nodes[*i as usize].alive && !victims.contains(i))
+            .map(|i| self.placed(i))
             .collect();
-        assert!(!survivors.is_empty(), "drain needs at least one survivor");
-        // Per-victim destination pool: same-region survivors when any.
-        let pools: Vec<Vec<u32>> = victims
-            .iter()
-            .map(|&v| {
-                let region = self.nodes[v as usize].region;
-                let local: Vec<u32> = survivors
-                    .iter()
-                    .copied()
-                    .filter(|&s| self.nodes[s as usize].region == region)
-                    .collect();
-                if local.is_empty() {
-                    survivors.clone()
-                } else {
-                    local
-                }
-            })
-            .collect();
-        let mut queues: Vec<Vec<MigrationTask>> =
-            vec![Vec::new(); (victims.len() as u32 * threads_per_victim).max(1) as usize];
-        let mut rr = 0usize;
+        let leaving: Vec<(NodeId, RegionId)> = victims.iter().map(|&v| self.placed(v)).collect();
+        let threads_per = threads_per_victim as usize;
+        let mut queues = vec![Vec::new(); (victims.len() * threads_per).max(1)];
         // Per-victim thread cursors: a global counter would alias with the
         // round-robin ownership pattern and starve most threads.
         let mut cursor = vec![0usize; victims.len()];
-        for (g, gran) in self.granules.iter().enumerate() {
-            if let Some(vi) = victims.iter().position(|v| *v == gran.owner) {
-                let pool = &pools[vi];
-                let dst = pool[rr % pool.len()];
-                rr += 1;
-                let thread =
-                    vi * threads_per_victim as usize + cursor[vi] % threads_per_victim as usize;
-                cursor[vi] += 1;
-                queues[thread].push(MigrationTask {
-                    granule: g as u64,
-                    src: gran.owner,
-                    dst,
-                });
+        drain_moves(self.owner_list(), &leaving, &survivors, |m| {
+            if let Some(v) = victims.iter().position(|&v| v == m.src.0) {
+                queues[v * threads_per + cursor[v] % threads_per].push(m);
+                cursor[v] += 1;
             }
-        }
+        });
         MigrationPlan { queues }
     }
 
-    /// Schedule a prepared plan (used by the dynamic scenario for
-    /// scale-in; marks sources as draining so they release once empty).
-    pub fn schedule_plan(&mut self, at: Nanos, plan: MigrationPlan, draining: Vec<u32>) {
-        self.pending_plans.push(PendingPlan::Built {
-            plan,
-            activate: Vec::new(),
-        });
+    /// Node `i` with its region, as the placement rules take it.
+    fn placed(&self, i: u32) -> (NodeId, RegionId) {
+        (NodeId(i), self.nodes[i as usize].region)
+    }
+
+    /// Every granule's owner, in granule order.
+    fn owner_list(&self) -> impl Iterator<Item = (GranuleId, NodeId)> + '_ {
+        self.granules
+            .iter()
+            .enumerate()
+            .map(|(g, gran)| (GranuleId(g as u64), NodeId(gran.owner)))
+    }
+
+    /// Schedule a prepared plan to start at `at`.
+    pub fn schedule_plan(&mut self, at: Nanos, plan: MigrationPlan) {
+        self.pending_plans.push(PendingPlan::Built(plan));
         let idx = self.pending_plans.len() - 1;
-        self.draining.extend(draining);
         self.queue
             .schedule_at(at, ActorId(0), Event::StartPlan { plan_idx: idx });
     }
@@ -476,18 +382,22 @@ impl ClusterSim {
             return;
         }
         let task = queue_tasks[cursor];
-        let g = task.granule as usize;
-        let end = if matches!(self.backend, CoordBackend::Marlin) {
+        let (g, src, dst) = (
+            task.granule.0 as usize,
+            task.src.0 as usize,
+            task.dst.0 as usize,
+        );
+        let end = if !self.nodes[dst].alive {
+            // The destination was released after this task was planned (a
+            // later drain emptied it): it coordinates nothing, and no
+            // granule may land on it.
+            MigrationEnd::Stale(now)
+        } else if matches!(self.backend, CoordBackend::Marlin) {
             // MigrationTxn over MarlinCommit, coordinated by the
             // destination (§4.4.1), run by the pricer.
-            let txn = TxnId::new(NodeId(task.dst), self.next_txn_seq());
-            let started = MigrationDriver::new(
-                txn,
-                NodeId(task.src),
-                NodeId(task.dst),
-                vec![GranuleId(task.granule)],
-            );
-            match self.run_driver(Coordinator::Node(task.dst as usize), started, now) {
+            let txn = TxnId::new(task.dst, self.next_txn_seq());
+            let started = MigrationDriver::new(txn, task.src, task.dst, vec![task.granule]);
+            match self.run_driver(Coordinator::Node(dst), started, now) {
                 (Some(Ok(())), at) => MigrationEnd::Committed(at),
                 (Some(Err(CoordError::WrongOwner { .. })), at) => MigrationEnd::Stale(at),
                 // NO_WAIT at the source; a lost CAS or a NO vote, which
@@ -495,8 +405,8 @@ impl ClusterSim {
                 (_, at) => MigrationEnd::Retry(at),
             }
         } else {
-            let t = self.owner_read_done(now, task.src as usize, task.dst as usize);
-            match self.source_check(g, task.src, t) {
+            let t = self.owner_read_done(now, src, dst);
+            match self.source_check(g, task.src.0, t) {
                 SourceCheck::Moved(_) => MigrationEnd::Stale(t),
                 SourceCheck::Busy => MigrationEnd::Retry(t),
                 SourceCheck::Free => MigrationEnd::Committed(self.service_update_owner(t, task)),
@@ -523,8 +433,7 @@ impl ClusterSim {
         // Ownership flips; the granule is cold at the destination until
         // the Squall-style warm-up finishes (same strategy for all
         // systems, §6.1.2).
-        let (src, dst) = (task.src as usize, task.dst as usize);
-        self.granules[g].owner = task.dst;
+        self.granules[g].owner = task.dst.0;
         self.owned[src] -= 1;
         self.owned[dst] += 1;
         self.granules[g].cold_left = self.params.cold_misses_per_granule;
@@ -532,14 +441,14 @@ impl ClusterSim {
             commit_done + self.params.warmup_per_granule,
             ActorId(0),
             Event::WarmupDone {
-                granule: task.granule,
+                granule: task.granule.0,
             },
         );
         self.queue.schedule_at(
             commit_done + self.params.route_broadcast_delay,
             ActorId(0),
             Event::RouteUpdate {
-                granule: task.granule,
+                granule: task.granule.0,
             },
         );
         if self.tracer.is_enabled() {
@@ -549,8 +458,8 @@ impl ClusterSim {
                 now,
                 commit_done,
                 [
-                    ("granule", task.granule as i64),
-                    ("dst", i64::from(task.dst)),
+                    ("granule", task.granule.0 as i64),
+                    ("dst", i64::from(task.dst.0)),
                 ],
             );
         }
@@ -590,13 +499,13 @@ impl ClusterSim {
     /// The baselines' ownership update through the external coordination
     /// service, sent at `t`; returns when it is acknowledged (at once
     /// under Marlin, which never calls this).
-    fn service_update_owner(&mut self, t: Nanos, task: MigrationTask) -> Nanos {
+    fn service_update_owner(&mut self, t: Nanos, task: GranuleMove) -> Nanos {
         let CoordBackend::Service(svc) = &mut self.backend else {
             return t;
         };
         self.metrics.coord.service_writes += 1;
         // The coordination service lives in region 0.
-        let dst_region = self.nodes[task.dst as usize].region;
+        let dst_region = self.nodes[task.dst.0 as usize].region;
         let to_svc = self.params.regions.link(dst_region, RegionId(0)).mean()
             * u64::from(svc.client_round_trips)
             * 2;

@@ -45,7 +45,7 @@
 use crate::cost::CostModel;
 use crate::metrics::{Blame, RunMetrics, TailExemplar, TailExemplars};
 use crate::params::{ClientEngine, CoordKind, CpuModel, SimParams};
-use marlin_autoscaler::{GranuleLoad, NodeLoad, Observation, ScaleAction};
+use marlin_autoscaler::{GranuleLoad, GranuleMove, NodeLoad, Observation, ScaleAction};
 use marlin_common::{GranuleId, LogId, Lsn, NodeId, RegionId};
 use marlin_core::{LsnTracker, MTable};
 use marlin_sim::sketch::SKETCH_MIN_KEYS;
@@ -70,7 +70,7 @@ use observe::LatencyWindow;
 use station::NodeCpu;
 use walk::{Walk, WalkEnd};
 
-pub use migration::{MigrationPlan, MigrationTask};
+pub use migration::MigrationPlan;
 pub(crate) use service::CoordService;
 pub use station::{CpuStation, PerRequestStation};
 
@@ -269,7 +269,7 @@ pub struct ClusterSim {
     /// includes OCC retries — the Figure 15 degradation signal).
     membership_starts: Vec<Option<Nanos>>,
     /// Migration worker state: (queue, cursor, current blocked task).
-    workers: Vec<(Vec<MigrationTask>, usize)>,
+    workers: Vec<(Vec<GranuleMove>, usize)>,
     /// Plans scheduled but not yet started (scale-out task lists are
     /// built when the plan fires; see [`PendingPlan`]).
     pending_plans: Vec<PendingPlan>,
@@ -992,7 +992,7 @@ impl ClusterSim {
             Event::SetRegionClients { region, count } => self.apply_region_clients(region, count),
             Event::StartPlan { plan_idx } => {
                 let (plan, activate) = match std::mem::take(&mut self.pending_plans[plan_idx]) {
-                    PendingPlan::Built { plan, activate } => (plan, activate),
+                    PendingPlan::Built(plan) => (plan, Vec::new()),
                     // Scale-out: provisioning is complete — build the
                     // balanced task list against *current* ownership
                     // (the slots are still dead here, exactly as the
@@ -1593,7 +1593,6 @@ mod tests {
     #[test]
     fn owned_counts_follow_every_ownership_flip_and_release() {
         use crate::harness::{Fault, Runner, Scenario, SimRunner};
-        use marlin_autoscaler::GranuleMove;
         use marlin_workload::LoadTrace;
 
         const STEP: Nanos = SECOND / 20;
@@ -1774,10 +1773,10 @@ mod tests {
         let mut sim = quiet_marlin(3);
         // The first task moves granule 0 off node 0; the second was
         // planned against the old owner and runs after the move.
-        let move_to = |dst| MigrationTask {
-            granule: 0,
-            src: 0,
-            dst,
+        let move_to = |dst| GranuleMove {
+            granule: GranuleId(0),
+            src: NodeId(0),
+            dst: NodeId(dst),
         };
         sim.start_workers(MigrationPlan {
             queues: vec![vec![move_to(1), move_to(2)]],
@@ -1797,10 +1796,10 @@ mod tests {
         // A user transaction holds granule 0 until 1 s.
         sim.granules[0].busy_until = SECOND;
         sim.start_workers(MigrationPlan {
-            queues: vec![vec![MigrationTask {
-                granule: 0,
-                src: 0,
-                dst: 1,
+            queues: vec![vec![GranuleMove {
+                granule: GranuleId(0),
+                src: NodeId(0),
+                dst: NodeId(1),
             }]],
         });
         sim.run_until(SECOND / 2);
@@ -1861,7 +1860,6 @@ mod tests {
 
     #[test]
     fn a_rebalance_move_onto_its_own_source_is_dropped() {
-        use marlin_autoscaler::GranuleMove;
         let mut sim = quiet_marlin(2);
         let moves = vec![GranuleMove {
             granule: GranuleId(0),

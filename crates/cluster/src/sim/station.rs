@@ -184,11 +184,10 @@ pub struct PerRequestStation {
     /// Per-worker reservation calendars.
     pub(super) workers: Vec<Calendar>,
     /// Offered-work integral per [`BUCKET`] of virtual time (each
-    /// request's service demand deposited at its arrival), ring-indexed
-    /// as `(bucket id, nanoseconds offered in it)`.
-    pub(super) offered_ring: Vec<(u64, u64)>,
+    /// request's service demand deposited at its arrival).
+    pub(super) offered_ring: Ring,
     /// Waiting-time integral (queue length × time) per bucket.
-    pub(super) wait_ring: Vec<(u64, u64)>,
+    pub(super) wait_ring: Ring,
     /// Event clock of the last calendar pruning — nothing new can die
     /// until the clock advances, so same-event charges (a transaction's
     /// whole timeline prices in one event) skip the pruning pass.
@@ -202,24 +201,57 @@ pub struct PerRequestStation {
 pub(super) const BUCKET: Nanos = 100 * 1_000_000;
 
 /// Ring length in buckets: covers the 60 s maximum observation window
-/// plus 70 s of booking lookahead under deep backlog. A booking whose
-/// lookahead exceeded that budget would recycle a slot still inside a
-/// live trailing window and silently under-report occupancy;
-/// [`PerRequestStation::charge`] debug-asserts the invariant instead
-/// (paper-scale backlogs book a few seconds ahead at most).
+/// plus 70 s of booking lookahead under deep backlog (paper-scale
+/// backlogs book a few seconds ahead at most).
 const RING: u64 = 1_300;
 
-/// The lookahead budget the ring affords: bookings may end at most this
-/// far past the event clock without endangering reads over the maximum
-/// observation window. One extra bucket is reserved because a windowed
-/// read spans `window/BUCKET + 1` buckets (the window-edge bucket is
-/// included whole).
+/// The lookahead budget the ring affords: a bucket this far past the
+/// event clock would recycle a slot still inside a live trailing window
+/// of the maximum length. One extra bucket is reserved because a
+/// windowed read spans `window/BUCKET + 1` buckets (the window-edge
+/// bucket is included whole).
 const MAX_LOOKAHEAD: Nanos = RING * BUCKET - ClusterSim::MAX_OBSERVE_WINDOW - BUCKET;
 
-/// The ring slot for `bucket`, recycled (tag rewritten, value zeroed)
-/// if it still holds an older bucket's total.
-pub(super) fn ring_slot(ring: &mut [(u64, u64)], bucket: u64) -> &mut u64 {
-    let slot = &mut ring[(bucket % RING) as usize];
+/// A per-[`BUCKET`] integral over virtual time: a ring of
+/// `(bucket id, total)` slots for the buckets within the lookahead
+/// budget of the event clock, and an ordered map for those past it. A
+/// transaction's whole timeline prices in one event, so one that
+/// crosses a partitioned region's 5 s hops can book a minute or more
+/// ahead; its far buckets move into the ring as the clock catches up.
+pub(super) struct Ring {
+    slots: Vec<(u64, u64)>,
+    far: std::collections::BTreeMap<u64, u64>,
+    /// The first bucket past the lookahead budget.
+    reach: u64,
+}
+
+impl Ring {
+    fn new() -> Self {
+        Ring {
+            slots: vec![(u64::MAX, 0); RING as usize],
+            far: std::collections::BTreeMap::new(),
+            reach: MAX_LOOKAHEAD / BUCKET,
+        }
+    }
+
+    /// The event clock reached `now`: move the far buckets now within
+    /// the budget into the ring.
+    fn advance(&mut self, now: Nanos) {
+        self.reach = (now + MAX_LOOKAHEAD) / BUCKET;
+        while let Some(entry) = self.far.first_entry().filter(|e| *e.key() < self.reach) {
+            let (bucket, total) = entry.remove_entry();
+            *ring_slot(self, bucket) += total;
+        }
+    }
+}
+
+/// The total of `bucket`. A ring slot is recycled (tag rewritten, value
+/// zeroed) if it still holds an older bucket's total.
+pub(super) fn ring_slot(ring: &mut Ring, bucket: u64) -> &mut u64 {
+    if bucket >= ring.reach {
+        return ring.far.entry(bucket).or_default();
+    }
+    let slot = &mut ring.slots[(bucket % RING) as usize];
     if slot.0 != bucket {
         *slot = (bucket, 0);
     }
@@ -227,7 +259,7 @@ pub(super) fn ring_slot(ring: &mut [(u64, u64)], bucket: u64) -> &mut u64 {
 }
 
 /// Distribute the interval `[from, to)` into the ring's buckets.
-pub(super) fn deposit(ring: &mut [(u64, u64)], from: Nanos, to: Nanos) {
+pub(super) fn deposit(ring: &mut Ring, from: Nanos, to: Nanos) {
     let mut t = from;
     while t < to {
         let bucket = t / BUCKET;
@@ -241,18 +273,23 @@ pub(super) fn deposit(ring: &mut [(u64, u64)], from: Nanos, to: Nanos) {
 /// covered edge buckets by their overlap (a whole-bucket sum would
 /// systematically under-report short windows) and skipping recycled
 /// slots.
-fn ring_integral(ring: &[(u64, u64)], cutoff: Nanos, at: Nanos) -> f64 {
-    let mut sum = 0.0;
-    for bucket in (cutoff / BUCKET)..=(at / BUCKET) {
-        let slot = ring[(bucket % RING) as usize];
-        if slot.0 != bucket {
-            continue;
-        }
+fn ring_integral(ring: &Ring, cutoff: Nanos, at: Nanos) -> f64 {
+    let prorated = |bucket: u64, total: u64| {
         let b_start = bucket * BUCKET;
         let overlap = (b_start + BUCKET)
             .min(at)
             .saturating_sub(b_start.max(cutoff));
-        sum += slot.1 as f64 * overlap as f64 / BUCKET as f64;
+        total as f64 * overlap as f64 / BUCKET as f64
+    };
+    let mut sum = 0.0;
+    for bucket in (cutoff / BUCKET)..=(at / BUCKET) {
+        let slot = ring.slots[(bucket % RING) as usize];
+        if slot.0 == bucket {
+            sum += prorated(bucket, slot.1);
+        }
+    }
+    for (&bucket, &total) in ring.far.range(cutoff / BUCKET..=at / BUCKET) {
+        sum += prorated(bucket, total);
     }
     sum
 }
@@ -264,8 +301,8 @@ impl PerRequestStation {
         assert!(workers >= 1, "a station needs at least one worker");
         PerRequestStation {
             workers: vec![Calendar::default(); workers],
-            offered_ring: vec![(u64::MAX, 0); RING as usize],
-            wait_ring: vec![(u64::MAX, 0); RING as usize],
+            offered_ring: Ring::new(),
+            wait_ring: Ring::new(),
             pruned_at: 0,
             last_arrival: 0,
         }
@@ -289,6 +326,8 @@ impl PerRequestStation {
                 calendar.hint = 0;
             }
             self.pruned_at = now;
+            self.offered_ring.advance(now);
+            self.wait_ring.advance(now);
         } else if at < self.last_arrival {
             for calendar in &mut self.workers {
                 calendar.hint = 0;
@@ -315,12 +354,6 @@ impl PerRequestStation {
             None => self.earliest_gap(at, service),
         };
         let end = start + service;
-        debug_assert!(
-            end.saturating_sub(now) <= MAX_LOOKAHEAD,
-            "booking lookahead {} ns overflows the occupancy ring's {} ns budget",
-            end.saturating_sub(now),
-            MAX_LOOKAHEAD,
-        );
         deposit(&mut self.wait_ring, at, start);
         // Offered work is a point event: the whole service demand lands
         // in the arrival's bucket (uniform within it, as far as a

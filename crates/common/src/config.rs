@@ -96,19 +96,8 @@ pub struct ClusterConfig {
     pub initial_nodes: Vec<NodeId>,
     /// Layouts of all user tables.
     pub tables: Vec<GranuleLayout>,
-    /// Buffer-cache capacity per node, in pages.
-    pub cache_pages_per_node: usize,
     /// Page size in bytes.
     pub page_bytes: u64,
-    /// Group-commit batch window in microseconds (paper §5 batches log
-    /// records from multiple transactions into one log operation).
-    pub group_commit_us: u64,
-    /// Heartbeat period of the ring failure detector, microseconds.
-    pub heartbeat_period_us: u64,
-    /// Missed heartbeats before a successor is suspected dead.
-    pub heartbeat_miss_threshold: u32,
-    /// Number of ring successors each node monitors (k in §4.4.2).
-    pub heartbeat_fanout: usize,
 }
 
 impl Default for ClusterConfig {
@@ -122,12 +111,7 @@ impl Default for ClusterConfig {
                 64 * 1024,
                 1024,
             )],
-            cache_pages_per_node: 64 * 1024,
             page_bytes: 16 * 1024,
-            group_commit_us: 1_000,
-            heartbeat_period_us: 500_000,
-            heartbeat_miss_threshold: 3,
-            heartbeat_fanout: 2,
         }
     }
 }

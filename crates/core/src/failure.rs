@@ -9,7 +9,8 @@
 //!
 //! The detector is pure: callers feed it clock ticks, membership views,
 //! and ack events; it emits the heartbeats to send and the suspicions it
-//! has formed. Both runners drive it.
+//! has formed. The `failover` example and `tests/failover.rs` drive it;
+//! the runners do not, since they inject crashes as scripted faults.
 
 use crate::mtable::MTable;
 use marlin_common::NodeId;

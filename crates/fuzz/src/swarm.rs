@@ -15,8 +15,9 @@ use marlin_cluster::harness::{run, LocalRunner, RunReport, SimRunner};
 
 /// A property checked against a finished run: returns one message per
 /// violated expectation (empty = pass). Runs in addition to the
-/// built-in structural checks and, on the local runner, the I2–I4
-/// ownership invariants.
+/// built-in structural checks and the runner's ownership check: the
+/// I2–I4 invariants on the local runner, a live owner for every granule
+/// on the simulator.
 pub type Oracle = dyn Fn(&FuzzCase, &RunReport) -> Vec<String> + Sync;
 
 /// Knobs for a fuzz run.
@@ -118,7 +119,14 @@ pub fn run_case(case: &FuzzCase, oracle: Option<&Oracle>) -> CaseOutcome {
         RunnerKind::Sim => {
             let mut runner = SimRunner::new(&scenario);
             let report = run(scenario, &mut runner);
-            (report, Vec::new())
+            // Every granule ends the run on a live node.
+            let live = runner.sim().live_node_ids();
+            let owners = runner.sim().owners().into_iter().enumerate();
+            let violations: Vec<String> = owners
+                .filter(|(_, owner)| !live.contains(owner))
+                .map(|(g, owner)| format!("granule {g} ended on released node {owner}"))
+                .collect();
+            (report, violations)
         }
         RunnerKind::Local => {
             let mut runner = LocalRunner::new(&scenario);

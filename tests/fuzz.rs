@@ -181,3 +181,17 @@ fn repro_artifact_replays_to_identical_digest() {
         "replay must reproduce the violation"
     );
 }
+
+/// The standard corpus (the `fuzz_swarm` example's seeds 1000..1064 at
+/// `MARLIN_SCALE=10`) runs clean through `run_case`, whose simulator arm
+/// checks that every granule ends the run on a live node. A migration
+/// queued before a later drain released its destination must not land
+/// a granule on the released node.
+#[test]
+fn standard_corpus_leaves_every_granule_on_a_live_node() {
+    let failing: Vec<(u64, Vec<String>)> = (1_000..1_064)
+        .map(|seed| (seed, run_case(&generate(seed, 10), None).violations))
+        .filter(|(_, violations)| !violations.is_empty())
+        .collect();
+    assert!(failing.is_empty(), "{failing:?}");
+}

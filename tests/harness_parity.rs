@@ -6,15 +6,20 @@
 //! produce the identical decision log (same tick/action sequence) on the
 //! synchronous `LocalCluster` and on the discrete-event `ClusterSim`.
 //!
+//! Placement: the same scripted scale-out and drain end with the same
+//! granule→node map on both runners, because both take their moves from
+//! `marlin::autoscaler::rebalance`'s one placement rule.
+//!
 //! Rebalance: a skewed YCSB workload concentrates heat on the first
 //! node's contiguous granule block; a planner-only controller must
 //! migrate hot granules off the loaded node — with zero I0–I4 violations
 //! on the synchronous runtime, where every move is a real MigrationTxn.
 
+use marlin::autoscaler::ScaleAction;
 use marlin::cluster::harness::{run, LocalRunner, RunReport, Scenario, SimRunner};
 use marlin::cluster::params::CoordKind;
 use marlin::cluster::sim::Workload;
-use marlin::common::{GranuleId, NodeId};
+use marlin::common::{GranuleId, NodeId, RegionId};
 use marlin::sim::SECOND;
 use marlin::workload::LoadTrace;
 
@@ -229,6 +234,55 @@ fn geo_autoscale_parity_holds_across_seeds() {
 }
 
 // ---------------------------------------------------------------------------
+// Placement: one rule, the same moves
+
+/// 4 nodes and 64 granules, no clients: `AddNodes{4}` (into `region`
+/// when given) at 1 s, then a drain of `victims` at 30 s.
+fn placement_script(geo: bool, region: Option<RegionId>, victims: &[u32]) -> Scenario {
+    let s = Scenario::new("placement")
+        .workload(Workload::ycsb(64))
+        .initial_nodes(4);
+    let s = if geo { s.geo() } else { s };
+    s.duration(60 * SECOND)
+        .action(SECOND, ScaleAction::AddNodes { count: 4, region })
+        .action(
+            30 * SECOND,
+            ScaleAction::RemoveNodes {
+                victims: victims.iter().map(|&v| NodeId(v)).collect(),
+            },
+        )
+}
+
+#[test]
+fn scripted_scaling_ends_with_the_same_granule_map_on_both_runners() {
+    let scripts: [(bool, Option<RegionId>, &[u32]); 5] = [
+        (false, None, &[4, 5, 6, 7]),
+        (false, None, &[0, 5]),
+        (false, None, &[6]),
+        (true, None, &[4, 5, 6, 7]),
+        (true, Some(RegionId(1)), &[1, 5]),
+    ];
+    for (geo, region, victims) in scripts {
+        let scenario = placement_script(geo, region, victims);
+        let mut local = LocalRunner::new(&scenario);
+        run(scenario, &mut local);
+        let scenario = placement_script(geo, region, victims);
+        let mut sim = SimRunner::new(&scenario);
+        run(scenario, &mut sim);
+        let local_owners = local.harness().owners();
+        assert!(local_owners.keys().copied().eq((0..64).map(GranuleId)));
+        let local_owners: Vec<u32> = local_owners.values().map(|n| n.0).collect();
+        assert_eq!(sim.sim().live_nodes() as usize, 8 - victims.len());
+        assert!(local_owners.iter().all(|o| !victims.contains(o)));
+        assert_eq!(
+            local_owners,
+            sim.sim().owners(),
+            "geo {geo}, add into {region:?}, remove {victims:?}"
+        );
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Zipfian-heat rebalance
 
 #[test]
@@ -279,7 +333,7 @@ fn zipfian_rebalance_preserves_i0_i4_on_the_local_cluster() {
     assert!(report.metrics.migrations > 0);
     assert_eq!(report.metrics.live_nodes, 3);
     // The hottest granule (id 0) left the loaded first node.
-    let owners = runner.owners();
+    let owners = runner.harness().owners();
     assert_ne!(
         owners.get(&GranuleId(0)),
         Some(&NodeId(0)),

@@ -23,7 +23,7 @@
 use crate::controller::Actuator;
 use crate::invariant::InvariantViolation;
 use crate::observe::{GranuleLoad, NodeLoad, Observation};
-use crate::rebalance::{drain_moves, scale_out_moves, GranuleMove};
+use crate::rebalance::{drain_moves, scale_out_moves, victims, GranuleMove};
 use marlin_common::{ClusterConfig, GranuleId, GranuleLayout, KeyRange, NodeId, RegionId, TableId};
 use marlin_core::runtime::LocalCluster;
 use marlin_sim::Nanos;
@@ -305,11 +305,12 @@ impl LocalHarness {
     /// onto the dead node's GLog to take over its granules, and a
     /// `DeleteNodeTxn` removes it from the membership.
     ///
-    /// Crashing a non-member or the last member is a no-op (there would
-    /// be no survivor to recover onto) — the same guard the simulator
-    /// applies, so the two runners stay fault-for-fault comparable.
+    /// The victim passes through [`victims`], the rule the simulator
+    /// applies: crashing a non-member or the last member is a no-op
+    /// (there would be no survivor to recover onto), so the two runners
+    /// stay fault-for-fault comparable.
     pub fn crash(&mut self, victim: NodeId) {
-        if !self.members.contains(&victim) {
+        if victims(&[victim], &self.members).is_empty() {
             return;
         }
         let survivors = self.survivors(&[victim]);
@@ -395,18 +396,12 @@ impl Actuator for LocalHarness {
         });
     }
 
-    /// Drain `victims` by `drain_moves`, then remove each with a
-    /// `DeleteNodeTxn` coordinated by the first survivor. Non-members
-    /// and repeats are dropped; a removal that would leave no member is
-    /// a no-op.
-    fn remove_nodes(&mut self, _at: Nanos, victims: &[NodeId]) {
-        let mut victims: Vec<NodeId> = victims
-            .iter()
-            .copied()
-            .filter(|v| self.members.contains(v))
-            .collect();
-        victims.sort_unstable();
-        victims.dedup();
+    /// Drain the nodes [`victims`] keeps of `requested` by `drain_moves`,
+    /// then remove each, in request order, with a `DeleteNodeTxn`
+    /// coordinated by the first survivor. The simulator takes its
+    /// victims from the same rule.
+    fn remove_nodes(&mut self, _at: Nanos, requested: &[NodeId]) {
+        let victims = victims(requested, &self.members);
         let survivors = self.placed(
             self.members
                 .iter()

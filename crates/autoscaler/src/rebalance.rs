@@ -2,7 +2,8 @@
 //! and the rebalance planner.
 //!
 //! [`scale_out_moves`] and [`drain_moves`] are the one placement rule
-//! for scale-out and scale-in. Both runners call them: the simulator
+//! for scale-out and scale-in, and [`victims`] the one rule for which
+//! requested nodes leave. Both runners call them: the simulator
 //! prices each [`GranuleMove`] in virtual time, and `LocalHarness` runs
 //! each as a real `MigrationTxn`, so the moves the simulator prices are
 //! the moves the protocol executes.
@@ -135,6 +136,25 @@ pub fn drain_moves(
             next += 1;
         }
     }
+}
+
+/// The victim rule both runners execute: the first occurrence of each
+/// requested node that is in `members`, in request order, or nothing if
+/// the removal would leave no member. The order is kept because the
+/// simulator lays out a drain's worker queues by it; [`drain_moves`]
+/// does not depend on it.
+#[must_use]
+pub fn victims(requested: &[NodeId], members: &[NodeId]) -> Vec<NodeId> {
+    let mut kept: Vec<NodeId> = Vec::new();
+    for &node in requested {
+        if members.contains(&node) && !kept.contains(&node) {
+            kept.push(node);
+        }
+    }
+    if kept.len() == members.len() {
+        kept.clear();
+    }
+    kept
 }
 
 /// Configuration of [`RebalancePlanner`].
@@ -361,6 +381,32 @@ mod tests {
             },
         ];
         obs
+    }
+
+    #[test]
+    fn victims_keeps_requested_members_once_in_order_and_never_all() {
+        let n = |ids: &[u32]| ids.iter().map(|&i| NodeId(i)).collect::<Vec<_>>();
+        let table: [(&[u32], &[u32], &[u32]); 7] = [
+            // A non-member is dropped.
+            (&[1, 7], &[0, 1, 2, 3], &[1]),
+            // A repeat keeps its first occurrence.
+            (&[2, 1, 2], &[0, 1, 2, 3], &[2, 1]),
+            // Request order is kept, not sorted.
+            (&[3, 0, 2], &[0, 1, 2, 3], &[3, 0, 2]),
+            // Naming every member would empty the cluster: nothing leaves.
+            (&[3, 2, 1, 0], &[0, 1, 2, 3], &[]),
+            (&[0, 0], &[0], &[]),
+            // With no members nothing is a victim.
+            (&[0, 1], &[], &[]),
+            (&[], &[0, 1, 2, 3], &[]),
+        ];
+        for (requested, members, want) in table {
+            assert_eq!(
+                victims(&n(requested), &n(members)),
+                n(want),
+                "{requested:?} of {members:?}"
+            );
+        }
     }
 
     #[test]

@@ -257,22 +257,7 @@ impl Runner for LocalRunner {
             ScaleAction::AddNodes { count, region } => {
                 self.harness.add_nodes(self.now, *count, *region);
             }
-            ScaleAction::RemoveNodes { victims } => {
-                // Mirror the simulator's guard: drop victims that are not
-                // current members and refuse a removal that would empty the
-                // membership. Fuzzed scripts routinely name stale or
-                // wholesale victim sets; the harness itself asserts on an
-                // empty survivor set, so filter before delegating.
-                let members = self.harness.members();
-                let victims: Vec<_> = victims
-                    .iter()
-                    .copied()
-                    .filter(|v| members.contains(v))
-                    .collect();
-                if !victims.is_empty() && victims.len() < members.len() {
-                    self.harness.remove_nodes(self.now, &victims);
-                }
-            }
+            ScaleAction::RemoveNodes { victims } => self.harness.remove_nodes(self.now, victims),
             ScaleAction::Rebalance { moves } => self.harness.rebalance(self.now, moves),
         }
         self.account_cas(cas_before);

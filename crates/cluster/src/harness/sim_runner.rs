@@ -119,15 +119,13 @@ impl Runner for SimRunner {
 
     fn inject(&mut self, fault: &Fault) {
         match fault {
-            // The recovery storm is modeled as an immediate drain of the
-            // victim onto the survivors at migration speed.
+            // The recovery storm is modeled as a drain of the victim onto
+            // the survivors at migration speed, taking its victim from
+            // the same rule as a scale-in.
             Fault::Crash(node) => {
                 self.sim.trace_fault(self.now, node.0);
-                let alive = self.sim.live_node_ids();
-                if alive.contains(&node.0) && alive.len() > 1 {
-                    self.sim
-                        .schedule_scale_in(self.now, vec![node.0], self.threads_per_node);
-                }
+                self.sim
+                    .schedule_scale_in(self.now, &[*node], self.threads_per_node);
             }
             Fault::RegionLatencySpike {
                 region,

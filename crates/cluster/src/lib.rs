@@ -54,4 +54,4 @@ pub use cost::CostModel;
 pub use harness::{run, LocalRunner, RunReport, Runner, Scenario, SimRunner};
 pub use metrics::{Blame, RunMetrics, TailExemplar, TailExemplars};
 pub use params::{CoordKind, CpuModel, SimParams};
-pub use sim::{ClusterSim, CpuStation, MigrationPlan, PerRequestStation, Workload};
+pub use sim::{ClusterSim, CpuStation, PerRequestStation, Workload};

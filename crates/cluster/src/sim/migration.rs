@@ -6,7 +6,7 @@
 
 use super::protocol::Coordinator;
 use super::*;
-use marlin_autoscaler::rebalance::{drain_moves, scale_out_moves};
+use marlin_autoscaler::rebalance::{drain_moves, scale_out_moves, victims};
 use marlin_common::{CoordError, TxnId};
 use marlin_core::drivers::MigrationDriver;
 
@@ -37,30 +37,31 @@ enum MigrationEnd {
 /// as the number of compute nodes increases", §6.1.4). A move's `src`
 /// must own its granule when the move runs; otherwise it is stale.
 #[derive(Clone, Debug, Default)]
-pub struct MigrationPlan {
+pub(super) struct MigrationPlan {
     /// One queue per worker thread.
-    pub queues: Vec<Vec<GranuleMove>>,
+    pub(super) queues: Vec<Vec<GranuleMove>>,
 }
 
 /// A scheduled-but-not-yet-started migration plan.
 ///
 /// Scale-outs are deliberately *deferred*: at order time only the node
-/// slots are reserved (so concurrent orders cannot collide and
-/// observations can report the capacity as pending); the balanced task
-/// list is built when the provisioning lead elapses and the nodes
-/// actually join. Building tasks at order time looks equivalent with
-/// instant provisioning — and is bit-identical then, since no event can
-/// run in between — but under a real lead any migration that commits
-/// during the window invalidates prebuilt tasks (the data-effectiveness
-/// check skips them as stale), leaving the join under-balanced and a
-/// subset of old nodes hot for the rest of the run.
+/// ids are minted (so observations can report the capacity as
+/// pending); the balanced task list is built when the plan starts —
+/// the provisioning lead has elapsed and the previous plan has
+/// finished — and the nodes actually join. Building tasks at order
+/// time looks equivalent with instant provisioning — and is
+/// bit-identical then, since no event can run in between — but under a
+/// real lead any migration that commits during the window invalidates
+/// prebuilt tasks (the data-effectiveness check skips them as stale),
+/// leaving the join under-balanced and a subset of old nodes hot for the
+/// rest of the run.
 pub(super) enum PendingPlan {
     /// A plan already built (a rebalance): the queues to run when it
     /// starts.
     Built(MigrationPlan),
     /// A scale-out whose rebalance tasks are built at start time.
     ScaleOut {
-        /// Reserved node slots that join when the lead elapses.
+        /// The joining nodes' fresh ids.
         slots: Vec<u32>,
         /// Migration worker threads per joining node.
         threads_per: u32,
@@ -79,8 +80,8 @@ impl Default for PendingPlan {
 }
 
 impl PendingPlan {
-    /// Slots this pending plan has reserved (they may not be handed to
-    /// another plan, and observations report them as pending capacity).
+    /// The nodes this pending plan will join (observations report them
+    /// as pending capacity).
     pub(super) fn reserved_slots(&self) -> &[u32] {
         match self {
             PendingPlan::Built(_) => &[],
@@ -90,13 +91,12 @@ impl PendingPlan {
 }
 
 impl ClusterSim {
-    /// Actuate one controller decision at virtual time `at`.
-    ///
-    /// Scale-outs and scale-ins reuse the same migration-plan machinery
-    /// the scripted scenarios exercise; rebalance moves become a one-off
-    /// migration plan after re-validating each move against current
-    /// ownership (the observation the planner saw may be a control
-    /// interval old).
+    /// Actuate one controller decision at virtual time `at`, the one way
+    /// into the simulator's reconfiguration. A scale-out mints fresh node
+    /// ids, a scale-in takes its victims from [`victims`], and rebalance
+    /// moves are re-validated against current ownership (the planner's
+    /// observation may be a control interval old). Each becomes a plan;
+    /// plans run one at a time, in the order they fire.
     pub fn apply_action(&mut self, at: Nanos, action: &ScaleAction, threads_per_node: u32) {
         let prof = self.profiler.start();
         if self.tracer.is_enabled() {
@@ -125,18 +125,7 @@ impl ClusterSim {
                 }
             }
             ScaleAction::RemoveNodes { victims } => {
-                let victims: Vec<u32> = victims
-                    .iter()
-                    .map(|n| n.0)
-                    .filter(|&v| {
-                        (v as usize) < self.nodes.len()
-                            && self.nodes[v as usize].alive
-                            && !self.draining.contains(&v)
-                    })
-                    .collect();
-                if !victims.is_empty() && (victims.len() as u32) < self.live_nodes() {
-                    self.schedule_scale_in(at, victims, threads_per_node);
-                }
+                self.schedule_scale_in(at, victims, threads_per_node);
             }
             ScaleAction::Rebalance { moves } => {
                 let moves: Vec<GranuleMove> = moves
@@ -162,15 +151,9 @@ impl ClusterSim {
                     .iter()
                     .map(|&dst| moves.iter().filter(|m| m.dst == dst).copied().collect())
                     .collect();
-                self.schedule_plan(at, MigrationPlan { queues });
+                self.schedule_plan(at, PendingPlan::Built(MigrationPlan { queues }));
             }
         }
-    }
-
-    /// Schedule a scale-out at `at`: `new_nodes` nodes join and the plan's
-    /// migrations run with `threads_per_new_node` workers per new node.
-    pub fn schedule_scale_out(&mut self, at: Nanos, new_nodes: u32, threads_per_new_node: u32) {
-        self.schedule_scale_out_in(at, new_nodes, threads_per_new_node, None);
     }
 
     /// Schedule a scale-out with an explicit placement request: the new
@@ -183,7 +166,7 @@ impl ClusterSim {
     /// capacity is not the same as having it. With the default lead of
     /// 0 the behavior (and every event timestamp) is exactly the
     /// historical instant-capacity one.
-    pub fn schedule_scale_out_in(
+    fn schedule_scale_out_in(
         &mut self,
         at: Nanos,
         new_nodes: u32,
@@ -207,75 +190,68 @@ impl ClusterSim {
                 ],
             );
         }
-        self.pending_plans.push(PendingPlan::ScaleOut {
+        let plan = PendingPlan::ScaleOut {
             slots,
             threads_per: threads_per_new_node,
             region,
             ordered_at: at,
-        });
-        let idx = self.pending_plans.len() - 1;
-        self.queue
-            .schedule_at(ready_at, ActorId(0), Event::StartPlan { plan_idx: idx });
+        };
+        self.schedule_plan(ready_at, plan);
     }
 
-    /// Schedule a scale-in at `at`: drain `victims` onto the survivors and
-    /// release each victim as soon as it is empty.
-    pub fn schedule_scale_in(&mut self, at: Nanos, victims: Vec<u32>, threads_per_victim: u32) {
-        self.queue.schedule_at(
-            at,
-            ActorId(0),
-            Event::StartDrain {
-                victims,
-                threads_per_victim,
-            },
-        );
+    /// Order a scale-in at `at`: the nodes [`victims`] keeps of
+    /// `requested`, the live nodes not leaving being the members, leave
+    /// from now on; each is released once its drain has emptied it.
+    pub(crate) fn schedule_scale_in(
+        &mut self,
+        at: Nanos,
+        requested: &[NodeId],
+        threads_per_victim: u32,
+    ) {
+        let members: Vec<NodeId> = (0..self.nodes.len() as u32)
+            .filter(|&i| self.nodes[i as usize].alive && !self.nodes[i as usize].leaving)
+            .map(NodeId)
+            .collect();
+        let victims: Vec<u32> = victims(requested, &members).iter().map(|v| v.0).collect();
+        if victims.is_empty() {
+            return;
+        }
+        for &v in &victims {
+            self.nodes[v as usize].leaving = true;
+        }
+        let start = Event::StartDrain {
+            victims,
+            threads_per_victim,
+        };
+        self.queue.schedule_at(at, ActorId(0), start);
     }
 
-    /// Reserve the node slots a scale-out will activate. Released (dead)
-    /// node slots are reused before fresh ones are provisioned, so
-    /// repeated scale-out/in cycles — the closed-loop controller's
-    /// steady diet — don't grow the node table without bound. With a
-    /// `target_region`, the joining nodes are placed in that region
-    /// (reused slots are re-homed — a released node is a fresh VM).
+    /// Provision the nodes a scale-out will activate, each with a fresh
+    /// id: a joining node is a new member with its own CPU, GLog and
+    /// trackers (`LocalHarness` mints its ids the same way). With a
+    /// `target_region`, the joining nodes are placed in that region.
     fn allocate_join_slots(&mut self, new_nodes: u32, target_region: Option<RegionId>) -> Vec<u32> {
         let regions = self.params.regions.regions() as u16;
-        // Slots already promised to a pending plan are not reusable.
-        let reserved: std::collections::BTreeSet<u32> = self
-            .pending_plans
-            .iter()
-            .flat_map(|p| p.reserved_slots().iter().copied())
-            .collect();
-        let mut slots: Vec<u32> = (0..self.nodes.len() as u32)
-            .filter(|&i| {
-                !self.nodes[i as usize].alive
-                    && !reserved.contains(&i)
-                    && !self.draining.contains(&i)
+        (0..new_nodes)
+            .map(|_| {
+                let idx = self.nodes.len() as u32;
+                self.nodes.push(NodeSim {
+                    region: target_region.unwrap_or(RegionId(idx as u16 % regions)),
+                    cpu: NodeCpu::new(self.params.cpu_model, self.params.cpu_workers),
+                    glog: SimLog::default(),
+                    tracker: LsnTracker::new(),
+                    append_station: CpuStation::new(1),
+                    alive: false, // activates when the plan starts
+                    leaving: false,
+                });
+                self.owned.push(0);
+                idx
             })
-            .take(new_nodes as usize)
-            .collect();
-        if let Some(r) = target_region {
-            for &slot in &slots {
-                self.nodes[slot as usize].region = r;
-            }
-        }
-        while (slots.len() as u32) < new_nodes {
-            let idx = self.nodes.len() as u32;
-            self.nodes.push(NodeSim {
-                region: target_region.unwrap_or(RegionId(idx as u16 % regions)),
-                cpu: NodeCpu::new(self.params.cpu_model, self.params.cpu_workers),
-                glog: SimLog::default(),
-                tracker: LsnTracker::new(),
-                append_station: CpuStation::new(1),
-                alive: false, // activates when the plan starts
-            });
-            self.owned.push(0);
-            slots.push(idx);
-        }
-        slots
+            .collect()
     }
 
     /// Build the balanced migration plan that moves granules from the
-    /// live nodes onto the reserved `slots`, against *current* ownership.
+    /// live nodes onto the joining `slots`, against *current* ownership.
     /// Called when the plan starts (provisioning complete), not when it
     /// was ordered: tasks built against order-time ownership go stale the
     /// moment any other migration commits during the lead, and stale
@@ -316,11 +292,9 @@ impl ClusterSim {
     /// remaining live nodes, by [`drain_moves`]: drains stay
     /// region-local, so the geo setting never ships a drained granule
     /// across the WAN while local capacity exists. Each victim gets
-    /// `threads_per_victim` worker queues, filled in turn; a victim named
-    /// twice queues by its first position, and the repeat's queues stay
-    /// empty (they still fix the workers' event order).
-    #[must_use]
-    pub fn drain_plan(&self, victims: &[u32], threads_per_victim: u32) -> MigrationPlan {
+    /// `threads_per_victim` worker queues, filled in turn, in victim
+    /// order.
+    fn drain_plan(&self, victims: &[u32], threads_per_victim: u32) -> MigrationPlan {
         let survivors: Vec<(NodeId, RegionId)> = (0..self.nodes.len() as u32)
             .filter(|i| self.nodes[*i as usize].alive && !victims.contains(i))
             .map(|i| self.placed(i))
@@ -353,12 +327,94 @@ impl ClusterSim {
             .map(|(g, gran)| (GranuleId(g as u64), NodeId(gran.owner)))
     }
 
-    /// Schedule a prepared plan to start at `at`.
-    pub fn schedule_plan(&mut self, at: Nanos, plan: MigrationPlan) {
-        self.pending_plans.push(PendingPlan::Built(plan));
+    /// Schedule `plan` to start at `at`.
+    fn schedule_plan(&mut self, at: Nanos, plan: PendingPlan) {
+        self.pending_plans.push(plan);
         let idx = self.pending_plans.len() - 1;
         self.queue
             .schedule_at(at, ActorId(0), Event::StartPlan { plan_idx: idx });
+    }
+
+    /// Start the plan a `StartPlan` or `StartDrain` event names, or hold
+    /// it while another plan's workers are active: a drain's snapshot of
+    /// the owner map then holds every earlier move, and a scale-out's pool
+    /// every earlier join and release, as on `LocalRunner`.
+    pub(super) fn start_or_hold(&mut self, now: Nanos, start: Event) {
+        if self.active_workers > 0 {
+            self.held.push_back(start);
+            return;
+        }
+        match start {
+            Event::StartPlan { plan_idx } => self.start_plan(now, plan_idx),
+            Event::StartDrain {
+                victims,
+                threads_per_victim,
+            } => {
+                let build = self.profiler.start();
+                let plan = self.drain_plan(&victims, threads_per_victim);
+                self.profiler.record("plan:drain", build);
+                if self.tracer.is_enabled() {
+                    let tasks: usize = plan.queues.iter().map(Vec::len).sum();
+                    self.tracer.instant_args(
+                        "migration",
+                        "drain_started",
+                        now,
+                        [("victims", victims.len() as i64), ("tasks", tasks as i64)],
+                    );
+                }
+                self.draining.extend(victims);
+                self.start_workers(plan);
+            }
+            // Only plan starts reach here (see `dispatch`).
+            _ => {}
+        }
+    }
+
+    fn start_plan(&mut self, now: Nanos, plan_idx: usize) {
+        let (plan, activate) = match std::mem::take(&mut self.pending_plans[plan_idx]) {
+            PendingPlan::Built(plan) => (plan, Vec::new()),
+            // Scale-out: provisioning is complete — build the balanced
+            // task list against *current* ownership (the slots are still
+            // dead here), then activate.
+            PendingPlan::ScaleOut {
+                slots,
+                threads_per,
+                region,
+                ordered_at,
+            } => {
+                // Order → provision → join: the lead the capacity order
+                // waited before the nodes could join.
+                self.tracer.span_args(
+                    "provision",
+                    "provision_lead",
+                    ordered_at,
+                    now,
+                    [("nodes", slots.len() as i64), ("", 0)],
+                );
+                let build = self.profiler.start();
+                let plan = self.balanced_tasks_onto(&slots, threads_per, region);
+                self.profiler.record("plan:build", build);
+                (plan, slots)
+            }
+        };
+        if self.tracer.is_enabled() {
+            let tasks: usize = plan.queues.iter().map(Vec::len).sum();
+            self.tracer.instant_args(
+                "migration",
+                "plan_started",
+                now,
+                [("tasks", tasks as i64), ("joining", activate.len() as i64)],
+            );
+        }
+        // This plan's nodes join the membership now.
+        self.accrue_region_time(now);
+        for slot in activate {
+            self.nodes[slot as usize].alive = true;
+        }
+        let live = self.live_nodes();
+        self.cost.advance(now, live);
+        self.metrics.node_count.push(now, f64::from(live));
+        self.start_workers(plan);
     }
 
     /// Hand each of `plan`'s queues to a new migration worker thread.
@@ -366,6 +422,7 @@ impl ClusterSim {
         for queue in plan.queues {
             let worker = self.workers.len() as u32;
             self.workers.push((queue, 0));
+            self.active_workers += 1;
             self.queue
                 .schedule(0, ActorId(0), Event::MigWorker { worker });
         }
@@ -378,6 +435,17 @@ impl ClusterSim {
             // Worker done; if a drain finished, release nodes.
             if !self.draining.is_empty() {
                 self.queue.schedule(0, ActorId(0), Event::ReleaseDrained);
+            }
+            // The plan is done with its last worker: release what it
+            // drained, so the next plan neither counts the victims as
+            // survivors nor plans moves onto them, and start that plan.
+            self.active_workers -= 1;
+            while self.active_workers == 0 {
+                let Some(next) = self.held.pop_front() else {
+                    break;
+                };
+                self.release_drained(now);
+                self.start_or_hold(now, next);
             }
             return;
         }

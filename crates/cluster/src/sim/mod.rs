@@ -54,6 +54,7 @@ use marlin_telemetry::{CoordBreakdown, CoordOps, LatencyHist, ProfileSummary, Pr
 use marlin_workload::{
     interleaved_share, TpccConfig, TpccGenerator, TxnTemplate, YcsbConfig, YcsbGenerator,
 };
+use std::collections::VecDeque;
 
 mod cohort;
 mod membership;
@@ -70,7 +71,6 @@ use observe::LatencyWindow;
 use station::NodeCpu;
 use walk::{Walk, WalkEnd};
 
-pub use migration::MigrationPlan;
 pub(crate) use service::CoordService;
 pub use station::{CpuStation, PerRequestStation};
 
@@ -127,6 +127,8 @@ struct NodeSim {
     append_station: CpuStation,
     /// Whether the node is a live member.
     alive: bool,
+    /// Whether its removal was ordered (it still serves until released).
+    leaving: bool,
 }
 
 impl NodeSim {
@@ -217,10 +219,10 @@ enum Event {
     /// Geo scenario: change one region's active client count (clients are
     /// interleaved over regions; region `r`'s clients are `r, r+R, ...`).
     SetRegionClients { region: u16, count: u32 },
-    /// Dynamic scenario: start a migration plan (scale-out or scale-in).
+    /// Dynamic scenario: start (or hold) a scale-out or rebalance plan.
     StartPlan { plan_idx: usize },
-    /// Dynamic scenario: drain `victims` onto survivors (the plan is built
-    /// at fire time against current ownership).
+    /// Dynamic scenario: drain `victims` onto survivors, or hold the
+    /// drain (the plan is built at start time against current ownership).
     StartDrain {
         victims: Vec<u32>,
         threads_per_victim: u32,
@@ -270,9 +272,15 @@ pub struct ClusterSim {
     membership_starts: Vec<Option<Nanos>>,
     /// Migration worker state: (queue, cursor, current blocked task).
     workers: Vec<(Vec<GranuleMove>, usize)>,
+    /// Workers whose final event (queue exhausted) has not fired yet.
+    active_workers: u32,
     /// Plans scheduled but not yet started (scale-out task lists are
-    /// built when the plan fires; see [`PendingPlan`]).
+    /// built when the plan starts; see [`PendingPlan`]).
     pending_plans: Vec<PendingPlan>,
+    /// `StartPlan`/`StartDrain` events that fired while another plan's
+    /// workers were active, in firing order: plans run one at a time, as
+    /// `LocalRunner` runs each actuation to completion.
+    held: VecDeque<Event>,
     /// Flow-level client cohorts (cohort engine only; empty otherwise).
     cohorts: Vec<Cohort>,
     /// Walk buffers — the exact engine's, the cohort engine's `COHORT_SAMPLES`:
@@ -298,7 +306,7 @@ pub struct ClusterSim {
     /// count-min sketch under the cohort engine when the granule table
     /// is large enough.
     heat: HeatTracker,
-    /// Nodes being drained for scale-in.
+    /// Nodes whose drain has started; each is released once empty.
     draining: Vec<u32>,
     /// Active network overlays from injected region faults:
     /// `(token, region, extra one-way latency, cross_region_only)`.
@@ -432,6 +440,7 @@ impl ClusterSim {
                 tracker: LsnTracker::new(),
                 append_station: CpuStation::new(1),
                 alive: true,
+                leaving: false,
             })
             .collect();
 
@@ -545,7 +554,9 @@ impl ClusterSim {
             membership_origins: Vec::new(),
             membership_starts: Vec::new(),
             workers: Vec::new(),
+            active_workers: 0,
             pending_plans: Vec::new(),
+            held: VecDeque::new(),
             cohorts,
             exact_walk: Walk::default(),
             cohort_walks: Vec::new(),
@@ -990,73 +1001,8 @@ impl ClusterSim {
                 }
             }
             Event::SetRegionClients { region, count } => self.apply_region_clients(region, count),
-            Event::StartPlan { plan_idx } => {
-                let (plan, activate) = match std::mem::take(&mut self.pending_plans[plan_idx]) {
-                    PendingPlan::Built(plan) => (plan, Vec::new()),
-                    // Scale-out: provisioning is complete — build the
-                    // balanced task list against *current* ownership
-                    // (the slots are still dead here, exactly as the
-                    // order-time build saw them), then activate.
-                    PendingPlan::ScaleOut {
-                        slots,
-                        threads_per,
-                        region,
-                        ordered_at,
-                    } => {
-                        // Order → provision → join: the lead the capacity
-                        // order waited before the nodes could join.
-                        self.tracer.span_args(
-                            "provision",
-                            "provision_lead",
-                            ordered_at,
-                            now,
-                            [("nodes", slots.len() as i64), ("", 0)],
-                        );
-                        let build = self.profiler.start();
-                        let plan = self.balanced_tasks_onto(&slots, threads_per, region);
-                        self.profiler.record("plan:build", build);
-                        (plan, slots)
-                    }
-                };
-                if self.tracer.is_enabled() {
-                    let tasks: usize = plan.queues.iter().map(Vec::len).sum();
-                    self.tracer.instant_args(
-                        "migration",
-                        "plan_started",
-                        now,
-                        [("tasks", tasks as i64), ("joining", activate.len() as i64)],
-                    );
-                }
-                // This plan's nodes join the membership now (AddNodeTxn
-                // cost). Other dead slots stay released — they may belong
-                // to a different pending plan or to a finished drain.
-                self.accrue_region_time(now);
-                for slot in activate {
-                    self.nodes[slot as usize].alive = true;
-                }
-                let live = self.live_nodes();
-                self.cost.advance(now, live);
-                self.metrics.node_count.push(now, f64::from(live));
-                self.start_workers(plan);
-            }
-            Event::StartDrain {
-                victims,
-                threads_per_victim,
-            } => {
-                let build = self.profiler.start();
-                let plan = self.drain_plan(&victims, threads_per_victim);
-                self.profiler.record("plan:drain", build);
-                if self.tracer.is_enabled() {
-                    let tasks: usize = plan.queues.iter().map(Vec::len).sum();
-                    self.tracer.instant_args(
-                        "migration",
-                        "drain_started",
-                        now,
-                        [("victims", victims.len() as i64), ("tasks", tasks as i64)],
-                    );
-                }
-                self.draining.extend(victims);
-                self.start_workers(plan);
+            start @ (Event::StartPlan { .. } | Event::StartDrain { .. }) => {
+                self.start_or_hold(now, start);
             }
             Event::ReleaseDrained => self.release_drained(now),
             Event::EndNetworkOverlay { token } => {
@@ -1069,6 +1015,7 @@ impl ClusterSim {
 
 #[cfg(test)]
 mod tests {
+    use super::migration::MigrationPlan;
     use super::observe::sorted_window_stats;
     use super::station::{deposit, ring_slot, Slot, BUCKET, CPU_TAU};
     use super::*;
@@ -1604,7 +1551,10 @@ mod tests {
             .threads_per_node(2)
             .duration(60 * SECOND);
         let mut runner = SimRunner::new(&scenario);
-        let idle = |runner: &SimRunner| runner.sim().workers.iter().all(|(q, at)| *at == q.len());
+        let idle = |runner: &SimRunner| {
+            let sim = runner.sim();
+            sim.active_workers == 0 && sim.held.is_empty()
+        };
         // Step the run until its migration workers are done (or `steps`
         // ran out), comparing the maintained counts with the recount
         // (`observe` asserts the same in debug builds) and checking that
@@ -1670,14 +1620,16 @@ mod tests {
         assert!(!sim.nodes[1].alive && !sim.nodes[9].alive && sim.draining.is_empty());
         assert_eq!(sim.owned[5], before[1] + before[5] + before[9]);
 
-        // Scale-out again: the two released slots are reused, one pushed.
+        // Scale-out again: the three new nodes get fresh ids 12, 13 and
+        // 14; the released nodes 1 and 9 stay released.
         runner.actuate(&ScaleAction::add(3));
-        assert_eq!(runner.sim().owned.len(), 13);
+        assert_eq!(runner.sim().owned.len(), 15);
         settle(&mut runner, 400, &[]);
         assert!(idle(&runner));
         let sim = runner.sim();
-        assert!(sim.nodes.iter().all(|n| n.alive));
-        assert!(sim.owned[1] > 0 && sim.owned[9] > 0 && sim.owned[12] > 0);
+        assert!(!sim.nodes[1].alive && !sim.nodes[9].alive);
+        assert_eq!(sim.owned[1] + sim.owned[9], 0);
+        assert!((12..15).all(|n| sim.nodes[n].alive && sim.owned[n] > 0));
 
         // A crash is modeled as an immediate drain of the victim.
         runner.inject(&Fault::Crash(NodeId(12)));
@@ -1826,13 +1778,79 @@ mod tests {
             8,
             5 * SECOND,
         );
-        sim.schedule_scale_out(SECOND, 2, 2);
+        sim.apply_action(SECOND, &ScaleAction::add(2), 2);
         sim.run();
         let migrations = sim.metrics.migrations.total();
         assert!(migrations >= 100, "only {migrations} migrations");
         let coord = sim.metrics.coord;
         assert_eq!(coord.migration_cas_attempts, 2 * migrations);
         assert_eq!(coord.migration_cas_retries, 0);
+    }
+
+    /// On a quiet `nodes`-node simulator, order `first` at 0 and `then`
+    /// at the first whole millisecond at which `ready` holds, while
+    /// `first`'s plan still runs; run to the horizon. Returns the
+    /// simulator and the owner map `LocalHarness` ends with after the same
+    /// two actions, each run to completion.
+    fn ordered_mid_plan(
+        nodes: u32,
+        first: &ScaleAction,
+        then: &ScaleAction,
+        ready: impl Fn(Nanos, &ClusterSim) -> bool,
+    ) -> (ClusterSim, Vec<u32>) {
+        use marlin_autoscaler::{Actuator, LocalHarness};
+        let mut sim = quiet_marlin(nodes);
+        sim.apply_action(0, first, 1);
+        let mut t = 0;
+        while t < sim.horizon && !ready(t, &sim) {
+            t += SECOND / 1_000;
+            sim.run_until(t);
+        }
+        assert!(sim.active_workers > 0, "the first plan has finished");
+        sim.apply_action(t, then, 1);
+        sim.run();
+        let mut local = LocalHarness::bootstrap(nodes, 64);
+        for action in [first, then] {
+            match action {
+                ScaleAction::AddNodes { count, region } => local.add_nodes(0, *count, *region),
+                ScaleAction::RemoveNodes { victims } => local.remove_nodes(0, victims),
+                ScaleAction::Rebalance { moves } => local.rebalance(0, moves),
+            }
+        }
+        let local_owners = local.owners().values().map(|n| n.0).collect();
+        (sim, local_owners)
+    }
+
+    #[test]
+    fn a_drain_ordered_while_a_scale_out_onto_its_victim_runs_empties_it() {
+        // Seed 1051's shape: node 2 joins, and its removal (naming a
+        // node that does not exist, too) is ordered once some, not all,
+        // of the scale-out's moves onto it have landed.
+        let (sim, local) = ordered_mid_plan(
+            2,
+            &ScaleAction::add(1),
+            &ScaleAction::RemoveNodes {
+                victims: vec![NodeId(2), NodeId(4)],
+            },
+            |_, sim| sim.owned.get(2).is_some_and(|&n| n > 0),
+        );
+        assert!(!sim.nodes[2].alive && sim.owned[2] == 0 && sim.draining.is_empty());
+        assert_eq!(sim.live_node_ids(), [0, 1]);
+        assert_eq!(sim.owners(), local);
+    }
+
+    #[test]
+    fn two_drains_ordered_63_ms_apart_run_one_after_the_other() {
+        // Seed 1057's shape: the second removal is ordered while the
+        // first drain still runs, and its plan waits for it.
+        let remove = |v| ScaleAction::RemoveNodes {
+            victims: vec![NodeId(v)],
+        };
+        let (sim, local) =
+            ordered_mid_plan(4, &remove(1), &remove(2), |t, _| t >= 63 * SECOND / 1_000);
+        assert!(!sim.nodes[1].alive && !sim.nodes[2].alive && sim.draining.is_empty());
+        assert_eq!(sim.owned[1] + sim.owned[2], 0);
+        assert_eq!(sim.owners(), local);
     }
 
     #[test]

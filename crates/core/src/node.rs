@@ -238,14 +238,6 @@ impl MarlinNode {
         }
         self.tracker.observe(LogId::GLog(node), end);
     }
-
-    /// Bootstrap helper: seed the MTable directly (initial cluster bring-up
-    /// reads the SysLog from LSN 0, which is the same thing).
-    pub fn seed_mtable(&mut self, mtable: MTable) {
-        self.tracker.observe(LogId::SysLog, mtable.applied_lsn());
-        self.mtable = mtable;
-        self.mtable_valid = true;
-    }
 }
 
 #[cfg(test)]

@@ -6,9 +6,10 @@
 //! produce the identical decision log (same tick/action sequence) on the
 //! synchronous `LocalCluster` and on the discrete-event `ClusterSim`.
 //!
-//! Placement: the same scripted scale-out and drain end with the same
-//! granule→node map on both runners, because both take their moves from
-//! `marlin::autoscaler::rebalance`'s one placement rule.
+//! Placement: the same scripted scale-out and drain, and every non-crash
+//! case of the standard fuzz corpus, end with the same granule→node map
+//! on both runners, because both take node ids, victims and moves from
+//! one rule and run one plan at a time.
 //!
 //! Rebalance: a skewed YCSB workload concentrates heat on the first
 //! node's contiguous granule block; a planner-only controller must
@@ -340,4 +341,62 @@ fn zipfian_rebalance_preserves_i0_i4_on_the_local_cluster() {
         "the hottest granule must move off node 0"
     );
     runner.harness().cluster.assert_invariants();
+}
+
+// ---------------------------------------------------------------------------
+// The standard corpus: one reconfiguration rule, the same cluster
+
+/// Every non-crash case of the standard fuzz corpus (seeds 1000..1064
+/// at scale 10) ends with the same live membership and the same
+/// granule→node map on both runners: node ids, victim sets and the
+/// order in which plans compose are one rule, executed by both.
+///
+/// Each case is forced to Marlin with no policy and no membership
+/// stress, so the scripted schedule is the whole story. Exclusions, and
+/// why:
+/// - crash cases: the simulator models a crash as a drain, the local
+///   runner as §4.4.2 recovery, so their placements differ by design
+///   until both run the same recovery;
+/// - the provisioning lead (and its `LeadJitter` events) is zeroed: only
+///   the simulator models it, so a late join would split the runners;
+/// - the horizon is extended by 300 s: parity is a claim about the
+///   cluster after every plan has finished, and the simulator prices
+///   plans in time, so a horizon can cut one short.
+#[test]
+fn standard_corpus_ends_in_the_same_cluster_on_both_runners() {
+    use marlin::fuzz::{generate, FuzzEvent, PolicyKind};
+    let mut compared = 0;
+    let mut differ = Vec::new();
+    for seed in 1_000..1_064 {
+        let mut case = generate(seed, 10);
+        if case
+            .events
+            .iter()
+            .any(|e| matches!(e.event, FuzzEvent::Crash { .. }))
+        {
+            continue;
+        }
+        case.backend = CoordKind::Marlin;
+        case.policy = PolicyKind::None;
+        case.membership_stress = None;
+        case.provision_lead_ms = 0;
+        case.events
+            .retain(|e| !matches!(e.event, FuzzEvent::LeadJitter { .. }));
+        case.horizon_ms += 300_000;
+        let scenario = case.build_scenario();
+        let mut local = LocalRunner::new(&scenario);
+        run(scenario, &mut local);
+        let scenario = case.build_scenario();
+        let mut sim = SimRunner::new(&scenario);
+        run(scenario, &mut sim);
+        compared += 1;
+        let mut local_members: Vec<u32> = local.harness().members().iter().map(|n| n.0).collect();
+        local_members.sort_unstable();
+        let local_owners: Vec<u32> = local.harness().owners().values().map(|n| n.0).collect();
+        if local_members != sim.sim().live_node_ids() || local_owners != sim.sim().owners() {
+            differ.push(seed);
+        }
+    }
+    assert_eq!(compared, 43, "the corpus's non-crash case count moved");
+    assert!(differ.is_empty(), "seeds ending differently: {differ:?}");
 }

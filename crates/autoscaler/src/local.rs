@@ -5,11 +5,11 @@
 //! runtime. Every action executes *real* reconfiguration transactions
 //! through the sans-io drivers in `marlin_core::drivers::reconfig`:
 //! `AddNodeTxn` for scale-out, per-granule `MigrationTxn`s for draining
-//! and rebalancing, and `DeleteNodeTxn` once a victim is empty. Which
-//! granules move where on scale-out and drain is decided by
-//! [`scale_out_moves`] and [`drain_moves`], the rule the simulator
-//! prices, so both runners end a scripted scaling run with the same
-//! granule→node map. Because
+//! and rebalancing, `RecoveryMigrTxn`s for a crashed node's granules,
+//! and `DeleteNodeTxn` once a victim is empty. Which granules move where
+//! on scale-out, drain and crash is decided by [`scale_out_moves`] and
+//! [`drain_moves`], the rule the simulator prices, so both runners end a
+//! scripted scaling run with the same granule→node map. Because
 //! the runtime is synchronous, actions complete before `tick` returns and
 //! invariants can be asserted after every control step — this is the
 //! harness the policy end-to-end tests run against.
@@ -301,9 +301,15 @@ impl LocalHarness {
     }
 
     /// Crash `victim` and run the paper's §4.4.2 recovery end to end: the
-    /// node is killed, a surviving coordinator commits a `RecoveryMigrTxn`
-    /// onto the dead node's GLog to take over its granules, and a
-    /// `DeleteNodeTxn` removes it from the membership.
+    /// node is killed, each destination commits one `RecoveryMigrTxn`
+    /// onto the dead node's GLog to take over its share of the granules,
+    /// and a `DeleteNodeTxn` coordinated by the first survivor removes it
+    /// from the membership.
+    ///
+    /// §4.4.2 recovery differs from a drain only in how each move
+    /// commits (the source cannot vote), so the orphans go where
+    /// [`drain_moves`] would send them: same-region survivors first, one
+    /// cursor, and no single survivor takes the whole victim's load.
     ///
     /// The victim passes through [`victims`], the rule the simulator
     /// applies: crashing a non-member or the last member is a no-op
@@ -313,19 +319,19 @@ impl LocalHarness {
         if victims(&[victim], &self.members).is_empty() {
             return;
         }
-        let survivors = self.survivors(&[victim]);
-        let Some(&coordinator) = survivors.first() else {
-            return;
-        };
+        let survivors = self.placed(self.members.iter().copied().filter(|&m| m != victim));
         self.cluster.kill(victim);
-        let orphans = self.cluster.node(victim).marlin.owned_granules();
-        if !orphans.is_empty() {
+        let mut orphans: BTreeMap<NodeId, Vec<GranuleId>> = BTreeMap::new();
+        drain_moves(self.owners(), &self.placed([victim]), &survivors, |m| {
+            orphans.entry(m.dst).or_default().push(m.granule);
+        });
+        for (dst, granules) in orphans {
             self.cluster
-                .recovery_migrate(coordinator, victim, orphans)
+                .recovery_migrate(dst, victim, granules)
                 .expect("RecoveryMigrTxn commits on the dead node's GLog");
         }
         self.cluster
-            .delete_node(coordinator, victim)
+            .delete_node(survivors[0].0, victim)
             .expect("DeleteNodeTxn removes the dead member");
         self.members.retain(|&m| m != victim);
     }
@@ -347,20 +353,6 @@ impl LocalHarness {
             Ok(()) => Ok(()),
             Err(raw) => Err(InvariantViolation::from_core_all(&raw, at)),
         }
-    }
-
-    /// The live members excluding `not`, least loaded first: `crash`
-    /// recovers onto the first.
-    fn survivors(&self, not: &[NodeId]) -> Vec<NodeId> {
-        let counts = self.owned_counts();
-        let mut survivors: Vec<NodeId> = self
-            .members
-            .iter()
-            .copied()
-            .filter(|m| !not.contains(m))
-            .collect();
-        survivors.sort_by_key(|m| counts.get(m).copied().unwrap_or(0));
-        survivors
     }
 }
 

@@ -29,7 +29,8 @@ pub struct NodeLoad {
     /// The region the runner placed the node in (`RegionId(0)` for
     /// single-region deployments).
     pub region: RegionId,
-    /// Whether the node is a live member.
+    /// Whether the node is a live member: up, and no removal of it
+    /// ordered (a node being drained is no longer counted).
     pub alive: bool,
     /// Whether the node is *ordered but not yet live*: an `AddNodes`
     /// actuation reserved this slot and the provisioning lead time is
@@ -194,22 +195,7 @@ impl Observation {
     /// Live nodes ordered coolest-first — the preferred scale-in victims.
     #[must_use]
     pub fn coolest_live_nodes(&self) -> Vec<NodeId> {
-        self.coolest_live_nodes_where(|_| true)
-    }
-
-    /// Live nodes *in one region* ordered coolest-first — the preferred
-    /// victims for a region-local drain.
-    #[must_use]
-    pub fn coolest_live_nodes_in(&self, region: RegionId) -> Vec<NodeId> {
-        self.coolest_live_nodes_where(|n| n.region == region)
-    }
-
-    fn coolest_live_nodes_where(&self, keep: impl Fn(&NodeLoad) -> bool) -> Vec<NodeId> {
-        let mut live: Vec<&NodeLoad> = self
-            .node_loads
-            .iter()
-            .filter(|n| n.alive && keep(n))
-            .collect();
+        let mut live: Vec<&NodeLoad> = self.node_loads.iter().filter(|n| n.alive).collect();
         live.sort_by(|a, b| {
             a.utilization
                 .total_cmp(&b.utilization)
@@ -449,10 +435,6 @@ mod tests {
         assert!((v.mean_utilization - 0.15).abs() < 1e-12);
         // Victim ordering inside the view is region-local.
         assert_eq!(v.coolest_live_nodes(), vec![NodeId(3), NodeId(1)]);
-        assert_eq!(
-            obs.coolest_live_nodes_in(RegionId(1)),
-            vec![NodeId(3), NodeId(1)]
-        );
         // Granule samples follow their owner's placement: only the
         // granules owned by region-1 nodes (odd ids) survive the view.
         assert_eq!(

@@ -46,7 +46,8 @@ pub struct LocalRunner {
     node_time: f64,
     /// Node-nanoseconds accrued per region (the per-region cost split).
     region_node_time: Vec<f64>,
-    /// MigrationTxns executed (counted by ownership diff per actuation).
+    /// Granules moved by `MigrationTxn`s and `RecoveryMigrTxn`s (counted by
+    /// ownership diff per reconfiguration step).
     migrations: u64,
     /// Real coordination ops, counted by diffing the storage service's
     /// per-log `Append@LSN` counters around every reconfiguration
@@ -205,6 +206,34 @@ impl LocalRunner {
         self.coord.migration_cas_attempts += after.2 - before.2;
         self.coord.migration_cas_retries += after.3 - before.3;
     }
+
+    /// Trace the instant `cat`/`name`, run one reconfiguration `step` on
+    /// the harness, and book it: its `Append@LSN` traffic, the I0–I4
+    /// checks, the granules whose owner it changed (one `MigrationTxn` or
+    /// `RecoveryMigrTxn` each) and the member count.
+    fn reconfigure(
+        &mut self,
+        cat: &'static str,
+        name: &'static str,
+        args: [(&'static str, i64); 2],
+        step: impl FnOnce(&mut LocalHarness, Nanos),
+    ) {
+        self.tracer.instant_args(cat, name, self.now, args);
+        let before = self.harness.owners();
+        let cas_before = self.cas_totals();
+        step(&mut self.harness, self.now);
+        self.account_cas(cas_before);
+        // Every step must leave the cluster with exclusive granule
+        // ownership — the I0–I4 safety net, checked on every step.
+        // Violations are collected, not panicked on (see `violations`).
+        self.check_invariants();
+        let after = self.harness.owners();
+        self.migrations += before
+            .iter()
+            .filter(|(g, owner)| after.get(g).is_some_and(|now| now != *owner))
+            .count() as u64;
+        self.record_node_count();
+    }
 }
 
 impl Runner for LocalRunner {
@@ -242,59 +271,28 @@ impl Runner for LocalRunner {
     }
 
     fn actuate(&mut self, action: &ScaleAction) {
-        let before = self.harness.owners();
-        let cas_before = self.cas_totals();
-        if self.tracer.is_enabled() {
-            let (name, n): (&'static str, i64) = match action {
-                ScaleAction::AddNodes { count, .. } => ("add_nodes", i64::from(*count)),
-                ScaleAction::RemoveNodes { victims } => ("remove_nodes", victims.len() as i64),
-                ScaleAction::Rebalance { moves } => ("rebalance", moves.len() as i64),
-            };
-            self.tracer
-                .instant_args("policy", name, self.now, [("count", n), ("", 0)]);
-        }
-        match action {
-            ScaleAction::AddNodes { count, region } => {
-                self.harness.add_nodes(self.now, *count, *region);
-            }
-            ScaleAction::RemoveNodes { victims } => self.harness.remove_nodes(self.now, victims),
-            ScaleAction::Rebalance { moves } => self.harness.rebalance(self.now, moves),
-        }
-        self.account_cas(cas_before);
-        // Every actuation must leave the cluster with exclusive granule
-        // ownership — the I0–I4 safety net, checked on every step.
-        // Violations are collected, not panicked on (see `violations`).
-        self.check_invariants();
-        let after = self.harness.owners();
-        self.migrations += before
-            .iter()
-            .filter(|(g, owner)| after.get(g).is_some_and(|now| now != *owner))
-            .count() as u64;
-        self.record_node_count();
+        let (name, n): (&'static str, i64) = match action {
+            ScaleAction::AddNodes { count, .. } => ("add_nodes", i64::from(*count)),
+            ScaleAction::RemoveNodes { victims } => ("remove_nodes", victims.len() as i64),
+            ScaleAction::Rebalance { moves } => ("rebalance", moves.len() as i64),
+        };
+        self.reconfigure(
+            "policy",
+            name,
+            [("count", n), ("", 0)],
+            |harness, now| match action {
+                ScaleAction::AddNodes { count, region } => harness.add_nodes(now, *count, *region),
+                ScaleAction::RemoveNodes { victims } => harness.remove_nodes(now, victims),
+                ScaleAction::Rebalance { moves } => harness.rebalance(now, moves),
+            },
+        );
     }
 
     fn inject(&mut self, fault: &Fault) {
         match fault {
             Fault::Crash(node) => {
-                let before = self.harness.owners();
-                let cas_before = self.cas_totals();
-                if self.tracer.is_enabled() {
-                    self.tracer.instant_args(
-                        "fault",
-                        "crash",
-                        self.now,
-                        [("node", i64::from(node.0)), ("", 0)],
-                    );
-                }
-                self.harness.crash(*node);
-                self.account_cas(cas_before);
-                self.check_invariants();
-                let after = self.harness.owners();
-                self.migrations += before
-                    .iter()
-                    .filter(|(g, owner)| after.get(g).is_some_and(|now| now != *owner))
-                    .count() as u64;
-                self.record_node_count();
+                let args = [("node", i64::from(node.0)), ("", 0)];
+                self.reconfigure("fault", "crash", args, |harness, _| harness.crash(*node));
             }
             // The synchronous runtime has no network or provisioning
             // model: region degradations and lead jitter are traced

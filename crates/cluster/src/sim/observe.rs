@@ -243,7 +243,10 @@ impl ClusterSim {
             .map(|(i, n)| NodeLoad {
                 node: NodeId(i as u32),
                 region: n.region,
-                alive: n.alive,
+                // Counting a leaving node live would let a reactive
+                // policy order another removal every cooldown while the
+                // drain waits or runs.
+                alive: n.alive && !n.leaving,
                 pending: pending.contains(&(i as u32)),
                 utilization: n.cpu.observed_rho(now, window),
                 owned_granules: self.owned[i],
@@ -297,7 +300,7 @@ impl ClusterSim {
 
         let mut obs = Observation {
             at: now,
-            live_nodes: self.live_nodes(),
+            live_nodes: live.len() as u32,
             throughput_tps,
             p99_latency,
             mean_utilization,

@@ -10,8 +10,7 @@ use std::fmt;
 /// Identifier of a compute node in the cluster.
 ///
 /// Node IDs are assigned once at provisioning time and never reused; the
-/// ring-based failure detector (paper §4.4.2) sorts the membership by
-/// `NodeId` to derive heartbeat successors.
+/// membership is ordered by `NodeId` (the §4.4.2 heartbeat ring).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct NodeId(pub u32);
 

@@ -29,7 +29,6 @@
 //! - [`runtime`] — a synchronous in-process cluster runner that fulfills
 //!   driver effects directly against `marlin-storage`; the functional
 //!   reference implementation used by unit/integration tests and examples.
-//! - [`failure`] — ring-based heartbeat failure detection (§4.4.2).
 //! - [`router`] — client-side routing cache with `WrongNode` redirect
 //!   handling and `ScanGTableTxn` refresh.
 //! - [`invariants`] — executable checks of invariants I0–I4 (§4.5).
@@ -37,7 +36,6 @@
 //!   specification in Appendix B (NoDualOwnership, HasOneOwnership).
 
 pub mod drivers;
-pub mod failure;
 pub mod gtable;
 pub mod invariants;
 pub mod lsn_tracker;

@@ -92,9 +92,10 @@ impl MTable {
         self.applied
     }
 
-    /// The `k` ring successors of `node` used by the heartbeat failure
-    /// detector (§4.4.2): members sorted by node ID form a ring and each
-    /// node monitors the `k` nodes after it.
+    /// The `k` ring successors of `node` in §4.4.2's heartbeat ring:
+    /// members sorted by node ID form a ring and each node monitors the
+    /// `k` nodes after it. No runner detects failures (both inject
+    /// crashes as scripted faults), so only this module's tests call it.
     #[must_use]
     pub fn ring_successors(&self, node: NodeId, k: usize) -> Vec<NodeId> {
         let ids: Vec<NodeId> = self.scan();

@@ -17,18 +17,6 @@ pub fn as_secs_f64(t: Nanos) -> f64 {
     t as f64 / SECOND as f64
 }
 
-/// Convert fractional seconds to nanoseconds (for configuration).
-#[must_use]
-pub fn from_secs_f64(s: f64) -> Nanos {
-    (s * SECOND as f64).round() as Nanos
-}
-
-/// Convert microseconds to [`Nanos`].
-#[must_use]
-pub fn from_micros(us: u64) -> Nanos {
-    us * MICROSECOND
-}
-
 /// Convert milliseconds to [`Nanos`].
 #[must_use]
 pub fn from_millis(ms: u64) -> Nanos {
@@ -41,9 +29,7 @@ mod tests {
 
     #[test]
     fn conversions_round_trip() {
-        assert_eq!(from_secs_f64(1.5), 1_500_000_000);
         assert!((as_secs_f64(2_500_000_000) - 2.5).abs() < 1e-12);
-        assert_eq!(from_micros(3), 3_000);
         assert_eq!(from_millis(2), 2_000_000);
     }
 }

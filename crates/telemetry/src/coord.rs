@@ -46,12 +46,6 @@ impl CoordOps {
         self.commit_cas_attempts + self.migration_cas_attempts + self.membership_cas_attempts
     }
 
-    /// All CAS retries across subsystems.
-    #[must_use]
-    pub fn total_cas_retries(&self) -> u64 {
-        self.commit_cas_retries + self.migration_cas_retries + self.membership_cas_retries
-    }
-
     /// Ops that touched the external coordination service.
     #[must_use]
     pub fn service_ops(&self) -> u64 {
@@ -156,7 +150,6 @@ mod tests {
     fn totals_and_merge_add_up() {
         let mut a = ops();
         assert_eq!(a.total_cas_attempts(), 125);
-        assert_eq!(a.total_cas_retries(), 6);
         assert_eq!(a.service_ops(), 40);
         assert_eq!(a.total(), 125 + 40 + 8);
         a.merge(&ops());

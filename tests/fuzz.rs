@@ -15,7 +15,8 @@
 use marlin::cluster::harness::{run, SimRunner};
 use marlin::cluster::params::ClientEngine;
 use marlin::fuzz::{
-    fuzz_seed, generate, report_digest, run_case, FuzzCase, FuzzConfig, FuzzEvent, RunnerKind,
+    fuzz_seed, generate, report_digest, run_case, FuzzCase, FuzzConfig, FuzzEvent, PolicyKind,
+    RunnerKind,
 };
 
 /// Everything at MARLIN_SCALE=20-equivalent so the whole file stays fast.
@@ -194,4 +195,28 @@ fn standard_corpus_leaves_every_granule_on_a_live_node() {
         .filter(|(_, violations)| !violations.is_empty())
         .collect();
     assert!(failing.is_empty(), "{failing:?}");
+}
+
+/// A node whose removal was ordered is no longer live to a policy.
+/// Seeds 1046 (`reactive:2:8`) and 1053 (`reactive:2:10`) run long
+/// drains; counting a leaving node as live let the reactive policy order
+/// another removal every cooldown until one member was left. Run past
+/// their horizon by 300 s, both end within the policy's bounds.
+#[test]
+fn reactive_policy_keeps_its_floor_while_drains_run() {
+    for seed in [1_046, 1_053] {
+        let mut case = generate(seed, 10);
+        case.horizon_ms += 300_000;
+        let PolicyKind::Reactive { min, max } = case.policy else {
+            panic!("seed {seed} runs {:?}, not a reactive policy", case.policy);
+        };
+        let scenario = case.build_scenario();
+        let mut sim = SimRunner::new(&scenario);
+        run(scenario, &mut sim);
+        let live = sim.sim().live_nodes();
+        assert!(
+            (min..=max).contains(&live),
+            "seed {seed}: {live} live nodes, policy bounds {min}..={max}"
+        );
+    }
 }

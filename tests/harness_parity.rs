@@ -6,7 +6,7 @@
 //! produce the identical decision log (same tick/action sequence) on the
 //! synchronous `LocalCluster` and on the discrete-event `ClusterSim`.
 //!
-//! Placement: the same scripted scale-out and drain, and every non-crash
+//! Placement: the same scripted scale-out, drain and crash, and every
 //! case of the standard fuzz corpus, end with the same granule→node map
 //! on both runners, because both take node ids, victims and moves from
 //! one rule and run one plan at a time.
@@ -17,7 +17,7 @@
 //! on the synchronous runtime, where every move is a real MigrationTxn.
 
 use marlin::autoscaler::ScaleAction;
-use marlin::cluster::harness::{run, LocalRunner, RunReport, Scenario, SimRunner};
+use marlin::cluster::harness::{run, Fault, LocalRunner, RunReport, Scenario, SimRunner};
 use marlin::cluster::params::CoordKind;
 use marlin::cluster::sim::Workload;
 use marlin::common::{GranuleId, NodeId, RegionId};
@@ -238,36 +238,45 @@ fn geo_autoscale_parity_holds_across_seeds() {
 // Placement: one rule, the same moves
 
 /// 4 nodes and 64 granules, no clients: `AddNodes{4}` (into `region`
-/// when given) at 1 s, then a drain of `victims` at 30 s.
-fn placement_script(geo: bool, region: Option<RegionId>, victims: &[u32]) -> Scenario {
+/// when given) at 1 s, then at 30 s a drain of `victims`, or with
+/// `crash` a crash of the one victim.
+fn placement_script(geo: bool, region: Option<RegionId>, victims: &[u32], crash: bool) -> Scenario {
     let s = Scenario::new("placement")
         .workload(Workload::ycsb(64))
         .initial_nodes(4);
     let s = if geo { s.geo() } else { s };
-    s.duration(60 * SECOND)
-        .action(SECOND, ScaleAction::AddNodes { count: 4, region })
-        .action(
-            30 * SECOND,
-            ScaleAction::RemoveNodes {
-                victims: victims.iter().map(|&v| NodeId(v)).collect(),
-            },
-        )
+    let s = s
+        .duration(60 * SECOND)
+        .action(SECOND, ScaleAction::AddNodes { count: 4, region });
+    let victims: Vec<NodeId> = victims.iter().map(|&v| NodeId(v)).collect();
+    if crash {
+        s.faults(vec![(30 * SECOND, Fault::Crash(victims[0]))])
+    } else {
+        s.action(30 * SECOND, ScaleAction::RemoveNodes { victims })
+    }
 }
 
+/// A crash is §4.4.2 recovery on the local runner and a drain in the
+/// simulator; both place the orphans by the drain rule, so a crash of an
+/// original member or of a joiner ends in the same map as well.
 #[test]
 fn scripted_scaling_ends_with_the_same_granule_map_on_both_runners() {
-    let scripts: [(bool, Option<RegionId>, &[u32]); 5] = [
-        (false, None, &[4, 5, 6, 7]),
-        (false, None, &[0, 5]),
-        (false, None, &[6]),
-        (true, None, &[4, 5, 6, 7]),
-        (true, Some(RegionId(1)), &[1, 5]),
+    let scripts: [(bool, Option<RegionId>, &[u32], bool); 9] = [
+        (false, None, &[4, 5, 6, 7], false),
+        (false, None, &[0, 5], false),
+        (false, None, &[6], false),
+        (true, None, &[4, 5, 6, 7], false),
+        (true, Some(RegionId(1)), &[1, 5], false),
+        (false, None, &[1], true),
+        (false, None, &[5], true),
+        (true, None, &[1], true),
+        (true, None, &[6], true),
     ];
-    for (geo, region, victims) in scripts {
-        let scenario = placement_script(geo, region, victims);
+    for (geo, region, victims, crash) in scripts {
+        let scenario = placement_script(geo, region, victims, crash);
         let mut local = LocalRunner::new(&scenario);
         run(scenario, &mut local);
-        let scenario = placement_script(geo, region, victims);
+        let scenario = placement_script(geo, region, victims, crash);
         let mut sim = SimRunner::new(&scenario);
         run(scenario, &mut sim);
         let local_owners = local.harness().owners();
@@ -278,7 +287,7 @@ fn scripted_scaling_ends_with_the_same_granule_map_on_both_runners() {
         assert_eq!(
             local_owners,
             sim.sim().owners(),
-            "geo {geo}, add into {region:?}, remove {victims:?}"
+            "geo {geo}, add into {region:?}, remove {victims:?}, crash {crash}"
         );
     }
 }
@@ -346,17 +355,15 @@ fn zipfian_rebalance_preserves_i0_i4_on_the_local_cluster() {
 // ---------------------------------------------------------------------------
 // The standard corpus: one reconfiguration rule, the same cluster
 
-/// Every non-crash case of the standard fuzz corpus (seeds 1000..1064
-/// at scale 10) ends with the same live membership and the same
-/// granule→node map on both runners: node ids, victim sets and the
-/// order in which plans compose are one rule, executed by both.
+/// Every case of the standard fuzz corpus (seeds 1000..1064 at scale
+/// 10), crash cases included, ends with the same live membership and the
+/// same granule→node map on both runners: node ids, victim sets, the
+/// placement of drained and recovered granules and the order in which
+/// plans compose are one rule, executed by both.
 ///
 /// Each case is forced to Marlin with no policy and no membership
 /// stress, so the scripted schedule is the whole story. Exclusions, and
 /// why:
-/// - crash cases: the simulator models a crash as a drain, the local
-///   runner as §4.4.2 recovery, so their placements differ by design
-///   until both run the same recovery;
 /// - the provisioning lead (and its `LeadJitter` events) is zeroed: only
 ///   the simulator models it, so a late join would split the runners;
 /// - the horizon is extended by 300 s: parity is a claim about the
@@ -369,13 +376,6 @@ fn standard_corpus_ends_in_the_same_cluster_on_both_runners() {
     let mut differ = Vec::new();
     for seed in 1_000..1_064 {
         let mut case = generate(seed, 10);
-        if case
-            .events
-            .iter()
-            .any(|e| matches!(e.event, FuzzEvent::Crash { .. }))
-        {
-            continue;
-        }
         case.backend = CoordKind::Marlin;
         case.policy = PolicyKind::None;
         case.membership_stress = None;
@@ -397,6 +397,6 @@ fn standard_corpus_ends_in_the_same_cluster_on_both_runners() {
             differ.push(seed);
         }
     }
-    assert_eq!(compared, 43, "the corpus's non-crash case count moved");
+    assert_eq!(compared, 64, "the corpus's case count moved");
     assert!(differ.is_empty(), "seeds ending differently: {differ:?}");
 }

@@ -189,15 +189,15 @@ fn baseline_pricing_digests_are_pinned() {
     let pins: [(CoordKind, [u64; 3]); 3] = [
         (
             CoordKind::ZkSmall,
-            [0x493553095a6f770a, 0x119464c85bd8194d, 0x5948a25ffe16f99e],
+            [0x43c4c78e6c2c40cb, 0x119464c85bd8194d, 0x5948a25ffe16f99e],
         ),
         (
             CoordKind::ZkLarge,
-            [0xc13c3a2e7712a0b1, 0xb35841a0ce0992b4, 0xf667ab0ab7ea6855],
+            [0x60a8c8cdedb1dfc6, 0xb35841a0ce0992b4, 0xf667ab0ab7ea6855],
         ),
         (
             CoordKind::Fdb,
-            [0xbe5620532f1b674b, 0x18b89f5d16c40949, 0x78a419a6a7be5cd4],
+            [0xb4e257ddb239dd27, 0x18b89f5d16c40949, 0x52c7010a1163715a],
         ),
     ];
     for (kind, want) in pins {

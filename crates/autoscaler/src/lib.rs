@@ -1,23 +1,23 @@
-//! # marlin-autoscaler — the closed-loop autoscaling controller
+//! # marlin-autoscaler — the closed-loop autoscaling policies
 //!
 //! The paper's coordination layer makes reconfiguration *cheap*; this
 //! crate decides *when* to reconfigure. It closes the loop the scenario
 //! scripts used to hard-code: instead of replaying scale events at fixed
-//! timestamps, a controller observes the running cluster and emits the
-//! same reconfiguration transactions (`AddNodeTxn`, `MigrationTxn`,
-//! `DeleteNodeTxn`) the scripts did — now as a function of measured
-//! load.
+//! timestamps, a policy observes the running cluster and the runner
+//! emits the same reconfiguration transactions (`AddNodeTxn`,
+//! `MigrationTxn`, `DeleteNodeTxn`) the scripts did — now as a function
+//! of measured load.
 //!
 //! ## The observe → decide → actuate loop
 //!
 //! ```text
 //!        ┌────────────────────────────────────────────────┐
 //!        │                  runner                        │
-//!        │  (LocalCluster · ClusterSim)                   │
+//!        │  (LocalRunner · SimRunner)                     │
 //!        └───────┬────────────────────────────▲───────────┘
 //!        observe │                            │ actuate
 //!                ▼                            │
-//!        [`Observation`] ──decide──▶ [`ScaleAction`] ──▶ [`Actuator`]
+//!        [`Observation`] ──[`tick_decision`]──▶ [`ScaleAction`]
 //!                   (a [`ScalingPolicy`] + optional
 //!                      [`RebalancePlanner`])
 //! ```
@@ -38,16 +38,17 @@
 //!   and sizes the cluster for demand a provisioning-lead-time ahead,
 //!   falling back to its inner reactive policy when the rolling forecast
 //!   error exceeds a guard threshold. On quiet ticks the optional
-//!   [`RebalancePlanner`] proposes hot-granule `MigrationTxn`s instead.
-//! - **Actuate** — the [`Controller`] dispatches the action to an
-//!   [`Actuator`]. The [`LocalHarness`] actuator executes synchronously
-//!   through the sans-io reconfiguration drivers
-//!   (`marlin_core::drivers::reconfig`); the simulator's actuator (in
-//!   `marlin-cluster`) schedules the equivalent virtual-time migration
-//!   plans. Policies cannot tell the two apart — the same policy instance
-//!   is unit-tested against synthetic observations, end-to-end-tested
-//!   against [`LocalCluster`], and benchmarked inside the discrete-event
-//!   simulation.
+//!   [`RebalancePlanner`] proposes hot-granule `MigrationTxn`s instead;
+//!   [`tick_decision`] is that rule.
+//! - **Actuate** — the one loop, `marlin_cluster::harness::run`, hands
+//!   the action to its runner. The local runner executes it
+//!   synchronously on a [`LocalHarness`] (its [`Actuator`] methods run
+//!   the sans-io reconfiguration drivers in
+//!   `marlin_core::drivers::reconfig`); the simulator runner schedules
+//!   the equivalent virtual-time migration plans. Policies cannot tell
+//!   the two apart — the same policy instance is unit-tested against
+//!   synthetic observations, end-to-end-tested against [`LocalCluster`],
+//!   and benchmarked inside the discrete-event simulation.
 //!
 //! ## Why both runners matter
 //!
@@ -62,8 +63,8 @@
 //! [`Observation`]: observe::Observation
 //! [`ScaleAction`]: policy::ScaleAction
 //! [`ScalingPolicy`]: policy::ScalingPolicy
-//! [`Actuator`]: controller::Actuator
-//! [`Controller`]: controller::Controller
+//! [`tick_decision`]: policy::tick_decision
+//! [`Actuator`]: local::Actuator
 //! [`HoldPolicy`]: policy::HoldPolicy
 //! [`ReactivePolicy`]: policy::ReactivePolicy
 //! [`RegionalPolicy`]: regional::RegionalPolicy
@@ -75,7 +76,6 @@
 // authors; CI escalates this to an error via RUSTDOCFLAGS=-D warnings.
 #![warn(missing_docs)]
 
-pub mod controller;
 pub mod forecast;
 pub mod invariant;
 pub mod local;
@@ -84,16 +84,16 @@ pub mod policy;
 pub mod rebalance;
 pub mod regional;
 
-pub use controller::{Actuator, Controller};
 pub use forecast::{
     relative_error, ErrorTracker, ForecastSample, LinearTrendForecaster, PredictiveConfig,
     PredictivePolicy, MAPE_FLOOR,
 };
 pub use invariant::{InvariantId, InvariantViolation};
-pub use local::LocalHarness;
+pub use local::{Actuator, LocalHarness};
 pub use observe::{GranuleLoad, NodeLoad, Observation, RegionLoad};
 pub use policy::{
-    HoldPolicy, ReactiveConfig, ReactivePolicy, ScaleAction, ScalingPolicy, SizeBounds,
+    tick_decision, HoldPolicy, ReactiveConfig, ReactivePolicy, ScaleAction, ScalingPolicy,
+    SizeBounds,
 };
 pub use rebalance::{validate_moves, GranuleMove, RebalanceConfig, RebalancePlanner};
 pub use regional::RegionalPolicy;

@@ -1,17 +1,18 @@
-//! Synchronous-runtime integration: drive a [`LocalCluster`] with the
-//! controller.
+//! Synchronous-runtime integration: drive a [`LocalCluster`] with
+//! scale actions.
 //!
-//! [`LocalHarness`] is the [`Actuator`] for the functional reference
-//! runtime. Every action executes *real* reconfiguration transactions
-//! through the sans-io drivers in `marlin_core::drivers::reconfig`:
-//! `AddNodeTxn` for scale-out, per-granule `MigrationTxn`s for draining
-//! and rebalancing, `RecoveryMigrTxn`s for a crashed node's granules,
-//! and `DeleteNodeTxn` once a victim is empty. Which granules move where
+//! [`LocalHarness`] actuates on the functional reference runtime through
+//! its [`Actuator`] methods. Every action executes *real*
+//! reconfiguration transactions through the sans-io drivers in
+//! `marlin_core::drivers::reconfig`: `AddNodeTxn` for scale-out,
+//! per-granule `MigrationTxn`s for draining and rebalancing,
+//! `RecoveryMigrTxn`s for a crashed node's granules, and
+//! `DeleteNodeTxn` once a victim is empty. Which granules move where
 //! on scale-out, drain and crash is decided by [`scale_out_moves`] and
 //! [`drain_moves`], the rule the simulator prices, so both runners end a
 //! scripted scaling run with the same granule→node map. Because
-//! the runtime is synchronous, actions complete before `tick` returns and
-//! invariants can be asserted after every control step — this is the
+//! the runtime is synchronous, actions complete before the call returns
+//! and invariants can be asserted after every control step — this is the
 //! harness the policy end-to-end tests run against.
 //!
 //! The runtime has no clock or load generator of its own, so observations
@@ -20,7 +21,6 @@
 //! (from each node's materialized GTable partition) to produce the same
 //! [`Observation`] shape the simulator emits.
 
-use crate::controller::Actuator;
 use crate::invariant::InvariantViolation;
 use crate::observe::{GranuleLoad, NodeLoad, Observation};
 use crate::rebalance::{drain_moves, scale_out_moves, victims, GranuleMove};
@@ -29,7 +29,21 @@ use marlin_core::runtime::LocalCluster;
 use marlin_sim::Nanos;
 use std::collections::BTreeMap;
 
-/// A [`LocalCluster`] plus the bookkeeping the controller needs.
+/// `LocalHarness`'s actuation surface.
+pub trait Actuator {
+    /// Provision and join `count` fresh nodes, then rebalance onto them.
+    /// `region` is the requested placement (`None` = runner's choice).
+    fn add_nodes(&mut self, at: Nanos, count: u32, region: Option<RegionId>);
+
+    /// Drain the victims onto the survivors and remove them from the
+    /// membership once empty.
+    fn remove_nodes(&mut self, at: Nanos, victims: &[NodeId]);
+
+    /// Issue one `MigrationTxn` per move.
+    fn rebalance(&mut self, at: Nanos, moves: &[GranuleMove]);
+}
+
+/// A [`LocalCluster`] plus the bookkeeping actuation needs.
 pub struct LocalHarness {
     /// The cluster under control.
     pub cluster: LocalCluster,
@@ -432,27 +446,29 @@ impl Actuator for LocalHarness {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::controller::Controller;
-    use crate::policy::{ReactiveConfig, ReactivePolicy, ScaleAction};
+    use crate::policy::{tick_decision, ReactiveConfig, ReactivePolicy, ScaleAction};
     use crate::rebalance::{RebalanceConfig, RebalancePlanner};
-
-    fn controller(min: u32, max: u32) -> Controller {
-        Controller::new(Box::new(ReactivePolicy::new(ReactiveConfig {
-            cooldown: 0,
-            ..ReactiveConfig::paper_default(min, max)
-        })))
-    }
 
     #[test]
     fn spike_scales_out_and_back_preserving_invariants() {
         let mut harness = LocalHarness::bootstrap(4, 32);
-        let mut c = controller(4, 8);
+        let mut policy = ReactivePolicy::new(ReactiveConfig {
+            cooldown: 0,
+            ..ReactiveConfig::paper_default(4, 8)
+        });
         // Load trace in offered node-capacity units: calm, spike, calm.
         let trace = [2.0, 2.0, 7.5, 7.5, 7.5, 2.0, 2.0, 2.0];
         let mut sizes = Vec::new();
         for (tick, &load) in trace.iter().enumerate() {
-            let obs = harness.observe(tick as Nanos * marlin_sim::SECOND, load);
-            c.tick(&obs, &mut harness);
+            let at = tick as Nanos * marlin_sim::SECOND;
+            let obs = harness.observe(at, load);
+            if let Some(action) = tick_decision(&mut policy, None, &obs) {
+                match action {
+                    ScaleAction::AddNodes { count, region } => harness.add_nodes(at, count, region),
+                    ScaleAction::RemoveNodes { victims } => harness.remove_nodes(at, &victims),
+                    ScaleAction::Rebalance { moves } => harness.rebalance(at, &moves),
+                }
+            }
             harness.cluster.assert_invariants();
             sizes.push(harness.members().len());
         }
@@ -496,15 +512,5 @@ mod tests {
         let moves = planner.plan(&skewed);
         harness.rebalance(0, &moves);
         harness.cluster.assert_invariants();
-    }
-
-    #[test]
-    fn history_records_every_action() {
-        let mut harness = LocalHarness::bootstrap(4, 32);
-        let mut c = controller(4, 8);
-        let obs = harness.observe(0, 7.0);
-        let action = c.tick(&obs, &mut harness);
-        assert!(matches!(action, Some(ScaleAction::AddNodes { .. })));
-        assert_eq!(c.history().len(), 1);
     }
 }

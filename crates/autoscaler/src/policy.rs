@@ -4,7 +4,7 @@
 //! [`ScaleAction`] per control tick. Two ship here:
 //!
 //! - [`HoldPolicy`] — never scales; scripted scenarios and planner-only
-//!   controllers use it.
+//!   runs use it.
 //! - [`ReactivePolicy`] — threshold scaling with a hysteresis band and a
 //!   cooldown, the classic rule-based autoscaler. The band keeps an
 //!   oscillating signal from flapping the cluster; the cooldown bounds the
@@ -12,17 +12,19 @@
 //!
 //! The decorators [`RegionalPolicy`](crate::regional::RegionalPolicy) and
 //! [`PredictivePolicy`](crate::forecast::PredictivePolicy) wrap them.
+//! [`tick_decision`] is the whole decide leg of one control tick: the
+//! policy first, the rebalance planner on the ticks it leaves alone.
 //!
 //! Policies are deliberately pure over their inputs plus their own state —
 //! no clocks, no I/O — so the same instance drives the synchronous
 //! runtime, the discrete-event simulator, and plain unit tests.
 
 use crate::observe::Observation;
-use crate::rebalance::GranuleMove;
+use crate::rebalance::{validate_moves, GranuleMove, RebalancePlanner};
 use marlin_common::{NodeId, RegionId};
 use marlin_sim::Nanos;
 
-/// One actuation the controller should perform.
+/// One actuation a runner should perform.
 #[derive(Clone, Debug, PartialEq)]
 pub enum ScaleAction {
     /// Provision `count` fresh nodes and rebalance granules onto them.
@@ -98,6 +100,32 @@ pub trait ScalingPolicy {
     }
 }
 
+/// Decide one control tick: the action the runner should actuate, if any.
+///
+/// Member-count changes take priority; the `planner` only proposes
+/// granule moves on ticks where the policy is satisfied with the cluster
+/// size (a migration storm during a scale event would fight the scale
+/// plan's own migrations for the same granule locks), and an empty plan
+/// is no action.
+pub fn tick_decision(
+    policy: &mut dyn ScalingPolicy,
+    planner: Option<&RebalancePlanner>,
+    obs: &Observation,
+) -> Option<ScaleAction> {
+    if let Some(action) = policy.decide(obs) {
+        return Some(action);
+    }
+    let moves = planner?.plan(obs);
+    if moves.is_empty() {
+        return None;
+    }
+    debug_assert!(
+        validate_moves(&moves, obs).is_ok(),
+        "planner emitted an invalid plan"
+    );
+    Some(ScaleAction::Rebalance { moves })
+}
+
 /// Shared sizing bounds for the shipped policies.
 #[derive(Clone, Copy, Debug)]
 pub struct SizeBounds {
@@ -121,9 +149,8 @@ impl SizeBounds {
 /// A policy that never changes the member count.
 ///
 /// Useful for scripted scenarios (where scale events come from the
-/// scenario's action schedule, not a controller) and for planner-only
-/// controllers: a [`Controller`](crate::controller::Controller) wrapping
-/// `HoldPolicy` plus a [`RebalancePlanner`](crate::rebalance::RebalancePlanner)
+/// scenario's action schedule, not a policy) and for planner-only runs:
+/// [`tick_decision`] over `HoldPolicy` and a [`RebalancePlanner`]
 /// rebalances hot granules on every tick without ever scaling.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct HoldPolicy;
@@ -393,6 +420,61 @@ mod tests {
         let mut obs = Observation::uniform(0, 4, 0.6);
         obs.p99_latency = 80 * marlin_sim::MILLISECOND;
         assert!(matches!(p.decide(&obs), Some(ScaleAction::AddNodes { .. })));
+    }
+
+    #[test]
+    fn scale_actions_come_from_the_policy() {
+        let mut p = reactive(4, 16, 0);
+        let out = tick_decision(&mut p, None, &Observation::uniform(0, 4, 0.9));
+        assert_eq!(out, Some(ScaleAction::add(4)));
+        let calm = Observation::uniform(marlin_sim::SECOND, 8, 0.1);
+        match tick_decision(&mut p, None, &calm) {
+            Some(ScaleAction::RemoveNodes { victims }) => assert_eq!(victims.len(), 4),
+            other => panic!("expected a scale-in, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn rebalance_runs_only_in_steady_state() {
+        use crate::observe::GranuleLoad;
+        use crate::rebalance::RebalanceConfig;
+        use marlin_common::GranuleId;
+        let planner = RebalancePlanner::new(RebalanceConfig {
+            imbalance_threshold: 0.0,
+            max_moves: 8,
+        });
+        let mut p = reactive(4, 16, 0);
+        // Saturated: the scale-out wins the tick, no rebalance.
+        let mut hot = Observation::uniform(0, 4, 0.9);
+        // Two hot granules on node 0: moving one genuinely flattens load
+        // (the planner declines to relocate a *single* dominant hotspot).
+        hot.granule_loads = vec![
+            GranuleLoad {
+                granule: GranuleId(0),
+                owner: NodeId(0),
+                load: 60.0,
+            },
+            GranuleLoad {
+                granule: GranuleId(1),
+                owner: NodeId(0),
+                load: 40.0,
+            },
+            GranuleLoad {
+                granule: GranuleId(2),
+                owner: NodeId(1),
+                load: 1.0,
+            },
+        ];
+        let out = tick_decision(&mut p, Some(&planner), &hot);
+        assert!(matches!(out, Some(ScaleAction::AddNodes { .. })), "{out:?}");
+        // Steady state with skew: the planner acts.
+        let mut steady = Observation::uniform(marlin_sim::SECOND, 8, 0.5);
+        steady.granule_loads = hot.granule_loads.clone();
+        let out = tick_decision(&mut p, Some(&planner), &steady);
+        assert!(
+            matches!(out, Some(ScaleAction::Rebalance { .. })),
+            "{out:?}"
+        );
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //!   clipped so it never drops below the floor, keeping the service's
 //!   co-located quorum reachable.
 //!
-//! At most one action is emitted per tick — the controller contract —
+//! At most one action is emitted per tick — the policy contract —
 //! so regions are visited hottest-first: a saturated region's scale-out
 //! wins the tick and a cool region's drain waits for the next one.
 //!

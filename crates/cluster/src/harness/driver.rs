@@ -3,19 +3,18 @@
 //! The driver merges the scenario's scripted actions and faults with the
 //! control-tick grid, advances the runner milestone by milestone, and at
 //! every control tick observes the cluster and — if the scenario carries
-//! a policy — lets the controller decide and actuate through the runner.
-//! Every tick and scripted event lands in the report's decision log with
-//! an observation digest and the measured actuation latency, so each
-//! run's figure data and its controller trace come from the same place,
-//! on either runner.
+//! a policy — decides with [`tick_decision`] and actuates the result
+//! through the runner. Every tick and scripted event lands in the
+//! report's decision log with an observation digest and the measured
+//! actuation latency, so each run's figure data and its decision trace
+//! come from the same place, on either runner.
 
 use crate::harness::report::{
     DecisionRecord, DecisionSource, ForecastAccuracy, ObservationDigest, RunReport,
 };
 use crate::harness::runner::{Fault, Runner};
 use crate::harness::scenario::Scenario;
-use marlin_autoscaler::{Actuator, Controller, GranuleMove, RebalancePlanner, ScaleAction};
-use marlin_common::{NodeId, RegionId};
+use marlin_autoscaler::{tick_decision, RebalancePlanner, ScaleAction};
 use marlin_sim::Nanos;
 use marlin_telemetry::MetricsSeries;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -25,39 +24,6 @@ use std::time::Instant;
 /// `MARLIN_TRACE` / `MARLIN_METRICS` artifacts so a multi-run bench
 /// keeps every run's file instead of only the survivor of last-wins.
 static RUN_SEQ: AtomicU64 = AtomicU64::new(0);
-
-/// Bridges the controller's [`Actuator`] calls onto a [`Runner`],
-/// timing each actuation.
-struct RunnerActuator<'a> {
-    runner: &'a mut dyn Runner,
-    micros: u64,
-}
-
-impl RunnerActuator<'_> {
-    fn timed(&mut self, action: &ScaleAction) {
-        let start = Instant::now();
-        self.runner.actuate(action);
-        self.micros += start.elapsed().as_micros() as u64;
-    }
-}
-
-impl Actuator for RunnerActuator<'_> {
-    fn add_nodes(&mut self, _at: Nanos, count: u32, region: Option<RegionId>) {
-        self.timed(&ScaleAction::AddNodes { count, region });
-    }
-
-    fn remove_nodes(&mut self, _at: Nanos, victims: &[NodeId]) {
-        self.timed(&ScaleAction::RemoveNodes {
-            victims: victims.to_vec(),
-        });
-    }
-
-    fn rebalance(&mut self, _at: Nanos, moves: &[GranuleMove]) {
-        self.timed(&ScaleAction::Rebalance {
-            moves: moves.to_vec(),
-        });
-    }
-}
 
 enum Milestone {
     Script(ScaleAction),
@@ -103,7 +69,7 @@ pub fn run_with_series(
         control_interval,
         observe_window,
         horizon,
-        policy,
+        mut policy,
         planner,
         script,
         faults,
@@ -111,17 +77,11 @@ pub fn run_with_series(
         ..
     } = scenario;
 
-    let mut controller = policy.map(|p| {
-        let c = Controller::new(p);
-        match planner {
-            Some(cfg) => c.with_planner(RebalancePlanner::new(cfg)),
-            None => c,
-        }
-    });
-    let policy_name = controller.as_ref().map(|c| c.policy_name().to_string());
+    let planner = planner.map(RebalancePlanner::new);
+    let policy_name = policy.as_ref().map(|p| p.name().to_string());
     // The SLO the timeline's error-budget/burn-rate series derive from:
     // the policy's armed p99 ceiling, delegated through decorators.
-    let slo_ceiling = controller.as_ref().and_then(Controller::p99_ceiling);
+    let slo_ceiling = policy.as_ref().and_then(|p| p.p99_ceiling());
     let mut slo_breach_ticks = 0u64;
 
     // Timeline: scripted events and control ticks, time-ordered; events
@@ -218,20 +178,21 @@ pub fn run_with_series(
                         );
                     }
                 }
-                let (source, action, forecasts, actuation_micros) = match &mut controller {
-                    Some(c) => {
-                        let mut actuator = RunnerActuator { runner, micros: 0 };
-                        let action = c.tick(&obs, &mut actuator);
+                let (source, action, forecasts, actuation_micros) = match &mut policy {
+                    Some(p) => {
+                        let action = tick_decision(p.as_mut(), planner.as_ref(), &obs);
+                        let mut micros = 0;
+                        if let Some(action) = &action {
+                            let start = Instant::now();
+                            runner.actuate(action);
+                            micros = start.elapsed().as_micros() as u64;
+                        }
                         // A forecasting policy's snapshot of this tick —
                         // what it believed demand would be `lead` ahead —
                         // rides in the record next to what happened.
-                        (
-                            DecisionSource::Policy,
-                            action,
-                            c.forecasts(),
-                            actuator.micros,
-                        )
+                        (DecisionSource::Policy, action, p.forecasts(), micros)
                     }
+                    // No policy, no planner either: the tick only samples.
                     None => (DecisionSource::Sample, None, Vec::new(), 0),
                 };
                 log.push(DecisionRecord {

@@ -16,10 +16,11 @@
 //!   [`LocalRunner`] wraps the synchronous
 //!   `LocalCluster` (safety: real reconfiguration transactions with
 //!   I0–I4 asserted after every step);
-//! - [`run`] is the only driver: it advances the runner, observes every
-//!   control interval, lets the controller decide, applies scripted
-//!   events, and assembles a [`RunReport`] — windowed throughput/p99,
-//!   per-node CPU, $/hr burn, Meta Cost, and the **full controller
+//! - [`run`] is the only driver and the only control loop: it advances
+//!   the runner, observes every control interval, lets the policy (and
+//!   its optional rebalance planner) decide, actuates the decision and
+//!   the scripted events, and assembles a [`RunReport`] — windowed
+//!   throughput/p99, per-node CPU, $/hr burn, Meta Cost, and the **full
 //!   decision log** (tick, observation digest, chosen action, actuation
 //!   latency), serializable to JSON (`MARLIN_REPORT_JSON=<path>`).
 //!
@@ -457,5 +458,29 @@ mod tests {
             report.metrics.migrations >= 4,
             "orphans migrated in recovery"
         );
+    }
+
+    /// The planner runs only under a policy: the `zipfian_rebalance`
+    /// shape with its planner but without `HoldPolicy` only samples.
+    #[test]
+    fn planner_without_a_policy_only_samples() {
+        let scenario = Scenario::new("planner-no-policy")
+            .workload(Workload::ycsb_zipfian(600, 0.9))
+            .trace(LoadTrace::constant(60))
+            .initial_nodes(3)
+            .threads_per_node(4)
+            .control_interval(2 * SECOND)
+            .observe_window(2 * SECOND)
+            .duration(20 * SECOND)
+            .planner(marlin_autoscaler::RebalanceConfig::default());
+        let mut runner = SimRunner::new(&scenario);
+        let report = run(scenario, &mut runner);
+        assert_eq!(report.log.len(), 10);
+        assert!(report
+            .log
+            .iter()
+            .all(|r| r.source == DecisionSource::Sample && r.action.is_none()));
+        assert_eq!(report.policy, None);
+        assert_eq!(report.metrics.migrations, 0);
     }
 }

@@ -1,7 +1,7 @@
 //! The unified [`RunReport`]: one result shape for every scenario on
 //! every runner.
 //!
-//! The report carries the full controller decision log — one
+//! The report carries the full decision log — one
 //! [`DecisionRecord`] per control tick and per scripted event, each with
 //! an observation digest (windowed throughput/p99, per-node CPU, $/hr
 //! burn), the chosen [`ScaleAction`] if any, and the measured actuation
@@ -19,7 +19,7 @@ use marlin_telemetry::CoordBreakdown;
 /// What produced a log entry.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DecisionSource {
-    /// A controller tick (the policy decided; `action` may be `None`).
+    /// A control tick under a policy (`action` may be `None`).
     Policy,
     /// A scripted scale action from the scenario.
     Script,

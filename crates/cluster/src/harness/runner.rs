@@ -3,7 +3,7 @@
 //!
 //! A runner owns a cluster-under-test and a clock. The driver never
 //! touches backend-specific machinery — it advances time, observes,
-//! actuates controller decisions, and injects faults through this trait
+//! actuates policy decisions, and injects faults through this trait
 //! alone, which is what lets the same [`Scenario`](crate::harness::Scenario)
 //! execute unchanged on the synchronous `LocalCluster` (real
 //! reconfiguration transactions, invariants checked after every step) and

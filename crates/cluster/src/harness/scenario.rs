@@ -45,7 +45,7 @@ pub struct Scenario {
     pub region_traces: Vec<LoadTrace>,
     /// Nodes at t=0.
     pub initial_nodes: u32,
-    /// How often the driver observes (and the controller decides).
+    /// How often the driver observes (and the policy decides).
     pub control_interval: Nanos,
     /// Trailing window each observation summarizes.
     pub observe_window: Nanos,
@@ -141,6 +141,9 @@ impl Scenario {
     }
 
     /// Enable the hot-granule rebalance planner on steady-state ticks.
+    /// The planner runs only under a [`policy`](Self::policy) (it
+    /// proposes moves on the ticks the policy leaves alone), which is
+    /// why both planner presets pair it with `HoldPolicy`.
     #[must_use]
     pub fn planner(mut self, cfg: RebalanceConfig) -> Self {
         self.planner = Some(cfg);

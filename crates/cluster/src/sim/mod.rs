@@ -447,14 +447,23 @@ impl ClusterSim {
         // Granules: contiguous blocks per node, all warm.
         let granules = initial_blocks(granule_count, initial_nodes);
         let routes = granules.iter().map(|g| g.owner).collect();
-        let mut region_granules: Vec<Vec<u64>> = vec![Vec::new(); regions as usize];
+        // Blocks are contiguous: a node owns from its block's start to the next one's.
+        let start = |n: usize| granules.partition_point(|g| (g.owner as usize) < n) as u64;
+        let owned: Vec<u64> = (0..nodes.len()).map(|n| start(n + 1) - start(n)).collect();
+        // Sized exactly up front: on a large table, growing these lists by
+        // doubling leaves a transient peak that makes the allocator
+        // return the freed simulator to the OS, so the next construction
+        // faults every page in again.
+        let mut sizes = vec![0; regions as usize];
+        for (node, &count) in nodes.iter().zip(&owned) {
+            sizes[node.region.0 as usize] += count as usize;
+        }
+        let mut region_granules: Vec<Vec<u64>> =
+            sizes.into_iter().map(Vec::with_capacity).collect();
         for (g, gran) in granules.iter().enumerate() {
             let r = nodes[gran.owner as usize].region.0 as usize;
             region_granules[r].push(g as u64);
         }
-        // Blocks are contiguous: a node owns from its block's start to the next one's.
-        let start = |n: usize| granules.partition_point(|g| (g.owner as usize) < n) as u64;
-        let owned = (0..nodes.len()).map(|n| start(n + 1) - start(n)).collect();
 
         // The one scale switch: `Cohort` means cohort stepping, the
         // histogram latency window and (on large tables) sketched heat.

@@ -79,21 +79,6 @@ pub fn check_range_agreement(views: &BTreeMap<NodeId, &GTablePartition>) -> Vec<
     violations
 }
 
-/// Convenience: assert I0 over views, panicking with a readable report.
-///
-/// # Panics
-/// If any violation is found.
-pub fn assert_exclusive_ownership(
-    views: &BTreeMap<NodeId, &GTablePartition>,
-    universe: &[GranuleId],
-) {
-    let violations = check_exclusive_ownership(views, universe);
-    assert!(
-        violations.is_empty(),
-        "Exclusive Granule Ownership violated: {violations:?}"
-    );
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -198,12 +183,5 @@ mod tests {
                 granule: GranuleId(0)
             }]
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "Exclusive Granule Ownership violated")]
-    fn assertion_panics_on_violation() {
-        let views = BTreeMap::new();
-        assert_exclusive_ownership(&views, &[GranuleId(0)]);
     }
 }

@@ -40,11 +40,6 @@ impl LsnTracker {
         }
     }
 
-    /// Forget a log (e.g. a deleted node's GLog was garbage-collected).
-    pub fn forget(&mut self, log: LogId) {
-        self.observed.remove(&log);
-    }
-
     /// Number of tracked logs.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -102,14 +97,6 @@ mod tests {
         assert_eq!(t.len(), 3);
         assert_eq!(t.get(LogId::GLog(NodeId(1))), Lsn(1));
         assert_eq!(t.get(LogId::GLog(NodeId(2))), Lsn(2));
-    }
-
-    #[test]
-    fn forget_removes_entry() {
-        let mut t = LsnTracker::new();
-        t.observe(LogId::GLog(NodeId(1)), Lsn(9));
-        t.forget(LogId::GLog(NodeId(1)));
-        assert_eq!(t.get(LogId::GLog(NodeId(1))), Lsn::ZERO);
     }
 
     proptest! {

@@ -91,30 +91,6 @@ impl MTable {
     pub fn applied_lsn(&self) -> Lsn {
         self.applied
     }
-
-    /// The `k` ring successors of `node` in §4.4.2's heartbeat ring:
-    /// members sorted by node ID form a ring and each node monitors the
-    /// `k` nodes after it. No runner detects failures (both inject
-    /// crashes as scripted faults), so only this module's tests call it.
-    #[must_use]
-    pub fn ring_successors(&self, node: NodeId, k: usize) -> Vec<NodeId> {
-        let ids: Vec<NodeId> = self.scan();
-        if ids.len() <= 1 {
-            return Vec::new();
-        }
-        let start = ids.iter().position(|&n| n > node).unwrap_or(0);
-        let mut out = Vec::with_capacity(k);
-        for i in 0..ids.len() - usize::from(ids.contains(&node)) {
-            if out.len() == k {
-                break;
-            }
-            let candidate = ids[(start + i) % ids.len()];
-            if candidate != node {
-                out.push(candidate);
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -187,31 +163,5 @@ mod tests {
         }
         assert_eq!(a, b);
         assert_eq!(a.scan(), vec![NodeId(1), NodeId(2)]);
-    }
-
-    #[test]
-    fn ring_successors_wrap_around() {
-        let mut m = MTable::new();
-        for (i, n) in [1u32, 3, 5, 7].iter().enumerate() {
-            m.apply(Lsn(i as u64 + 1), &add(*n));
-        }
-        assert_eq!(m.ring_successors(NodeId(3), 2), vec![NodeId(5), NodeId(7)]);
-        assert_eq!(m.ring_successors(NodeId(7), 2), vec![NodeId(1), NodeId(3)]);
-        assert_eq!(
-            m.ring_successors(NodeId(5), 3),
-            vec![NodeId(7), NodeId(1), NodeId(3)]
-        );
-    }
-
-    #[test]
-    fn ring_successors_edge_cases() {
-        let mut m = MTable::new();
-        assert!(m.ring_successors(NodeId(1), 2).is_empty());
-        m.apply(Lsn(1), &add(1));
-        assert!(m.ring_successors(NodeId(1), 2).is_empty());
-        m.apply(Lsn(2), &add(2));
-        assert_eq!(m.ring_successors(NodeId(1), 3), vec![NodeId(2)]);
-        // A non-member (already removed) still gets successors from the ring.
-        assert_eq!(m.ring_successors(NodeId(9), 1), vec![NodeId(1)]);
     }
 }

@@ -61,14 +61,6 @@ impl Router {
         }
     }
 
-    /// Absorb a proactive ownership broadcast from a compute node (the
-    /// optional push path that reduces redirections, §4.2).
-    pub fn broadcast_update(&mut self, entries: &[(GranuleId, NodeId)]) {
-        for (g, owner) in entries {
-            self.routes.insert(*g, *owner);
-        }
-    }
-
     /// Number of routed granules.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -135,13 +127,5 @@ mod tests {
         r.install_scan(&[(GranuleId(1), meta(2))]);
         r.redirect(GranuleId(1), NodeId(u32::MAX));
         assert_eq!(r.route(GranuleId(1)), None);
-    }
-
-    #[test]
-    fn broadcast_reduces_staleness() {
-        let mut r = Router::new();
-        r.install_scan(&[(GranuleId(1), meta(2))]);
-        r.broadcast_update(&[(GranuleId(1), NodeId(9))]);
-        assert_eq!(r.route(GranuleId(1)), Some(NodeId(9)));
     }
 }

@@ -90,6 +90,10 @@ pub struct LintReport {
     pub panic_findings: usize,
     /// The configured panic budget.
     pub panic_budget: u64,
+    /// Non-test code lines in library files ([`rules::FileCtx::code_lines`]
+    /// summed over [`rules::FileClass::Lib`]): the size of the shipped
+    /// code, read the same way on every tree.
+    pub lib_code_lines: usize,
 }
 
 impl LintReport {
@@ -110,6 +114,7 @@ impl LintReport {
         json::object(&mut out, |o| {
             o.field("ok", self.ok())
                 .field("files_scanned", self.files_scanned)
+                .field("lib_code_lines", self.lib_code_lines)
                 .obj("panic_budget", |o| {
                     o.field("findings", self.panic_findings)
                         .field("budget", self.panic_budget);
@@ -160,6 +165,11 @@ pub fn run(root: &Path, cfg: &config::Config) -> Result<LintReport, String> {
     let mut report = LintReport {
         files_scanned: ctxs.len(),
         panic_budget: cfg.rule(rules::NO_PANIC_IN_LIB).budget.unwrap_or(0),
+        lib_code_lines: ctxs
+            .iter()
+            .filter(|c| c.class == rules::FileClass::Lib)
+            .map(rules::FileCtx::code_lines)
+            .sum(),
         ..LintReport::default()
     };
     rules::run_all(&mut ctxs, cfg, &mut report);

@@ -73,11 +73,12 @@ fn main() -> ExitCode {
         .count();
     println!(
         "lint: {} file(s) scanned, {errors} error(s), {} waived, \
-         no-panic-in-lib {}/{} budget",
+         no-panic-in-lib {}/{} budget, {} library code line(s)",
         report.files_scanned,
         report.waived.len(),
         report.panic_findings,
-        report.panic_budget
+        report.panic_budget,
+        report.lib_code_lines
     );
     if report.panic_findings as u64 > report.panic_budget {
         println!(

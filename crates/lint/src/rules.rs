@@ -96,6 +96,21 @@ impl FileCtx {
         }
     }
 
+    /// Source lines on which at least one token outside `#[cfg(test)]`
+    /// starts: comments, blank lines and test-only items do not count.
+    #[must_use]
+    pub fn code_lines(&self) -> usize {
+        let mut last = 0;
+        let mut lines = 0;
+        for (i, t) in self.lexed.tokens.iter().enumerate() {
+            if t.line != last && !self.is_suppressed(i) {
+                last = t.line;
+                lines += 1;
+            }
+        }
+        lines
+    }
+
     fn is_suppressed(&self, token_idx: usize) -> bool {
         self.suppressed
             .iter()

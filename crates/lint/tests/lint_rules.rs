@@ -2,6 +2,7 @@
 //! fixture with exact file:line diagnostics, waivers are honored, the
 //! budget ratchet trips, and the real workspace scans clean.
 
+use marlin_lint::rules::FileCtx;
 use marlin_lint::{load_config, run, LintReport, Severity};
 use marlin_telemetry::json::{parse_json, Json};
 use std::path::{Path, PathBuf};
@@ -159,6 +160,19 @@ fn malformed_and_unused_waivers_are_flagged() {
 }
 
 #[test]
+fn lib_code_lines_skip_comments_blanks_and_test_items() {
+    // Lines with a token outside `#[cfg(test)]`, per fixture file:
+    // allowed_clock 3, clock 9, forks 6, hash 7 (its test module is
+    // out), panics 9 (likewise), rng 5, waivers 2. `excluded/` is never
+    // scanned.
+    assert_eq!(fixture_report().lib_code_lines, 41);
+    let src = "//! doc\n\nfn f() -> &'static str {\n    \"two\n lines\"\n}\n\
+               #[cfg(test)]\nmod tests {}\n";
+    let ctx = FileCtx::build("crates/x/src/a.rs".to_string(), src);
+    assert_eq!(ctx.code_lines(), 3, "a token counts on its first line only");
+}
+
+#[test]
 fn excluded_paths_are_never_scanned() {
     let report = fixture_report();
     assert!(
@@ -195,6 +209,7 @@ fn json_output_is_well_formed_and_complete() {
     let budget = v.get("panic_budget").expect("panic_budget");
     assert_eq!(budget.get("findings"), Some(&Json::Num(3.0)));
     assert_eq!(budget.get("budget"), Some(&Json::Num(2.0)));
+    assert_eq!(v.get("lib_code_lines"), Some(&Json::Num(41.0)));
     let violations = v
         .get("violations")
         .and_then(Json::as_arr)

@@ -93,14 +93,6 @@ impl DetRng {
         result
     }
 
-    /// Fill `dest` with random bytes.
-    pub fn fill_bytes(&mut self, dest: &mut [u8]) {
-        for chunk in dest.chunks_mut(8) {
-            let word = self.next_u64().to_le_bytes();
-            chunk.copy_from_slice(&word[..chunk.len()]);
-        }
-    }
-
     /// Uniform integer in `[lo, hi)`.
     pub fn range(&mut self, lo: u64, hi: u64) -> u64 {
         debug_assert!(lo < hi);
@@ -336,14 +328,6 @@ mod tests {
             seen[*r.pick(&items) as usize - 1] = true;
         }
         assert!(seen.iter().all(|s| *s));
-    }
-
-    #[test]
-    fn fill_bytes_fills_odd_lengths() {
-        let mut r = DetRng::seed(13);
-        let mut buf = [0u8; 13];
-        r.fill_bytes(&mut buf);
-        assert!(buf.iter().any(|&b| b != 0));
     }
 
     #[test]

@@ -153,19 +153,6 @@ impl LoadTrace {
     pub fn changes(&self) -> &[(Nanos, u32)] {
         &self.points
     }
-
-    /// Total seconds the trace spends at or above `threshold` clients,
-    /// evaluated over `[0, horizon)`.
-    #[must_use]
-    pub fn seconds_at_or_above(&self, threshold: u32, horizon: Nanos) -> f64 {
-        let total: u64 = self
-            .segments(horizon)
-            .iter()
-            .filter(|&&(_, _, c)| c >= threshold)
-            .map(|&(from, until, _)| until - from)
-            .sum();
-        total as f64 / SECOND as f64
-    }
 }
 
 /// How many of the first `count` round-robin-assigned clients land in
@@ -233,13 +220,6 @@ mod tests {
         assert_eq!(t.clients_at(0), 30);
         assert_eq!(t.clients_at(6 * SECOND), 30);
         assert_eq!(t.clients_at(25 * SECOND), 10);
-    }
-
-    #[test]
-    fn time_above_threshold_integrates_steps() {
-        let t = LoadTrace::spike(100, 200, 10 * SECOND, 40 * SECOND);
-        let above = t.seconds_at_or_above(150, 60 * SECOND);
-        assert!((above - 30.0).abs() < 1e-9);
     }
 
     #[test]

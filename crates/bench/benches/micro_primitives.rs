@@ -1,9 +1,10 @@
-//! Four measured sections of the primitives the simulator leans on,
+//! Five measured sections of the primitives the simulator leans on,
 //! each asserting what it is named for and landing in
 //! `BENCH_micro_primitives.json`: the per-request station under the
 //! deep calendars the simulator really builds, one control tick's
 //! `observe()` on a 200 k-granule cluster, one `MigrationDriver` round
-//! as the simulator's effect pricer runs it per migration, and the
+//! as the simulator's effect pricer runs it per migration, `EventQueue`
+//! schedule/pop at the depth the exact engine keeps it, and the
 //! telemetry overhead guard (disabled instrumentation must cost <2% of a
 //! run and leave decision logs bit-identical). The storage-side protocol
 //! primitives (conditional append, lock table, GTable apply) are timed
@@ -15,7 +16,7 @@ use marlin_cluster::PerRequestStation;
 use marlin_common::{GranuleId, KeyRange, LogId, Lsn, NodeId, TableId, TxnId};
 use marlin_core::drivers::{Effect, Input, MigrationDriver};
 use marlin_core::{GranuleMeta, LsnTracker};
-use marlin_sim::{DetRng, Nanos, SECOND};
+use marlin_sim::{ActorId, DetRng, EventQueue, Nanos, MILLISECOND, SECOND};
 use marlin_telemetry::{BenchReport, BenchSection, Profiler, Tracer, DEFAULT_TRACE_CAPACITY};
 use std::hint::black_box;
 use std::time::Instant;
@@ -343,11 +344,82 @@ fn migration_driver_round() -> BenchSection {
     }
 }
 
+/// `EventQueue` schedule/pop in the shape `sim_scaleout_exact` gives it
+/// (2 399 events pending at most): 800 closed-loop clients each
+/// reschedule 20–120 ms ahead, and about one event in ten is a one-shot
+/// landing 0.5–2 s ahead, as a migration step, route update or warm-up
+/// end does. Delays are drawn up front, so only the queue is timed.
+/// `virtual_ns` is the virtual time the timed pops cover.
+fn event_queue() -> BenchSection {
+    const CLIENTS: u32 = 800;
+    const POPS: u64 = 2_000_000;
+    let mut rng = DetRng::seed(46);
+    let draws: Vec<(Nanos, Option<Nanos>)> = (0..1 << 16)
+        .map(|_| {
+            let next = rng.range(20 * MILLISECOND, 120 * MILLISECOND);
+            let far = (rng.range(0, 10) == 0).then(|| rng.range(SECOND / 2, 2 * SECOND));
+            (next, far)
+        })
+        .collect();
+    let mut q = EventQueue::new();
+    for (client, &(next, _)) in (0..CLIENTS).zip(&draws) {
+        q.schedule(next, ActorId(0), client);
+    }
+    let mut draw = 0usize;
+    // Pop one event; a client's reschedules it (and maybe a one-shot).
+    let mut step = |q: &mut EventQueue<u32>| {
+        let e = q.pop().expect("a client event is always pending");
+        if e.msg < CLIENTS {
+            draw = (draw + 1) % draws.len();
+            let (next, far) = draws[draw];
+            q.schedule(next, ActorId(0), e.msg);
+            if let Some(far) = far {
+                q.schedule(far, ActorId(0), CLIENTS);
+            }
+        }
+        e.at
+    };
+    // Fill the one-shot population to its steady count.
+    let mut from = 0;
+    for _ in 0..POPS / 4 {
+        from = step(&mut q);
+    }
+    let (mut to, mut depth) = (from, 0u64);
+    let timer = Instant::now();
+    for _ in 0..POPS {
+        to = black_box(step(&mut q));
+        depth += q.pending() as u64;
+    }
+    let wall_nanos = timer.elapsed().as_nanos() as u64;
+    let ns_per_pair = wall_nanos as f64 / POPS as f64;
+    let pending_mean = depth as f64 / POPS as f64;
+    println!(
+        "event queue: {ns_per_pair:.1} ns/schedule+pop at {pending_mean:.0} pending ({POPS} pops)"
+    );
+    assert!(
+        pending_mean >= 1_000.0,
+        "the case must hold the depth it is named for (held {pending_mean:.0})"
+    );
+    BenchSection {
+        name: "event_queue".into(),
+        wall_nanos,
+        virtual_nanos: to - from,
+        wall_bounded: false,
+        profile: None,
+        values: vec![
+            ("ns_per_schedule_pop".into(), ns_per_pair),
+            ("pending_mean".into(), pending_mean),
+            ("pops".into(), POPS as f64),
+        ],
+    }
+}
+
 fn main() {
     let mut bench = BenchReport::new("micro_primitives", marlin_bench::scale());
     bench.sections.push(station_deep_calendar());
     bench.sections.push(observe_tick());
     bench.sections.push(migration_driver_round());
+    bench.sections.push(event_queue());
     bench.sections.push(telemetry_overhead());
     bench.maybe_write();
 }

@@ -922,8 +922,7 @@ impl ClusterSim {
     pub fn run_until(&mut self, t: Nanos) {
         let prof = self.profiler.start();
         let t = t.min(self.horizon);
-        while self.queue.next_time().is_some_and(|next| next <= t) {
-            let ev = self.queue.pop().expect("peeked event exists");
+        while let Some(ev) = self.queue.pop_until(t) {
             self.dispatch(ev.at, ev.msg);
         }
         self.profiler.record_total(prof);

@@ -1,5 +1,5 @@
-//! The event calendar: a two-tier ring-bucket queue of `(time, actor,
-//! message)` entries.
+//! The event calendar: one binary heap of `(time, actor, message)`
+//! entries.
 //!
 //! The queue is generic over the message type so protocol crates can define
 //! their own message enums. Determinism is guaranteed by breaking timestamp
@@ -9,28 +9,28 @@
 //!
 //! # Structure
 //!
-//! Earlier versions used a single `BinaryHeap`, which at million-client
-//! scale spends its time on `O(log n)` sift operations and allocator
-//! churn. This version is a classic calendar queue with an overflow tier:
+//! A single `BinaryHeap` ordered by `(at, seq)`, so the pop order is that
+//! exact total order and the memory held follows the pending count, not the
+//! run's history.
 //!
-//! - a **ring** of `RING_BUCKETS` time buckets, each `BUCKET_WIDTH`
-//!   virtual nanoseconds wide, covering the window starting at the
-//!   current time. Each bucket is a `Vec` kept sorted by `(at, seq)`
-//!   descending, so the next event pops from the back in O(1). Bucket
-//!   vectors are reused across laps (capacity is retained), so the
-//!   steady-state hot path allocates nothing.
-//! - an **occupancy bitmap** (one bit per bucket) so finding the next
-//!   non-empty bucket is a handful of `trailing_zeros` scans instead of
-//!   a linear walk.
-//! - an **overflow** `BinaryHeap` for events scheduled beyond the ring
-//!   window. Overflow entries migrate into the ring lazily as virtual
-//!   time advances.
+//! An earlier version was a calendar queue: 2 048 time buckets of 2.1 ms
+//! each, an occupancy bitmap and an overflow heap past the 4.3 s window,
+//! built so million-client runs would not pay a heap's `O(log n)` sifts.
+//! The cohort engine since runs those scenarios in ~26 k events, so that
+//! traffic no longer exists, and the ring's costs showed instead: every
+//! bucket kept the largest `Vec` it ever needed, and a migration burst
+//! piled hundreds of entries into one bucket, where each insert shifted
+//! them. The Fig. 8/9 scale-out (`sim_scaleout_exact`: 200 k granules,
+//! 100 k migrations) never holds more than 2 399 events, yet the ring
+//! ended it with capacity for 248 128 entries — 13.25 MB, nearly half the
+//! run's peak RSS. The heap holds the same events in 134 KB.
 //!
-//! All ring entries are strictly earlier than all (migrated-invariant
-//! respecting) overflow entries, and equal-timestamp entries always land
-//! in the same bucket, so the pop order is the exact `(at, seq)` total
-//! order of the historical heap — the property suite pins this against a
-//! reference `BinaryHeap` implementation.
+//! Where events spread evenly the ring was faster: in `micro_primitives`'
+//! `event_queue` section (~2 200 pending, delays of 20–120 ms and
+//! 0.5–2 s) it took 73–99 ns per schedule/pop pair against the heap's
+//! 99–114 ns, on a shared 2-core Xeon. On the simulator's own traffic the
+//! heap is not slower: traced `sim_scaleout_exact` runs spend less time in
+//! migration workers, whose bursts no longer pile into one bucket.
 
 use crate::time::Nanos;
 use std::cmp::Ordering;
@@ -54,20 +54,6 @@ pub struct ScheduledEvent<M> {
     pub msg: M,
 }
 
-/// log2 of the bucket width: 2^21 ns ≈ 2.1 ms per bucket.
-const BUCKET_SHIFT: u32 = 21;
-/// Virtual width of one ring bucket in nanoseconds.
-const BUCKET_WIDTH: Nanos = 1 << BUCKET_SHIFT;
-/// Ring size (power of two): 2048 buckets ≈ 4.3 s of lookahead.
-const RING_BUCKETS: usize = 2048;
-/// Words in the occupancy bitmap.
-const RING_WORDS: usize = RING_BUCKETS / 64;
-
-/// Absolute bucket index of a timestamp.
-fn bucket_of(at: Nanos) -> u64 {
-    at / BUCKET_WIDTH
-}
-
 struct Entry<M> {
     at: Nanos,
     seq: u64,
@@ -86,31 +72,30 @@ impl<M> PartialOrd for Entry<M> {
         Some(self.cmp(other))
     }
 }
+impl<M> Entry<M> {
+    /// `(at, seq)` as one integer: the same order, compared in one step
+    /// (a fifth fewer nanoseconds per schedule/pop pair than comparing the
+    /// fields one after the other).
+    fn key(&self) -> u128 {
+        (u128::from(self.at) << 64) | u128::from(self.seq)
+    }
+}
+
 impl<M> Ord for Entry<M> {
     fn cmp(&self, other: &Self) -> Ordering {
         // BinaryHeap is a max-heap; invert so the earliest event is popped
         // first, with the scheduling sequence number as a deterministic
         // tie-breaker.
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
+        other.key().cmp(&self.key())
     }
 }
 
 /// A deterministic discrete-event queue.
 pub struct EventQueue<M> {
-    /// Ring buckets, indexed by `bucket % RING_BUCKETS`. Each bucket is
-    /// sorted by `(at, seq)` descending so the minimum pops from the back.
-    ring: Vec<Vec<Entry<M>>>,
-    /// One occupancy bit per ring bucket.
-    occupied: [u64; RING_WORDS],
-    /// Events beyond the ring window, migrated in lazily.
-    overflow: BinaryHeap<Entry<M>>,
+    heap: BinaryHeap<Entry<M>>,
+    /// The timestamp of the last popped event.
     now: Nanos,
     seq: u64,
-    delivered: u64,
-    pending: usize,
 }
 
 impl<M> Default for EventQueue<M> {
@@ -124,32 +109,16 @@ impl<M> EventQueue<M> {
     #[must_use]
     pub fn new() -> Self {
         EventQueue {
-            ring: (0..RING_BUCKETS).map(|_| Vec::new()).collect(),
-            occupied: [0; RING_WORDS],
-            overflow: BinaryHeap::new(),
+            heap: BinaryHeap::new(),
             now: 0,
             seq: 0,
-            delivered: 0,
-            pending: 0,
         }
-    }
-
-    /// Current virtual time (the timestamp of the last popped event).
-    #[must_use]
-    pub fn now(&self) -> Nanos {
-        self.now
-    }
-
-    /// Number of events delivered so far.
-    #[must_use]
-    pub fn delivered(&self) -> u64 {
-        self.delivered
     }
 
     /// Number of events still pending.
     #[must_use]
     pub fn pending(&self) -> usize {
-        self.pending
+        self.heap.len()
     }
 
     /// Schedule `msg` for delivery to `dest` after `delay` virtual time.
@@ -165,82 +134,13 @@ impl<M> EventQueue<M> {
         let at = at.max(self.now);
         let seq = self.seq;
         self.seq += 1;
-        self.pending += 1;
-        let e = Entry { at, seq, dest, msg };
-        if bucket_of(at) < bucket_of(self.now) + RING_BUCKETS as u64 {
-            self.ring_insert(e);
-        } else {
-            self.overflow.push(e);
-        }
-    }
-
-    /// Insert into the ring bucket for `e.at`, keeping the bucket sorted
-    /// by `(at, seq)` descending.
-    fn ring_insert(&mut self, e: Entry<M>) {
-        let slot = (bucket_of(e.at) as usize) & (RING_BUCKETS - 1);
-        let bucket = &mut self.ring[slot];
-        let pos = bucket.partition_point(|x| (x.at, x.seq) > (e.at, e.seq));
-        bucket.insert(pos, e);
-        self.occupied[slot / 64] |= 1 << (slot % 64);
-    }
-
-    /// Move every overflow entry whose bucket has entered the ring window
-    /// into the ring. Called before popping so the ring-before-overflow
-    /// time ordering invariant holds at the current window position.
-    fn migrate(&mut self) {
-        let horizon = bucket_of(self.now) + RING_BUCKETS as u64;
-        while self
-            .overflow
-            .peek()
-            .is_some_and(|head| bucket_of(head.at) < horizon)
-        {
-            let Some(e) = self.overflow.pop() else { break };
-            self.ring_insert(e);
-        }
-    }
-
-    /// First occupied ring slot at or (circularly) after `start`, in
-    /// window order.
-    fn first_occupied(&self, start: usize) -> Option<usize> {
-        let mut word = start / 64;
-        let mut mask = !0u64 << (start % 64);
-        // One extra iteration re-covers the starting word's low bits,
-        // which map to the far end of the window.
-        for _ in 0..=RING_WORDS {
-            let bits = self.occupied[word] & mask;
-            if bits != 0 {
-                return Some(word * 64 + bits.trailing_zeros() as usize);
-            }
-            mask = !0;
-            word = (word + 1) % RING_WORDS;
-        }
-        None
+        self.heap.push(Entry { at, seq, dest, msg });
     }
 
     /// Pop the next event, advancing virtual time to its timestamp.
     pub fn pop(&mut self) -> Option<ScheduledEvent<M>> {
-        if self.pending == 0 {
-            return None;
-        }
-        self.migrate();
-        let start = (bucket_of(self.now) as usize) & (RING_BUCKETS - 1);
-        let from_ring = self.first_occupied(start).and_then(|slot| {
-            let bucket = &mut self.ring[slot];
-            let e = bucket.pop();
-            if bucket.is_empty() {
-                self.occupied[slot / 64] &= !(1 << (slot % 64));
-            }
-            e
-        });
-        let e = match from_ring {
-            Some(e) => e,
-            // Ring empty: the next event is beyond the window.
-            None => self.overflow.pop()?,
-        };
-        debug_assert!(e.at >= self.now, "event queue time went backwards");
+        let e = self.heap.pop()?;
         self.now = e.at;
-        self.delivered += 1;
-        self.pending -= 1;
         Some(ScheduledEvent {
             at: e.at,
             dest: e.dest,
@@ -248,25 +148,21 @@ impl<M> EventQueue<M> {
         })
     }
 
-    /// Peek at the timestamp of the next event without popping.
-    #[must_use]
-    pub fn next_time(&self) -> Option<Nanos> {
-        let start = (bucket_of(self.now) as usize) & (RING_BUCKETS - 1);
-        let ring_min = self
-            .first_occupied(start)
-            .and_then(|slot| self.ring[slot].last())
-            .map(|e| e.at);
-        let overflow_min = self.overflow.peek().map(|e| e.at);
-        match (ring_min, overflow_min) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
+    /// Pop the next event if it is due by `t`; otherwise leave the queue
+    /// and its clock untouched.
+    pub fn pop_until(&mut self, t: Nanos) -> Option<ScheduledEvent<M>> {
+        if self.heap.peek()?.at > t {
+            return None;
         }
+        self.pop()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::DetRng;
+    use crate::time::SECOND;
     use proptest::prelude::*;
 
     #[test]
@@ -275,10 +171,11 @@ mod tests {
         q.schedule(30, ActorId(0), "c");
         q.schedule(10, ActorId(0), "a");
         q.schedule(20, ActorId(0), "b");
-        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|e| e.msg).collect();
-        assert_eq!(order, vec!["a", "b", "c"]);
-        assert_eq!(q.now(), 30);
-        assert_eq!(q.delivered(), 3);
+        let order: Vec<_> = std::iter::from_fn(|| q.pop())
+            .map(|e| (e.at, e.msg))
+            .collect();
+        assert_eq!(order, vec![(10, "a"), (20, "b"), (30, "c")]);
+        assert_eq!(q.pending(), 0);
     }
 
     #[test]
@@ -295,13 +192,11 @@ mod tests {
     fn time_advances_with_pops_and_clamps_past_schedules() {
         let mut q = EventQueue::new();
         q.schedule(100, ActorId(1), "late");
-        q.pop().unwrap();
-        assert_eq!(q.now(), 100);
+        assert_eq!(q.pop().unwrap().at, 100);
         // Scheduling at an absolute time in the past clamps to `now`.
         q.schedule_at(50, ActorId(1), "clamped");
         let e = q.pop().unwrap();
-        assert_eq!(e.at, 100);
-        assert_eq!(q.now(), 100);
+        assert_eq!((e.at, e.msg), (100, "clamped"));
     }
 
     #[test]
@@ -310,74 +205,62 @@ mod tests {
         q.schedule(10, ActorId(0), ());
         q.pop().unwrap();
         q.schedule(5, ActorId(0), ());
-        assert_eq!(q.next_time(), Some(15));
+        assert_eq!(q.pop().unwrap().at, 15);
     }
 
     #[test]
-    fn overflow_events_migrate_into_the_ring() {
+    fn pop_until_stops_at_the_bound_without_moving_the_clock() {
         let mut q = EventQueue::new();
-        // Far beyond the ring window: lands in overflow.
-        let far = BUCKET_WIDTH * (RING_BUCKETS as u64) * 3 + 17;
-        q.schedule_at(far, ActorId(0), "far");
-        q.schedule_at(5, ActorId(0), "near");
-        assert_eq!(q.next_time(), Some(5));
-        assert_eq!(q.pop().unwrap().msg, "near");
-        assert_eq!(q.next_time(), Some(far));
-        // After popping "near", scheduling between now and `far` still
-        // pops in time order even though `far` sits in overflow.
-        q.schedule_at(far - 1, ActorId(0), "just-before");
-        assert_eq!(q.pop().unwrap().msg, "just-before");
-        assert_eq!(q.pop().unwrap().msg, "far");
-        assert_eq!(q.now(), far);
-        assert!(q.pop().is_none());
-        assert_eq!(q.pending(), 0);
+        q.schedule_at(10, ActorId(0), "a");
+        q.schedule_at(20, ActorId(0), "b");
+        assert_eq!(q.pop_until(9), None);
+        assert_eq!(q.pop_until(10).map(|e| e.msg), Some("a"));
+        assert_eq!(q.pop_until(19), None);
+        // The refused pop left the clock at 10, not 19.
+        q.schedule(5, ActorId(0), "c");
+        assert_eq!(q.pop_until(20).map(|e| (e.at, e.msg)), Some((15, "c")));
+        assert_eq!(q.pop_until(20).map(|e| e.msg), Some("b"));
+        assert_eq!(q.pop_until(u64::MAX), None);
     }
 
+    /// The Fig. 8/9 scale-out's shape at its depth: about 2 000 events
+    /// pending while a million schedule/pop pairs slide across 1 000
+    /// virtual seconds. A queue whose memory follows its history (a
+    /// calendar ring keeping every bucket's largest `Vec`) ends this
+    /// holding ~100x its pending count.
     #[test]
-    fn equal_times_across_tiers_preserve_scheduling_order() {
+    fn retained_capacity_follows_pending_not_history() {
+        const PENDING: u64 = 2_000;
         let mut q = EventQueue::new();
-        let t = BUCKET_WIDTH * (RING_BUCKETS as u64) + 100; // overflow at t=0
-        q.schedule_at(t, ActorId(0), 0);
-        // Advance time so `t` enters the ring window, then schedule a
-        // second event at the same instant (ring tier this time).
-        q.schedule_at(t - BUCKET_WIDTH, ActorId(0), 99);
-        assert_eq!(q.pop().unwrap().msg, 99);
-        q.schedule_at(t, ActorId(0), 1);
-        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|e| e.msg).collect();
-        assert_eq!(order, vec![0, 1]);
-    }
-
-    /// Reference implementation: the historical single-`BinaryHeap` queue.
-    struct RefQueue {
-        heap: BinaryHeap<Entry<usize>>,
-        now: Nanos,
-        seq: u64,
-    }
-
-    impl RefQueue {
-        fn new() -> Self {
-            RefQueue {
-                heap: BinaryHeap::new(),
-                now: 0,
-                seq: 0,
+        let mut rng = DetRng::seed(46);
+        // Holding `PENDING` events at a mean delay of 2 s advances the
+        // clock 1 000 virtual seconds per million pops; one event in ten
+        // lands far out.
+        let delay = |rng: &mut DetRng| {
+            if rng.range(0, 10) == 0 {
+                rng.range(6 * SECOND, 16 * SECOND)
+            } else {
+                rng.range(0, 2 * SECOND)
             }
+        };
+        for i in 0..PENDING {
+            q.schedule(delay(&mut rng), ActorId(0), i);
         }
-        fn schedule_at(&mut self, at: Nanos, msg: usize) {
-            let at = at.max(self.now);
-            let seq = self.seq;
-            self.seq += 1;
-            self.heap.push(Entry {
-                at,
-                seq,
-                dest: ActorId(0),
-                msg,
-            });
+        let mut peak = q.pending();
+        let mut last = 0;
+        for i in 0..1_000_000 {
+            let e = q.pop().unwrap();
+            assert!(e.at >= last);
+            last = e.at;
+            q.schedule(delay(&mut rng), ActorId(0), i);
+            peak = peak.max(q.pending());
         }
-        fn pop(&mut self) -> Option<(Nanos, usize)> {
-            let e = self.heap.pop()?;
-            self.now = e.at;
-            Some((e.at, e.msg))
-        }
+        assert!(last >= 900 * SECOND, "slid to {last}");
+        assert!(
+            q.heap.capacity() <= 2 * peak,
+            "capacity {} for a peak of {peak} pending",
+            q.heap.capacity()
+        );
     }
 
     proptest! {
@@ -399,34 +282,40 @@ mod tests {
             prop_assert_eq!(count, delays.len());
         }
 
-        /// The ring/overflow queue pops the exact `(at, seq)` order of the
-        /// reference heap under interleaved schedule/pop traffic that
-        /// crosses bucket and window boundaries.
+        /// The queue pops the exact `(at, seq)` order under interleaved
+        /// schedule/pop traffic with delays up to 10 s, checked against a
+        /// stable sort by time of every pending event (clamped past times
+        /// included), which breaks ties in scheduling order by itself.
         #[test]
         fn matches_reference_heap(
-            ops in proptest::collection::vec(
-                (0u64..(BUCKET_WIDTH * RING_BUCKETS as u64 * 2), 0u8..4),
-                1..300,
-            ),
+            ops in proptest::collection::vec((0u64..10_000_000_000, 0u8..4), 1..300),
         ) {
             let mut q = EventQueue::new();
-            let mut r = RefQueue::new();
+            let mut reference: Vec<(Nanos, usize)> = Vec::new();
+            let mut now = 0;
             let mut id = 0usize;
+            let reference_pop = |reference: &mut Vec<(Nanos, usize)>, now: &mut Nanos| {
+                reference.sort_by_key(|&(at, _)| at);
+                (!reference.is_empty()).then(|| {
+                    let next = reference.remove(0);
+                    *now = next.0;
+                    next
+                })
+            };
             for (at, kind) in ops {
                 if kind == 0 {
                     // Interleave pops with schedules.
                     let a = q.pop().map(|e| (e.at, e.msg));
-                    let b = r.pop();
-                    prop_assert_eq!(a, b);
+                    prop_assert_eq!(a, reference_pop(&mut reference, &mut now));
                 } else {
                     q.schedule_at(at, ActorId(0), id);
-                    r.schedule_at(at, id);
+                    reference.push((at.max(now), id));
                     id += 1;
                 }
             }
             loop {
                 let a = q.pop().map(|e| (e.at, e.msg));
-                let b = r.pop();
+                let b = reference_pop(&mut reference, &mut now);
                 prop_assert_eq!(a, b);
                 if b.is_none() {
                     break;

@@ -395,7 +395,9 @@ impl Actuator for LocalHarness {
             self.regions.insert(id, placed);
             joining.push((id, placed));
         }
-        scale_out_moves(self.owners(), &pool, &joining, |m| {
+        let owners = self.owners();
+        let owners = owners.iter().map(|(&granule, &node)| (granule, node));
+        scale_out_moves(owners, &pool, &joining, |m| {
             self.cluster
                 .migrate(m.src, m.dst, self.table, vec![m.granule])
                 .expect("scale-out migration succeeds between live nodes");

@@ -48,31 +48,56 @@ pub struct GranuleMove {
 ///
 /// `owners` lists granule owners in granule order (granules owned
 /// outside `pool` are ignored); `pool` and `joining` are `(node, region)`
-/// in ascending id order. Moves are streamed to `emit` rather than
+/// in ascending id order. The owners are read twice: once forward to
+/// count each member's granules, once backward to copy out only the
+/// granules that move, each member's highest first, into one buffer of
+/// exactly that size. Moves are streamed to `emit` rather than
 /// returned: a scale-out of the paper's size is 100 k moves, and
 /// returning them as a `Vec` made `sim_scaleout_exact`'s set-up about
 /// 3x slower through glibc's dynamic mmap threshold, not through the
 /// planner's own work.
-pub fn scale_out_moves(
-    owners: impl IntoIterator<Item = (GranuleId, NodeId)>,
+pub fn scale_out_moves<I>(
+    owners: I,
     pool: &[(NodeId, RegionId)],
     joining: &[(NodeId, RegionId)],
     mut emit: impl FnMut(GranuleMove),
-) {
+) where
+    I: IntoIterator<Item = (GranuleId, NodeId)>,
+    I::IntoIter: DoubleEndedIterator + Clone,
+{
     if joining.is_empty() {
         return;
     }
-    let mut owned: Vec<Vec<GranuleId>> = vec![Vec::new(); pool.len()];
-    for (granule, owner) in owners {
-        if let Ok(i) = pool.binary_search_by_key(&owner, |&(node, _)| node) {
-            owned[i].push(granule);
+    let owners = owners.into_iter();
+    let member = |owner: NodeId| pool.binary_search_by_key(&owner, |&(node, _)| node).ok();
+    // Pass 1: each member's granule count, and from it the run of
+    // `shed` each member's excess fills: `shed[bounds[i]..bounds[i + 1]]`.
+    let mut counts = vec![0usize; pool.len()];
+    for (_, owner) in owners.clone() {
+        if let Some(i) = member(owner) {
+            counts[i] += 1;
         }
     }
-    let target = owned.iter().map(Vec::len).sum::<usize>() / (pool.len() + joining.len());
+    let target = counts.iter().sum::<usize>() / (pool.len() + joining.len());
+    let mut bounds = vec![0usize; pool.len() + 1];
+    for (i, &count) in counts.iter().enumerate() {
+        bounds[i + 1] = bounds[i] + count.saturating_sub(target);
+    }
+    // Pass 2: walking down the granules, the first ones a member meets
+    // until its run is full are its highest, highest first.
+    let mut shed = vec![GranuleId(0); bounds[pool.len()]];
+    let mut fill = bounds[..pool.len()].to_vec();
+    for (granule, owner) in owners.rev() {
+        if let Some(i) = member(owner) {
+            if fill[i] < bounds[i + 1] {
+                shed[fill[i]] = granule;
+                fill[i] += 1;
+            }
+        }
+    }
     let mut next = 0usize;
-    for (&(src, region), granules) in pool.iter().zip(&owned) {
-        let excess = granules.len().saturating_sub(target);
-        for &granule in granules.iter().rev().take(excess) {
+    for (&(src, region), run) in pool.iter().zip(bounds.windows(2)) {
+        for &granule in &shed[run[0]..run[1]] {
             let pick = (0..joining.len())
                 .map(|probe| (next + probe) % joining.len())
                 .find(|&cand| joining[cand].1 == region)
@@ -381,6 +406,118 @@ mod tests {
             },
         ];
         obs
+    }
+
+    /// `scale_out_moves` as one pass over the owners: every pool
+    /// member's whole granule list, then the top `excess` of each.
+    fn scale_out_moves_reference(
+        owners: &[(GranuleId, NodeId)],
+        pool: &[(NodeId, RegionId)],
+        joining: &[(NodeId, RegionId)],
+    ) -> Vec<GranuleMove> {
+        let mut moves = Vec::new();
+        if joining.is_empty() {
+            return moves;
+        }
+        let mut owned: Vec<Vec<GranuleId>> = vec![Vec::new(); pool.len()];
+        for &(granule, owner) in owners {
+            if let Ok(i) = pool.binary_search_by_key(&owner, |&(node, _)| node) {
+                owned[i].push(granule);
+            }
+        }
+        let target = owned.iter().map(Vec::len).sum::<usize>() / (pool.len() + joining.len());
+        let mut next = 0usize;
+        for (&(src, region), granules) in pool.iter().zip(&owned) {
+            let excess = granules.len().saturating_sub(target);
+            for &granule in granules.iter().rev().take(excess) {
+                let pick = (0..joining.len())
+                    .map(|probe| (next + probe) % joining.len())
+                    .find(|&cand| joining[cand].1 == region)
+                    .unwrap_or(next % joining.len());
+                next = pick + 1;
+                moves.push(GranuleMove {
+                    granule,
+                    src,
+                    dst: joining[pick].0,
+                });
+            }
+        }
+        moves
+    }
+
+    fn streamed_scale_out(
+        owners: &[(GranuleId, NodeId)],
+        pool: &[(NodeId, RegionId)],
+        joining: &[(NodeId, RegionId)],
+    ) -> Vec<GranuleMove> {
+        let mut moves = Vec::new();
+        scale_out_moves(owners.iter().copied(), pool, joining, |m| moves.push(m));
+        moves
+    }
+
+    #[test]
+    fn scale_out_moves_match_the_one_pass_reference() {
+        let mut rng = marlin_sim::DetRng::seed(47);
+        for case in 0..400 {
+            let nodes = 1 + rng.range(0, 12) as u32;
+            let regions = 1 + rng.range(0, 4);
+            let joiners = rng.range(0, 5) as u32;
+            let mut place = |n: u32| (NodeId(n), RegionId(rng.range(0, regions) as u16));
+            // Some nodes own granules but are not in the pool (another
+            // region's, under a targeted add).
+            let pool: Vec<(NodeId, RegionId)> = (0..nodes).map(&mut place).collect();
+            let joining: Vec<(NodeId, RegionId)> =
+                (nodes..nodes + joiners).map(&mut place).collect();
+            let pool: Vec<(NodeId, RegionId)> =
+                pool.into_iter().filter(|_| rng.range(0, 4) > 0).collect();
+            let granules = rng.range(0, 600);
+            // Contiguous blocks as a fresh cluster has them, or owners
+            // interleaved as migrations and drains leave them.
+            let contiguous = case % 3 == 0;
+            let owners: Vec<(GranuleId, NodeId)> = (0..granules)
+                .map(|g| {
+                    let owner = if contiguous {
+                        (g * u64::from(nodes) / granules) as u32
+                    } else {
+                        rng.range(0, u64::from(nodes)) as u32
+                    };
+                    (GranuleId(g), NodeId(owner))
+                })
+                .collect();
+            assert_eq!(
+                streamed_scale_out(&owners, &pool, &joining),
+                scale_out_moves_reference(&owners, &pool, &joining),
+                "case {case}: {owners:?} over {pool:?} onto {joining:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn scale_out_moves_shed_only_above_the_target() {
+        let r = RegionId;
+        let owners: Vec<(GranuleId, NodeId)> = [0u32, 0, 1, 0, 0, 2, 0, 0, 1, 0, 0, 0]
+            .iter()
+            .enumerate()
+            .map(|(g, &n)| (GranuleId(g as u64), NodeId(n)))
+            .collect();
+        let pool = [(NodeId(0), r(0)), (NodeId(1), r(1)), (NodeId(2), r(0))];
+        let joining = [(NodeId(3), r(1)), (NodeId(4), r(0))];
+        // 12 granules over 5 nodes: a target of 2, so only node 0 sheds,
+        // its seven highest granules, highest first, each to the region-0
+        // joiner.
+        let moves = streamed_scale_out(&owners, &pool, &joining);
+        assert_eq!(moves, scale_out_moves_reference(&owners, &pool, &joining));
+        let shed: Vec<u64> = moves.iter().map(|m| m.granule.0).collect();
+        assert_eq!(shed, [11, 10, 9, 7, 6, 4, 3]);
+        assert!(moves
+            .iter()
+            .all(|m| m.src == NodeId(0) && m.dst == NodeId(4)));
+        // Nothing moves with no joiner, an empty pool, a pool that owns
+        // nothing, or no granules at all.
+        assert!(streamed_scale_out(&owners, &pool, &[]).is_empty());
+        assert!(streamed_scale_out(&owners, &[], &joining).is_empty());
+        assert!(streamed_scale_out(&owners, &[(NodeId(7), r(0))], &joining).is_empty());
+        assert!(streamed_scale_out(&[], &pool, &joining).is_empty());
     }
 
     #[test]

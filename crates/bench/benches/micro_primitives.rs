@@ -1,10 +1,11 @@
-//! Five measured sections of the primitives the simulator leans on,
+//! Six measured sections of the primitives the simulator leans on,
 //! each asserting what it is named for and landing in
 //! `BENCH_micro_primitives.json`: the per-request station under the
 //! deep calendars the simulator really builds, one control tick's
 //! `observe()` on a 200 k-granule cluster, one `MigrationDriver` round
 //! as the simulator's effect pricer runs it per migration, `EventQueue`
-//! schedule/pop at the depth the exact engine keeps it, and the
+//! schedule/pop at the depth the exact engine keeps it, constructing a
+//! 200 k-granule simulator, and the
 //! telemetry overhead guard (disabled instrumentation must cost <2% of a
 //! run and leave decision logs bit-identical). The storage-side protocol
 //! primitives (conditional append, lock table, GTable apply) are timed
@@ -414,12 +415,52 @@ fn event_queue() -> BenchSection {
     }
 }
 
+/// `SimRunner::new` for the two 200 k-granule presets whose construction
+/// the `e2e` benchmark's `setup_s` times: the Fig. 8/9 scale-out (8
+/// nodes, 800 exact clients) and a million cohort clients on 16 nodes.
+/// Each preset is built and dropped in a loop of its own, so what runs
+/// of other sizes left in the heap does not decide what a build costs.
+/// `virtual_ns` counts one nominal ns per construction.
+fn construction() -> BenchSection {
+    const BUILDS: u64 = 40;
+    let time = |scenario: &Scenario, cohort: bool| {
+        assert_eq!(scenario.workload.granule_count(), 200_000);
+        let runner = SimRunner::new(scenario);
+        assert_eq!(runner.sim().cohort_active(), cohort);
+        drop(runner);
+        let timer = Instant::now();
+        for _ in 0..BUILDS {
+            drop(black_box(SimRunner::new(scenario)));
+        }
+        timer.elapsed().as_nanos() as f64 / BUILDS as f64
+    };
+    let exact_ns = time(&Scenario::ycsb_scale_out(CoordKind::Marlin, 1), false);
+    let cohort_ns = time(&Scenario::million_clients(1), true);
+    println!(
+        "construction at 200000 granules: exact scale-out {exact_ns:.0} ns, \
+         million cohort clients {cohort_ns:.0} ns ({BUILDS} builds each)"
+    );
+    BenchSection {
+        name: "construction".into(),
+        wall_nanos: ((exact_ns + cohort_ns) * BUILDS as f64) as u64,
+        virtual_nanos: 2 * BUILDS,
+        wall_bounded: false,
+        profile: None,
+        values: vec![
+            ("ns_per_new_exact".into(), exact_ns),
+            ("ns_per_new_cohort".into(), cohort_ns),
+            ("builds".into(), BUILDS as f64),
+        ],
+    }
+}
+
 fn main() {
     let mut bench = BenchReport::new("micro_primitives", marlin_bench::scale());
     bench.sections.push(station_deep_calendar());
     bench.sections.push(observe_tick());
     bench.sections.push(migration_driver_round());
     bench.sections.push(event_queue());
+    bench.sections.push(construction());
     bench.sections.push(telemetry_overhead());
     bench.maybe_write();
 }

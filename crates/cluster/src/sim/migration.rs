@@ -320,7 +320,7 @@ impl ClusterSim {
     }
 
     /// Every granule's owner, in granule order.
-    fn owner_list(&self) -> impl Iterator<Item = (GranuleId, NodeId)> + '_ {
+    fn owner_list(&self) -> impl DoubleEndedIterator<Item = (GranuleId, NodeId)> + Clone + '_ {
         self.granules
             .iter()
             .enumerate()
@@ -432,7 +432,9 @@ impl ClusterSim {
         let w = worker as usize;
         let (ref queue_tasks, cursor) = self.workers[w];
         if cursor >= queue_tasks.len() {
-            // Worker done; if a drain finished, release nodes.
+            // Worker done: its queue goes, its cursor stays as the count
+            // of tasks it ran. If a drain finished, release nodes.
+            self.workers[w].0 = Vec::new();
             if !self.draining.is_empty() {
                 self.queue.schedule(0, ActorId(0), Event::ReleaseDrained);
             }

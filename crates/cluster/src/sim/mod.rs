@@ -270,7 +270,8 @@ pub struct ClusterSim {
     /// First attempt time of each member's in-flight update (latency
     /// includes OCC retries — the Figure 15 degradation signal).
     membership_starts: Vec<Option<Nanos>>,
-    /// Migration worker state: (queue, cursor, current blocked task).
+    /// Migration worker state: (queue, cursor). A finished worker's
+    /// queue is freed; its cursor keeps the count of tasks it ran.
     workers: Vec<(Vec<GranuleMove>, usize)>,
     /// Workers whose final event (queue exhausted) has not fired yet.
     active_workers: u32,
@@ -320,8 +321,11 @@ pub struct ClusterSim {
     lead_extra_once: Nanos,
     /// Granules initially owned by each region's nodes (geo deployments
     /// keep clients local: "each client accessing only local compute
-    /// nodes", §6.5 — and migrations stay within a region).
-    region_granules: Vec<Vec<u64>>,
+    /// nodes", §6.5 — and migrations stay within a region), as blocks:
+    /// per region, each of its initial nodes' non-empty blocks as
+    /// `(offset in the region, first granule)`, in node order, closed by
+    /// `(granules in the region, 0)`.
+    region_blocks: Vec<Vec<(u64, u64)>>,
     /// Measurement state.
     pub metrics: RunMetrics,
     /// The §6.1.5 cost model (DB Cost + Meta Cost accrual).
@@ -450,19 +454,21 @@ impl ClusterSim {
         // Blocks are contiguous: a node owns from its block's start to the next one's.
         let start = |n: usize| granules.partition_point(|g| (g.owner as usize) < n) as u64;
         let owned: Vec<u64> = (0..nodes.len()).map(|n| start(n + 1) - start(n)).collect();
-        // Sized exactly up front: on a large table, growing these lists by
-        // doubling leaves a transient peak that makes the allocator
-        // return the freed simulator to the OS, so the next construction
-        // faults every page in again.
-        let mut sizes = vec![0; regions as usize];
+        // The blocks follow node order, so a region's granules are its
+        // nodes' blocks one after the other.
+        let mut region_blocks: Vec<Vec<(u64, u64)>> = vec![Vec::new(); regions as usize];
+        let mut totals = vec![0; regions as usize];
+        let mut first = 0;
         for (node, &count) in nodes.iter().zip(&owned) {
-            sizes[node.region.0 as usize] += count as usize;
+            let r = node.region.0 as usize;
+            if count > 0 {
+                region_blocks[r].push((totals[r], first));
+                totals[r] += count;
+                first += count;
+            }
         }
-        let mut region_granules: Vec<Vec<u64>> =
-            sizes.into_iter().map(Vec::with_capacity).collect();
-        for (g, gran) in granules.iter().enumerate() {
-            let r = nodes[gran.owner as usize].region.0 as usize;
-            region_granules[r].push(g as u64);
+        for (blocks, total) in region_blocks.iter_mut().zip(totals) {
+            blocks.push((total, 0));
         }
 
         // The one scale switch: `Cohort` means cohort stepping, the
@@ -579,7 +585,7 @@ impl ClusterSim {
             net_overlays: Vec::new(),
             overlay_seq: 0,
             lead_extra_once: 0,
-            region_granules,
+            region_blocks,
             metrics: RunMetrics::new(),
             cost_series: TimeSeries::new(),
             tracer: Tracer::from_env(),
@@ -696,10 +702,12 @@ impl ClusterSim {
             .collect()
     }
 
-    /// Granule ids homed in each region (the §6.5 client-locality sets).
-    #[must_use]
-    pub fn region_granules(&self) -> &[Vec<u64>] {
-        &self.region_granules
+    /// Granule ids homed in `region` (its §6.5 client-locality set), in
+    /// ascending order: the blocks its nodes held when the run started.
+    pub fn region_granules(&self, region: RegionId) -> impl Iterator<Item = u64> + '_ {
+        self.region_blocks[region.0 as usize]
+            .windows(2)
+            .flat_map(|pair| pair[0].1..pair[0].1 + (pair[1].0 - pair[0].0))
     }
 
     /// Committed user transactions attributed to each client region.
@@ -1043,6 +1051,69 @@ mod tests {
                     .map(|g| (u128::from(g) * u128::from(nodes) / u128::from(count)) as u32)
                     .collect();
                 assert_eq!(owners, divided, "{count} granules over {nodes} nodes");
+            }
+        }
+    }
+
+    /// The per-region granule lists the block table stands for: every
+    /// granule under its initial owner's region, in granule order.
+    fn reference_region_lists(sim: &ClusterSim, regions: usize) -> Vec<Vec<u64>> {
+        let mut lists = vec![Vec::new(); regions];
+        for (g, gran) in sim.granules.iter().enumerate() {
+            lists[sim.nodes[gran.owner as usize].region.0 as usize].push(g as u64);
+        }
+        lists
+    }
+
+    /// The block table folds every key as the lists did, and lists the
+    /// same sets — one to four regions, more nodes than granules, and
+    /// regions no initial node is placed in.
+    #[test]
+    fn granule_of_key_folds_as_the_per_region_lists_did() {
+        let template = TxnTemplate {
+            ops: Vec::new(),
+            kind: 0,
+            anchor: 0,
+            anchor_table: marlin_common::TableId(0),
+        };
+        let row = [marlin_sim::MILLISECOND; 4];
+        for regions in 1..=4 {
+            let table = vec![&row[..regions]; regions];
+            let params = SimParams {
+                regions: marlin_sim::RegionMatrix::from_table(&table),
+                ..SimParams::default()
+            };
+            for nodes in 1..=16u32 {
+                for granules in [1u64, 5, 13, 64, 1_000 + u64::from(nodes)] {
+                    let sim = ClusterSim::new(
+                        params.clone(),
+                        CoordKind::Marlin,
+                        &Workload::ycsb(granules),
+                        nodes,
+                        0,
+                        SECOND,
+                    );
+                    let lists = reference_region_lists(&sim, regions);
+                    for (r, list) in lists.iter().enumerate() {
+                        let region = RegionId(r as u16);
+                        let listed: Vec<u64> = sim.region_granules(region).collect();
+                        assert_eq!(&listed, list, "{nodes} nodes, {regions} regions");
+                        for g in 0..granules {
+                            let want = match list.as_slice() {
+                                local if regions > 1 && !local.is_empty() => {
+                                    local[(g % local.len() as u64) as usize]
+                                }
+                                _ => g,
+                            };
+                            assert_eq!(
+                                sim.granule_of_key(&template, g * 64, region),
+                                want,
+                                "granule {g} of {granules}, region {r}, {nodes} nodes, \
+                                 {regions} regions"
+                            );
+                        }
+                    }
+                }
             }
         }
     }
@@ -1612,7 +1683,7 @@ mod tests {
         runner.actuate(&ScaleAction::Rebalance { moves });
         settle(&mut runner, 400, &[]);
         assert!(idle(&runner));
-        let tasks: usize = runner.sim().workers.iter().map(|(q, _)| q.len()).sum();
+        let tasks: usize = runner.sim().workers.iter().map(|&(_, ran)| ran).sum();
         let migrated = runner.sim().metrics.migrations.total();
         assert!(migrated + 40 <= tasks as u64, "stale tasks skipped");
         assert!(runner.sim().owned[8..].iter().all(|&n| n > 0));
@@ -1901,6 +1972,23 @@ mod tests {
     }
 
     // -- ClusterSim: memory follows the in-flight window, not the run ------
+
+    #[test]
+    fn an_idle_simulator_retains_no_move_queue() {
+        let mut sim = quiet_marlin(2);
+        // A scale-out sheds 16 granules from each node onto two joiners,
+        // then a drain moves node 0's other 16.
+        sim.apply_action(0, &ScaleAction::add(2), 2);
+        let victims = vec![NodeId(0)];
+        sim.apply_action(SECOND / 100, &ScaleAction::RemoveNodes { victims }, 2);
+        sim.run_until(10 * SECOND);
+        assert!(sim.active_workers == 0 && sim.held.is_empty(), "idle");
+        let ran: usize = sim.workers.iter().map(|&(_, ran)| ran).sum();
+        assert_eq!(ran, 48);
+        assert_eq!(sim.metrics.migrations.total(), 48);
+        let retained: usize = sim.workers.iter().map(|(q, _)| q.capacity()).sum();
+        assert_eq!(retained, 0, "a finished worker frees its queue");
+    }
 
     #[test]
     fn simulator_state_does_not_grow_with_the_commits_of_a_run() {

@@ -317,7 +317,7 @@ impl ClusterSim {
     /// region with no initial nodes owns no granules — its clients fall
     /// back to the global granule space rather than folding into an
     /// empty set (found by fuzzing: `g % 0` panicked).
-    fn granule_of_key(&self, template: &TxnTemplate, key: u64, region: RegionId) -> u64 {
+    pub(super) fn granule_of_key(&self, template: &TxnTemplate, key: u64, region: RegionId) -> u64 {
         let g = if template.kind == 0 {
             // YCSB: 64 keys per granule (64 KB granules of 1 KB tuples).
             (key / 64).min(self.granules.len() as u64 - 1)
@@ -325,12 +325,22 @@ impl ClusterSim {
             // TPC-C: warehouse-major composite keys.
             TpccConfig::warehouse_of(key).min(self.granules.len() as u64 - 1)
         };
-        if self.region_granules.len() <= 1 {
+        if self.region_blocks.len() <= 1 {
             return g;
         }
-        match self.region_granules[region.0 as usize].as_slice() {
-            [] => g,
-            local => local[(g % local.len() as u64) as usize],
+        let blocks = &self.region_blocks[region.0 as usize];
+        match blocks.last() {
+            Some(&(total, _)) if total > 0 => {
+                // The block holding the region's `local`-th granule: the
+                // last one that starts at or before it.
+                let local = g % total;
+                blocks
+                    .iter()
+                    .rev()
+                    .find(|&&(offset, _)| offset <= local)
+                    .map_or(g, |&(offset, first)| first + (local - offset))
+            }
+            _ => g,
         }
     }
 

@@ -153,9 +153,10 @@ fn cluster_sim_loop() -> RunReport {
         .map(|(n, _)| n)
         .collect();
     assert!(
-        runner.sim().region_granules()[1]
-            .iter()
-            .all(|&g| r1_nodes.contains(&owners[g as usize])),
+        runner
+            .sim()
+            .region_granules(RegionId(1))
+            .all(|g| r1_nodes.contains(&owners[g as usize])),
         "drained granules must stay in their home region"
     );
 

@@ -198,7 +198,7 @@ fn geo_autoscale_adds_land_in_the_hot_region_and_drains_stay_local() {
         .filter(|&(_, r)| r == marlin::common::RegionId(1))
         .map(|(n, _)| n)
         .collect();
-    for &g in &runner.sim().region_granules()[1] {
+    for g in runner.sim().region_granules(marlin::common::RegionId(1)) {
         assert!(
             r1_nodes.contains(&owners[g as usize]),
             "granule {g} homed in region 1 ended on node {} (region-1 nodes: {r1_nodes:?})",

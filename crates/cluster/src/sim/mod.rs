@@ -66,7 +66,7 @@ mod station;
 mod walk;
 
 use cohort::Cohort;
-use migration::PendingPlan;
+use migration::Plan;
 use observe::LatencyWindow;
 use station::NodeCpu;
 use walk::{Walk, WalkEnd};
@@ -219,14 +219,8 @@ enum Event {
     /// Geo scenario: change one region's active client count (clients are
     /// interleaved over regions; region `r`'s clients are `r, r+R, ...`).
     SetRegionClients { region: u16, count: u32 },
-    /// Dynamic scenario: start (or hold) a scale-out or rebalance plan.
-    StartPlan { plan_idx: usize },
-    /// Dynamic scenario: drain `victims` onto survivors, or hold the
-    /// drain (the plan is built at start time against current ownership).
-    StartDrain {
-        victims: Vec<u32>,
-        threads_per_victim: u32,
-    },
+    /// Dynamic scenario: start (or hold) the ordered plan with this id.
+    StartPlan { plan: u64 },
     /// Scale-in bookkeeping: remove nodes that have been fully drained.
     ReleaseDrained,
     /// An injected network-latency overlay (region latency spike or
@@ -270,18 +264,20 @@ pub struct ClusterSim {
     /// First attempt time of each member's in-flight update (latency
     /// includes OCC retries — the Figure 15 degradation signal).
     membership_starts: Vec<Option<Nanos>>,
-    /// Migration worker state: (queue, cursor). A finished worker's
-    /// queue is freed; its cursor keeps the count of tasks it ran.
+    /// The running plan's migration workers: (queue, cursor). A finished
+    /// worker's queue is freed; its cursor keeps the count of tasks it
+    /// ran. Replaced when a plan starts, emptied when none runs or waits.
     workers: Vec<(Vec<GranuleMove>, usize)>,
     /// Workers whose final event (queue exhausted) has not fired yet.
     active_workers: u32,
-    /// Plans scheduled but not yet started (scale-out task lists are
-    /// built when the plan starts; see [`PendingPlan`]).
-    pending_plans: Vec<PendingPlan>,
-    /// `StartPlan`/`StartDrain` events that fired while another plan's
-    /// workers were active, in firing order: plans run one at a time, as
-    /// `LocalRunner` runs each actuation to completion.
-    held: VecDeque<Event>,
+    /// Plans ordered but not yet started, by id (see [`Plan`]).
+    pending_plans: Vec<(u64, Plan)>,
+    /// The id the next ordered plan takes.
+    next_plan: u64,
+    /// Ids of plans whose start fired while another plan's workers were
+    /// active, in firing order: plans run one at a time, as `LocalRunner`
+    /// runs each actuation to completion.
+    held: VecDeque<u64>,
     /// Flow-level client cohorts (cohort engine only; empty otherwise).
     cohorts: Vec<Cohort>,
     /// Walk buffers — the exact engine's, the cohort engine's `COHORT_SAMPLES`:
@@ -571,6 +567,7 @@ impl ClusterSim {
             workers: Vec::new(),
             active_workers: 0,
             pending_plans: Vec::new(),
+            next_plan: 0,
             held: VecDeque::new(),
             cohorts,
             exact_walk: Walk::default(),
@@ -956,7 +953,6 @@ impl ClusterSim {
             Event::MembershipTick { .. } => "event:membership",
             Event::SetClients { .. } | Event::SetRegionClients { .. } => "event:set_clients",
             Event::StartPlan { .. } => "event:start_plan",
-            Event::StartDrain { .. } => "event:start_drain",
             Event::ReleaseDrained => "event:release_drained",
             Event::EndNetworkOverlay { .. } => "event:overlay",
         }
@@ -1017,9 +1013,7 @@ impl ClusterSim {
                 }
             }
             Event::SetRegionClients { region, count } => self.apply_region_clients(region, count),
-            start @ (Event::StartPlan { .. } | Event::StartDrain { .. }) => {
-                self.start_or_hold(now, start);
-            }
+            Event::StartPlan { plan } => self.start_or_hold(now, plan),
             Event::ReleaseDrained => self.release_drained(now),
             Event::EndNetworkOverlay { token } => {
                 self.net_overlays.retain(|&(t, ..)| t != token);
@@ -1031,7 +1025,6 @@ impl ClusterSim {
 
 #[cfg(test)]
 mod tests {
-    use super::migration::MigrationPlan;
     use super::observe::sorted_window_stats;
     use super::station::{deposit, ring_slot, Slot, BUCKET, CPU_TAU};
     use super::*;
@@ -1683,10 +1676,13 @@ mod tests {
         runner.actuate(&ScaleAction::Rebalance { moves });
         settle(&mut runner, 400, &[]);
         assert!(idle(&runner));
-        let tasks: usize = runner.sim().workers.iter().map(|&(_, ran)| ran).sum();
-        let migrated = runner.sim().metrics.migrations.total();
-        assert!(migrated + 40 <= tasks as u64, "stale tasks skipped");
-        assert!(runner.sim().owned[8..].iter().all(|&n| n > 0));
+        // Every scale-out move landed on a joiner and nothing has left
+        // them since; of the two plans' 80 rebalance tasks, exactly 40
+        // migrated and the rest were skipped as stale.
+        let sim = runner.sim();
+        let joined: u64 = sim.owned[8..].iter().sum();
+        assert_eq!(sim.metrics.migrations.total(), joined + 40);
+        assert!(sim.owned[8..].iter().all(|&n| n > 0));
 
         // Scale-in, region-local: nodes 1 and 9 (one initial, one joined)
         // drain onto node 5, the survivor in their region.
@@ -1809,12 +1805,15 @@ mod tests {
             src: NodeId(0),
             dst: NodeId(dst),
         };
-        sim.start_workers(MigrationPlan {
-            queues: vec![vec![move_to(1), move_to(2)]],
-        });
+        let moves = vec![move_to(1), move_to(2)];
+        sim.apply_action(0, &ScaleAction::Rebalance { moves }, 1);
         sim.run_until(SECOND);
         assert_eq!(sim.granules[0].owner, 1);
-        assert_eq!(sim.workers[0].1, 2, "both tasks are done");
+        // A worker ends only past the end of its queue.
+        assert!(
+            sim.active_workers == 0 && sim.workers.is_empty(),
+            "both tasks are done"
+        );
         assert_eq!(sim.metrics.migrations.total(), 1);
         assert_eq!(sim.metrics.migration_retries, 0);
         // The stale task ended at the owner read: no CAS ran for it.
@@ -1826,13 +1825,12 @@ mod tests {
         let mut sim = quiet_marlin(2);
         // A user transaction holds granule 0 until 1 s.
         sim.granules[0].busy_until = SECOND;
-        sim.start_workers(MigrationPlan {
-            queues: vec![vec![GranuleMove {
-                granule: GranuleId(0),
-                src: NodeId(0),
-                dst: NodeId(1),
-            }]],
-        });
+        let moves = vec![GranuleMove {
+            granule: GranuleId(0),
+            src: NodeId(0),
+            dst: NodeId(1),
+        }];
+        sim.apply_action(0, &ScaleAction::Rebalance { moves }, 1);
         sim.run_until(SECOND / 2);
         assert_eq!(sim.metrics.migration_retries, 1);
         assert_eq!(sim.granules[0].owner, 0, "the abort left ownership alone");
@@ -1974,26 +1972,69 @@ mod tests {
     // -- ClusterSim: memory follows the in-flight window, not the run ------
 
     #[test]
+    fn a_scale_out_sizes_each_worker_queue_exactly() {
+        let mut sim = quiet_marlin(2);
+        // 16 moves onto each joiner, dealt 6/5/5 over its three workers.
+        sim.apply_action(0, &ScaleAction::add(2), 3);
+        sim.run_until(0);
+        let lens: Vec<usize> = sim.workers.iter().map(|(q, _)| q.len()).collect();
+        assert_eq!(lens, [6, 5, 5, 6, 5, 5]);
+        let retained: usize = sim.workers.iter().map(|(q, _)| q.capacity()).sum();
+        assert_eq!(retained, 32, "capacity is the task count");
+    }
+
+    #[test]
     fn an_idle_simulator_retains_no_move_queue() {
         let mut sim = quiet_marlin(2);
-        // A scale-out sheds 16 granules from each node onto two joiners,
-        // then a drain moves node 0's other 16.
+        sim.enable_profiling();
+        let moves = |granules: std::ops::Range<u64>, src, dst| ScaleAction::Rebalance {
+            moves: granules
+                .map(|g| GranuleMove {
+                    granule: GranuleId(g),
+                    src: NodeId(src),
+                    dst: NodeId(dst),
+                })
+                .collect(),
+        };
+        // All ordered at 0: a scale-out sheds node 0's granules 16..32
+        // and node 1's 48..64 onto two joiners (4 workers); three
+        // rebalances move 0..4 to node 1 (1 worker), the same again (1
+        // worker, all stale), and 40..42 to node 0 (1 worker); then a
+        // drain moves node 0's remaining 14 (2 workers).
         sim.apply_action(0, &ScaleAction::add(2), 2);
+        sim.apply_action(0, &moves(0..4, 0, 1), 2);
+        sim.apply_action(0, &moves(0..4, 0, 1), 2);
+        sim.apply_action(0, &moves(40..42, 1, 0), 2);
         let victims = vec![NodeId(0)];
-        sim.apply_action(SECOND / 100, &ScaleAction::RemoveNodes { victims }, 2);
+        sim.apply_action(0, &ScaleAction::RemoveNodes { victims }, 2);
+        sim.run_until(0);
+        // The scale-out runs; the other four plans wait, unstarted.
+        assert_eq!(sim.held.len(), 4);
+        assert_eq!(sim.pending_plans.len(), 4);
         sim.run_until(10 * SECOND);
         assert!(sim.active_workers == 0 && sim.held.is_empty(), "idle");
-        let ran: usize = sim.workers.iter().map(|&(_, ran)| ran).sum();
-        assert_eq!(ran, 48);
-        assert_eq!(sim.metrics.migrations.total(), 48);
-        let retained: usize = sim.workers.iter().map(|(q, _)| q.capacity()).sum();
-        assert_eq!(retained, 0, "a finished worker frees its queue");
+        assert!(sim.pending_plans.is_empty());
+        // Node 0's last 14 went 5/5/4 over nodes 1, 2 and 3.
+        assert_eq!(sim.owned, [0, 23, 21, 20]);
+        assert_eq!(sim.metrics.migrations.total(), 32 + 4 + 2 + 14);
+        // Each worker's events: one per task it ran, one to end.
+        let tasks = 32 + 4 + 4 + 2 + 14;
+        let worker_events = sim
+            .profile_summary()
+            .phase("event:mig_worker")
+            .map(|p| p.calls);
+        assert_eq!(worker_events, Some(tasks + 4 + 1 + 1 + 1 + 2));
+        assert_eq!(sim.metrics.migration_retries, 0);
+        assert!(sim.workers.is_empty(), "no worker state outlives its plan");
+        assert_eq!(sim.workers.capacity(), 0);
     }
 
     #[test]
     fn simulator_state_does_not_grow_with_the_commits_of_a_run() {
-        // All a simulated log can hold is its LSN.
+        // All a simulated log can hold is its LSN, and an event holds
+        // ids and counts, never a buffer.
         assert_eq!(size_of::<SimLog>(), size_of::<Lsn>());
+        assert_eq!(size_of::<Event>(), 16);
         let run = |horizon: Nanos| {
             let params = SimParams {
                 cpu_model: CpuModel::PerRequest,

@@ -234,7 +234,7 @@ impl ClusterSim {
         let pending: std::collections::BTreeSet<u32> = self
             .pending_plans
             .iter()
-            .flat_map(|p| p.reserved_slots().iter().copied())
+            .flat_map(|(_, p)| p.joining().iter().copied())
             .collect();
         let node_loads: Vec<NodeLoad> = self
             .nodes

@@ -106,7 +106,7 @@ impl ClusterSim {
         let lead_pending = self
             .pending_plans
             .iter()
-            .any(|p| matches!(p, PendingPlan::ScaleOut { .. }));
+            .any(|(_, p)| matches!(p, Plan::Join { .. }));
         // A station's sojourn: `service` of it productive, the rest queueing.
         let at_station = |blame: &mut Blame, service: Nanos, sojourn: Nanos| {
             blame.service = blame.service.saturating_add(service);

@@ -193,9 +193,11 @@ impl Scenario {
         self
     }
 
-    /// Set migration worker threads per new/drained node.
+    /// Set migration worker threads per new/drained node (must be
+    /// positive).
     #[must_use]
     pub fn threads_per_node(mut self, threads: u32) -> Self {
+        assert!(threads > 0, "a migration needs a worker thread");
         self.threads_per_node = threads;
         self
     }
@@ -799,6 +801,12 @@ mod tests {
         assert_eq!(s.script.len(), 1);
         assert_eq!(s.faults.len(), 1);
         assert_eq!(s.horizon, 9 * SECOND);
+    }
+
+    #[test]
+    #[should_panic(expected = "a migration needs a worker thread")]
+    fn builder_refuses_zero_migration_threads() {
+        let _ = Scenario::new("t").threads_per_node(0);
     }
 
     #[test]

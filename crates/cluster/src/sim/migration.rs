@@ -94,7 +94,11 @@ impl ClusterSim {
     /// elapsed past `at`: ordering capacity is not the same as having it.
     /// With the default lead of 0 the behavior (and every event
     /// timestamp) is exactly the historical instant-capacity one.
+    ///
+    /// `threads_per_node` must be positive: a join or drain without
+    /// workers would never move its data.
     pub fn apply_action(&mut self, at: Nanos, action: &ScaleAction, threads_per_node: u32) {
+        assert!(threads_per_node > 0, "a migration needs a worker thread");
         let prof = self.profiler.start();
         if self.tracer.is_enabled() {
             let (name, count, region) = match action {
@@ -159,6 +163,7 @@ impl ClusterSim {
     /// `requested`, the live nodes not leaving being the members, leave
     /// from now on; each is released once its drain has emptied it.
     pub(crate) fn schedule_scale_in(&mut self, at: Nanos, requested: &[NodeId], threads_per: u32) {
+        assert!(threads_per > 0, "a migration needs a worker thread");
         let members: Vec<NodeId> = (0..self.nodes.len() as u32)
             .filter(|&i| self.nodes[i as usize].alive && !self.nodes[i as usize].leaving)
             .map(NodeId)
@@ -254,13 +259,10 @@ impl ClusterSim {
             }
         };
         let threads = threads as usize;
-        // The lead whose workers take `m` (none, without threads).
+        // The lead whose workers take `m`.
         let lead = |m: &GranuleMove| {
             let node = if by_src { m.src.0 } else { m.dst.0 };
-            leads
-                .iter()
-                .position(|&l| l == node)
-                .filter(|_| threads > 0)
+            leads.iter().position(|&l| l == node)
         };
         let mut dealt = vec![0usize; leads.len()];
         self.plan_moves(plan, |m| lead(&m).into_iter().for_each(|d| dealt[d] += 1));
@@ -756,23 +758,7 @@ mod tests {
     #[test]
     fn a_plan_without_workers_runs_exactly_one_empty_one() {
         let mut sim = quiet(2, 64);
-        let slots = sim.allocate_join_slots(2, None);
-        let plans = [
-            Plan::Rebalance(Vec::new()),
-            Plan::Join {
-                slots,
-                threads_per: 0,
-                region: None,
-                ordered_at: 0,
-            },
-            Plan::Drain {
-                victims: vec![0],
-                threads_per: 0,
-            },
-        ];
-        for plan in &plans {
-            assert_eq!(sim.lay_out(plan), vec![Vec::new()]);
-        }
+        assert_eq!(sim.lay_out(&Plan::Rebalance(Vec::new())), vec![Vec::new()]);
         // With no live node to shed or take granules, every worker of a
         // plan with threads is empty, and there are still `leads ×
         // threads` of them, as before.
@@ -784,5 +770,17 @@ mod tests {
             threads_per: 3,
         };
         assert_eq!(sim.lay_out(&drain), vec![Vec::new(); 6]);
+    }
+
+    #[test]
+    #[should_panic(expected = "a migration needs a worker thread")]
+    fn a_join_without_worker_threads_is_refused() {
+        quiet(2, 64).apply_action(0, &ScaleAction::add(2), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "a migration needs a worker thread")]
+    fn a_drain_without_worker_threads_is_refused() {
+        quiet(2, 64).schedule_scale_in(0, &[NodeId(0)], 0);
     }
 }

@@ -1798,6 +1798,7 @@ mod tests {
     #[test]
     fn a_task_whose_granule_moved_is_skipped_through_wrong_owner() {
         let mut sim = quiet_marlin(3);
+        sim.enable_profiling();
         // The first task moves granule 0 off node 0; the second was
         // planned against the old owner and runs after the move.
         let move_to = |dst| GranuleMove {
@@ -1809,11 +1810,14 @@ mod tests {
         sim.apply_action(0, &ScaleAction::Rebalance { moves }, 1);
         sim.run_until(SECOND);
         assert_eq!(sim.granules[0].owner, 1);
-        // A worker ends only past the end of its queue.
-        assert!(
-            sim.active_workers == 0 && sim.workers.is_empty(),
-            "both tasks are done"
-        );
+        // One worker per destination; each one's events are one per task
+        // it ran and one to end.
+        let worker_events = sim
+            .profile_summary()
+            .phase("event:mig_worker")
+            .map(|p| p.calls);
+        assert_eq!(worker_events, Some(2 + 2), "both tasks ran");
+        assert!(sim.active_workers == 0 && sim.workers.is_empty());
         assert_eq!(sim.metrics.migrations.total(), 1);
         assert_eq!(sim.metrics.migration_retries, 0);
         // The stale task ended at the owner read: no CAS ran for it.
